@@ -10,13 +10,16 @@ pieces, unions over controls, and prunes. Pruning modes:
   lp        keep exactly the vectors that attain the minimum somewhere on the
             simplex (witness-point semantics).
 
-The lp mode enumerates the vertices of the lower-envelope polytope once per
-kept set and batch-evaluates candidate margins there, which is equivalent to
-solving one witness linear program per vector; a direct LP fallback covers
-degenerate geometry. Above `exact_prune_cap` vectors, exact pruning switches
-to winner selection on a fixed witness-point cloud: every kept vector still
-attains the minimum somewhere, so the represented function remains a valid
-upper bound, but rarely-winning vectors may be dropped.
+The lp mode keeps the winners on a fixed seed cloud, then builds the
+lower-envelope polytope of the kept vectors once as an incremental Qhull
+halfspace intersection. Each round batch-evaluates candidate margins at its
+vertices, which is equivalent to solving one witness linear program per
+vector, keeps the vector that wins at the best vertex and adds that vector's
+halfspace to the same polytope. A direct LP fallback covers degenerate
+geometry. Above `exact_prune_cap` vectors, exact pruning switches to winner
+selection on a fixed witness-point cloud: every kept vector still attains the
+minimum somewhere, so the represented function remains a valid upper bound,
+but rarely-winning vectors may be dropped.
 """
 from __future__ import annotations
 
@@ -44,6 +47,7 @@ PRUNE_TOL = 1e-9
 TIE_TOL = 1e-12
 EXACT_PRUNE_CAP = 2000
 CROSS_GUARD = 5_000_000
+CLOUD_CHUNK = 1024
 FD_STEP = 1e-6
 
 
@@ -136,31 +140,6 @@ def _witness_lp(vector: np.ndarray, others: np.ndarray) -> tuple[float, np.ndarr
     return -res.fun, res.x[:n]
 
 
-def _envelope_vertices(kept: np.ndarray, lower: float) -> np.ndarray:
-    """Vertices of {(p, z): p projected simplex, lower <= z <= min over kept rows}.
-
-    Coordinates are (p_1..p_{N-1}, z); p_N = 1 - sum(p). A linear objective over
-    this polytope is maximised at one of these vertices, so candidate margins
-    against the kept envelope can be evaluated at the vertices alone.
-    """
-    n_vec, n = kept.shape
-    m = n - 1
-    halfspaces = []
-    for i in range(m):
-        row = np.zeros(m + 2)
-        row[i] = -1.0
-        halfspaces.append(row)                                 # -p_i <= 0
-    halfspaces.append(np.concatenate([np.ones(m), [0.0, -1.0]]))   # sum p <= 1
-    halfspaces.append(np.concatenate([np.zeros(m), [-1.0, lower]]))  # z >= lower
-    reduced = kept[:, :m] - kept[:, m:]
-    halfspaces.append(np.hstack([-reduced, np.ones((n_vec, 1)), -kept[:, m:]]))
-    stacked = np.vstack([np.vstack(halfspaces[:m + 2]), halfspaces[m + 2]])
-    barycentre = np.full(n, 1.0 / n)
-    env_at_bary = float(np.min(kept @ barycentre))
-    interior = np.concatenate([barycentre[:m], [(env_at_bary + lower) / 2.0]])
-    return HalfspaceIntersection(stacked, interior).intersections
-
-
 def _vertex_margins(vertices: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per candidate: max over vertices of (envelope z - candidate value), argmax vertex."""
     m = vertices.shape[1] - 1
@@ -184,6 +163,53 @@ def _seed_cloud(n: int) -> np.ndarray:
     return _SEED_CLOUDS[n]
 
 
+def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
+    """Rows of `z <= <p, w>` in Qhull form [A | b] (A x + b <= 0), x = (p_1..p_{N-1}, z).
+
+    p_N = 1 - sum(p), so <p, w> = p @ (w[:N-1] - w[N-1]) + w[N-1].
+    """
+    m = rows.shape[1] - 1
+    reduced = rows[:, :m] - rows[:, m:]
+    return np.hstack([-reduced, np.ones((len(rows), 1)), -rows[:, m:]])
+
+
+def _envelope_hull(kept: np.ndarray, lower: float) -> HalfspaceIntersection:
+    """Incremental polytope {(p, z): p projected simplex, lower <= z <= min over kept rows}.
+
+    A linear objective over this polytope is maximised at one of its vertices,
+    so candidate margins against the kept envelope can be evaluated at the
+    vertices alone. The interior point sits 1e-3 above the floor; callers keep
+    the floor at least one unit below every row, so it stays strictly feasible
+    as envelope rows are added.
+    """
+    n = kept.shape[1]
+    m = n - 1
+    box = np.zeros((m + 2, m + 2))
+    box[:m, :m] = -np.eye(m)                       # -p_i <= 0
+    box[m, :m], box[m, m + 1] = 1.0, -1.0          # sum p <= 1
+    box[m + 1, m], box[m + 1, m + 1] = -1.0, lower  # z >= lower
+    interior = np.concatenate([np.full(m, 1.0 / n), [lower + 1e-3]])
+    return HalfspaceIntersection(np.vstack([box, _envelope_halfspaces(kept)]), interior,
+                                 incremental=True)
+
+
+def _witness_rounds(v: np.ndarray, kept: set[int], candidates: np.ndarray,
+                    tol: float) -> None:
+    """Direct witness LPs until no candidate beats the kept envelope; grows `kept`."""
+    while len(candidates):
+        added = False
+        for i in candidates:
+            margin, witness = _witness_lp(v[i], v[sorted(kept)])
+            if margin > tol:
+                best = int(np.argmin(v @ witness))
+                if best not in kept:
+                    kept.add(best)
+                    added = True
+        if not added:
+            return
+        candidates = np.array([i for i in candidates if i not in kept])
+
+
 def _lp_indices(values: np.ndarray, tol: float = PRUNE_TOL) -> np.ndarray:
     """Indices of the vectors that attain the min-envelope somewhere on the simplex."""
     idx = _dedupe_indices(values)
@@ -199,40 +225,33 @@ def _lp_indices(values: np.ndarray, tol: float = PRUNE_TOL) -> np.ndarray:
     candidates = np.array([i for i in range(n_vec) if i not in kept])
     lower = float(v.min()) - 1.0
 
-    while len(candidates):
-        kept_rows = v[sorted(kept)]
-        try:
-            vertices = _envelope_vertices(kept_rows, lower)
-        except QhullError:
-            while True:
-                added = False
-                for i in list(candidates):
-                    margin, witness = _witness_lp(v[i], v[sorted(kept)])
-                    if margin > tol:
-                        best = int(np.argmin(v @ witness))
-                        if best not in kept:
-                            kept.add(best)
-                            added = True
-                if not added:
-                    break
-                candidates = np.array([i for i in candidates if i not in kept])
-                if not len(candidates):
-                    break
-            break
-        margins, arg_vertex = _vertex_margins(vertices, v[candidates])
-        alive = margins > tol
-        if not alive.any():
-            break
-        j = int(np.argmax(margins))
-        vertex = vertices[arg_vertex[j]]
-        witness = np.concatenate([vertex[:n - 1], [1.0 - vertex[:n - 1].sum()]])
-        witness = np.clip(witness, 0.0, None)
-        witness /= witness.sum()
-        best = int(np.argmin(v @ witness))
-        if best in kept:
-            best = int(candidates[j])
-        kept.add(best)
-        candidates = candidates[alive & (candidates != best)]
+    hull = None
+    try:
+        if len(candidates):
+            hull = _envelope_hull(v[sorted(kept)], lower)
+        while len(candidates):
+            vertices = hull.intersections
+            margins, arg_vertex = _vertex_margins(vertices, v[candidates])
+            alive = margins > tol
+            if not alive.any():
+                break
+            j = int(np.argmax(margins))
+            vertex = vertices[arg_vertex[j]]
+            witness = np.concatenate([vertex[:n - 1], [1.0 - vertex[:n - 1].sum()]])
+            witness = np.clip(witness, 0.0, None)
+            witness /= witness.sum()
+            best = int(np.argmin(v @ witness))
+            if best in kept:
+                best = int(candidates[j])
+            kept.add(best)
+            candidates = candidates[alive & (candidates != best)]
+            if len(candidates):
+                hull.add_halfspaces(_envelope_halfspaces(v[best:best + 1]))
+    except QhullError:
+        _witness_rounds(v, kept, candidates, tol)
+    finally:
+        if hull is not None:
+            hull.close()
     return np.sort(idx[np.array(sorted(kept))])
 
 
@@ -279,12 +298,28 @@ def _witness_cloud(n: int) -> np.ndarray:
 
 # ----------------------------------------------------------------- solve --
 
-def _reduce(values: np.ndarray, mode: str, tol: float, cap: int) -> np.ndarray:
+def _cloud_argmin(values: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Per cloud point, the index of the minimising row of `values` (first on ties).
+
+    Evaluated over fixed-size chunks of cloud points, so memory stays at
+    len(values) x CLOUD_CHUNK floats whatever the cloud size.
+    """
+    out = np.empty(len(cloud), dtype=np.intp)
+    for start in range(0, len(cloud), CLOUD_CHUNK):
+        chunk = cloud[start:start + CLOUD_CHUNK]
+        out[start:start + len(chunk)] = np.argmin(values @ chunk.T, axis=0)
+    return out
+
+
+def _reduce_indices(values: np.ndarray, mode: str, tol: float, cap: int) -> np.ndarray:
+    """Kept indices: `prune`, or winners on the witness cloud for lp above the cap."""
     if mode != "lp" or len(values) <= cap:
-        return values[prune(values, mode, tol)]
-    cloud = _witness_cloud(values.shape[1])
-    winners = np.unique(np.argmin(values @ cloud.T, axis=0))
-    return values[winners]
+        return prune(values, mode, tol)
+    return np.unique(_cloud_argmin(values, _witness_cloud(values.shape[1])))
+
+
+def _reduce(values: np.ndarray, mode: str, tol: float, cap: int) -> np.ndarray:
+    return values[_reduce_indices(values, mode, tol, cap)]
 
 
 def _cross(first: np.ndarray, second: np.ndarray, mode: str, tol: float, cap: int) -> np.ndarray:
@@ -293,8 +328,8 @@ def _cross(first: np.ndarray, second: np.ndarray, mode: str, tol: float, cap: in
     size = len(first) * len(second)
     if mode == "lp" and size > cap:
         cloud = _witness_cloud(n)
-        arg_first = np.argmin(first @ cloud.T, axis=0)
-        arg_second = np.argmin(second @ cloud.T, axis=0)
+        arg_first = _cloud_argmin(first, cloud)
+        arg_second = _cloud_argmin(second, cloud)
         pairs = np.unique(np.stack([arg_first, arg_second], axis=1), axis=0)
         return first[pairs[:, 0]] + second[pairs[:, 1]]
     if size > CROSS_GUARD:
@@ -326,11 +361,7 @@ def backup(model: ControlledHMM, next_values: np.ndarray, stage_pieces: list[np.
         out_actions.append(np.full(len(acc), u, dtype=int))
     values = np.vstack(out_values)
     actions = np.concatenate(out_actions)
-    if mode == "lp" and len(values) > cap:
-        cloud = _witness_cloud(values.shape[1])
-        kept = np.unique(np.argmin(values @ cloud.T, axis=0))
-    else:
-        kept = prune(values, mode, tol)
+    kept = _reduce_indices(values, mode, tol, cap)
     return values[kept], actions[kept]
 
 

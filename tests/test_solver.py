@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 import _oracles as oracle
+import active_smoothing.solver as solver_module
 from active_smoothing import (
     ValuePolicy,
     backup,
@@ -71,20 +73,34 @@ def test_prune_single_state_keeps_minimum():
         assert list(kept) == [1]
 
 
-def test_prune_preserves_envelope_on_random_sets(rng):
-    for n in (2, 3, 4):
+def _random_prune_inputs(rng):
+    for n in (2, 3, 4, 5):
         for _ in range(5):
-            values = rng.normal(size=(50, n))
-            beliefs = rng.dirichlet(np.ones(n), size=1000)
-            full = (values @ beliefs.T).min(axis=0)
-            keep = {mode: prune(values, mode=mode) for mode in PRUNE_MODES}
-            for mode in PRUNE_MODES:
-                reduced = (values[keep[mode]] @ beliefs.T).min(axis=0)
-                np.testing.assert_allclose(reduced, full, atol=1e-8)
-            # lp keeps every strictly essential vector (LP witness oracle)
-            essential = oracle.essential_indices(values)
-            assert set(essential) <= set(keep["lp"])
-            assert len(keep["lp"]) <= len(keep["pairwise"]) <= len(keep["none"])
+            yield rng.normal(size=(50, n))
+    for n in (3, 4):
+        # exact duplicates of some rows
+        values = rng.normal(size=(30, n))
+        yield np.vstack([values, values[rng.choice(30, size=10)]])
+        # pairs that tie along a face: equal except on one coordinate
+        values = rng.normal(size=(30, n))
+        twins = values[:15].copy()
+        twins[np.arange(15), rng.integers(n, size=15)] += rng.normal(size=15)
+        yield np.vstack([values, twins])
+
+
+def test_prune_preserves_envelope_on_random_sets(rng):
+    for values in _random_prune_inputs(rng):
+        n = values.shape[1]
+        beliefs = rng.dirichlet(np.ones(n), size=1000)
+        full = (values @ beliefs.T).min(axis=0)
+        keep = {mode: prune(values, mode=mode) for mode in PRUNE_MODES}
+        for mode in PRUNE_MODES:
+            reduced = (values[keep[mode]] @ beliefs.T).min(axis=0)
+            np.testing.assert_allclose(reduced, full, atol=1e-8)
+        # lp keeps every strictly essential vector (LP witness oracle)
+        essential = oracle.essential_indices(values)
+        assert set(essential) <= set(keep["lp"])
+        assert len(keep["lp"]) <= len(keep["pairwise"]) <= len(keep["none"])
 
 
 def test_prune_lp_drops_vectors_pairwise_cannot(rng):
@@ -92,6 +108,65 @@ def test_prune_lp_drops_vectors_pairwise_cannot(rng):
     values = np.array([[0.0, 2.0], [1.0, 1.01], [2.0, 0.0]])
     assert sorted(prune(values, mode="pairwise")) == [0, 1, 2]
     assert sorted(prune(values, mode="lp")) == [0, 2]
+
+
+def _clustered_tangents(rng, n, size):
+    """Entropy tangents -log(b) at beliefs clustered near the barycentre.
+
+    Every vector is essential, and most win only on regions too small for the
+    seed cloud, so lp pruning needs many vertex rounds to find them.
+    """
+    return -np.log(rng.dirichlet(np.full(n, 400.0), size=size))
+
+
+def test_prune_lp_builds_one_polytope(rng, monkeypatch):
+    real = solver_module.HalfspaceIntersection
+    calls = {"build": 0, "add": 0}
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            calls["build"] += 1
+            super().__init__(*args, **kwargs)
+
+        def add_halfspaces(self, *args, **kwargs):
+            calls["add"] += 1
+            super().add_halfspaces(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "HalfspaceIntersection", Counting)
+    values = _clustered_tangents(rng, 4, 200)
+    assert len(prune(values, mode="lp")) == 200
+    assert calls["build"] <= 1
+    assert calls["add"] >= 2
+
+
+def _raise_qhull(*args, **kwargs):
+    raise QhullError("forced failure")
+
+
+@pytest.mark.parametrize("failure", ["build", "add"])
+def test_prune_lp_falls_back_to_witness_lps(rng, monkeypatch, failure):
+    class FailingAdd(solver_module.HalfspaceIntersection):
+        def add_halfspaces(self, *args, **kwargs):
+            raise QhullError("forced failure")
+
+    real_linprog = solver_module.linprog
+    lp_calls = []
+
+    def counting_linprog(*args, **kwargs):
+        lp_calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "HalfspaceIntersection",
+                        _raise_qhull if failure == "build" else FailingAdd)
+    monkeypatch.setattr(solver_module, "linprog", counting_linprog)
+    tangents = _clustered_tangents(rng, 4, 40)
+    values = np.vstack([tangents, tangents[:10] + 0.5])
+    kept = prune(values, mode="lp")
+    assert lp_calls
+    assert set(oracle.essential_indices(values)) <= set(kept)
+    beliefs = rng.dirichlet(np.ones(4), size=1000)
+    np.testing.assert_allclose((values[kept] @ beliefs.T).min(axis=0),
+                               (values @ beliefs.T).min(axis=0), atol=1e-8)
 
 
 # ------------------------------------------------------------------- backup --
