@@ -4,6 +4,10 @@ The filter is expressed through the joint predicted belief J with entry
 (i, j) = p(next = i, current = j | data), from which both the one-step
 prediction (row sums) and the measurement update follow. Beliefs are
 renormalised after every update to absorb floating-point drift.
+
+Every map takes either one belief of shape (N,) with scalar control and
+observation, or a batch of shape (R, N) with one control and observation per
+row; a batch row is computed with exactly the operations of a single belief.
 """
 from __future__ import annotations
 
@@ -22,39 +26,46 @@ class ImpossibleEvidence(ValueError):
         super().__init__(f"observation {observation} has zero probability at {where}")
 
 
-def predict_joint(model: ControlledHMM, belief: np.ndarray, control: int) -> np.ndarray:
-    """Joint predicted belief J[i, j] = A(u)[i, j] * belief[j]."""
-    if not 0 <= control < model.n_controls:
-        raise IndexError(f"control {control} out of range [0, {model.n_controls})")
-    return model.transition[control] * np.asarray(belief)[None, :]
+def _normalise(unnorm: np.ndarray, observation, stage: int | None) -> np.ndarray:
+    """unnorm / its sum along the last axis; ImpossibleEvidence if any sum is <= 0."""
+    norm = unnorm.sum(axis=-1, keepdims=True)
+    impossible = norm[..., 0] <= 0.0
+    if impossible.any():
+        raise ImpossibleEvidence(int(np.broadcast_to(observation, impossible.shape)[impossible][0]),
+                                 stage)
+    return unnorm / norm
+
+
+def predict_joint(model: ControlledHMM, belief: np.ndarray, control) -> np.ndarray:
+    """Joint predicted belief J[..., i, j] = A(u)[i, j] * belief[..., j]."""
+    control = np.asarray(control)
+    out_of_range = (control < 0) | (control >= model.n_controls)
+    if out_of_range.any():
+        raise IndexError(f"control {int(control[out_of_range].flat[0])} out of range "
+                         f"[0, {model.n_controls})")
+    return model.transition[control] * np.asarray(belief)[..., None, :]
 
 
 def marginalize_next(joint: np.ndarray) -> np.ndarray:
     """One-step predicted belief: row sums of the joint."""
-    return joint.sum(axis=1)
+    return joint.sum(axis=-1)
 
 
-def update(model: ControlledHMM, joint: np.ndarray, control: int,
-           observation: int, stage: int | None = None) -> np.ndarray:
-    """Measurement update: belief[i] proportional to B(u)[i, y] * row sum i."""
-    unnorm = model.observation[control][:, observation] * marginalize_next(joint)
-    norm = unnorm.sum()
-    if norm <= 0.0:
-        raise ImpossibleEvidence(observation, stage)
-    return unnorm / norm
+def update(model: ControlledHMM, joint: np.ndarray, control,
+           observation, stage: int | None = None) -> np.ndarray:
+    """Measurement update: belief[..., i] proportional to B(u)[i, y] * row sum i."""
+    unnorm = model.observation[control, :, observation] * marginalize_next(joint)
+    return _normalise(unnorm, observation, stage)
 
 
-def initial_update(model: ControlledHMM, observation: int) -> np.ndarray:
+def initial_update(model: ControlledHMM, observation) -> np.ndarray:
     """Condition the prior on the pre-control observation y0."""
-    unnorm = model.initial_observation[:, observation] * model.prior
-    norm = unnorm.sum()
-    if norm <= 0.0:
-        raise ImpossibleEvidence(observation, None)
-    return unnorm / norm
+    unnorm = model.initial_observation.T[observation] * model.prior
+    return _normalise(unnorm, observation, None)
 
 
-def step(model: ControlledHMM, belief: np.ndarray, control: int,
-         observation: int, stage: int | None = None) -> np.ndarray:
+def step(model: ControlledHMM, belief: np.ndarray, control,
+         observation, stage: int | None = None) -> np.ndarray:
     """Composed filter map: predict under the control, then update on the observation."""
     return update(model, predict_joint(model, belief, control), control, observation, stage)
 

@@ -40,7 +40,8 @@ from .sim import (
     compare_policies,
     exact_policy_metrics,
     monte_carlo,
-    rollout,
+    rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
+    rollouts,
 )
 from .solver import load_policy, save_policy, solve, value
 
@@ -87,10 +88,15 @@ def read_csv(path) -> tuple[dict, list[dict]]:
 
 
 def _load_model_and_costs(args):
+    """The model and costs the command runs on; invalid ones raise ValueError (exit 1)."""
     if getattr(args, "model", None):
         model, costs = load_model(args.model)
     else:
         model, costs = build_grid_agent()
+    violations = validate_model(model) + validate_costs(costs, model)
+    if violations:
+        raise ValueError(f"invalid model, {len(violations)} violation(s):\n  "
+                         + "\n  ".join(violations))
     horizon = getattr(args, "horizon", None)
     if horizon is not None and horizon != costs.horizon:
         base = costs.stage_cost[0]
@@ -163,20 +169,20 @@ def _reported_bound(model, costs, policy, config) -> float:
 
 
 def _trace_rows(model, costs, name: str, policy_like, runs: int, seed: int, config) -> list[list]:
+    batch = rollouts(model, costs, policy_like, seed, min(runs, MAX_TRACE_RUNS), config)
+    t = costs.horizon
     rows = []
-    for i in range(min(runs, MAX_TRACE_RUNS)):
-        rec = rollout(model, costs, policy_like, seed, config, run_index=i)
-        t = costs.horizon
+    for i in range(len(batch)):
         for k in range(t + 1):
-            control = rec.controls[k] if k < t else ""
-            rows.append([name, i, k, rec.states[k], control, rec.observations[k]])
+            control = batch.controls[i, k] if k < t else ""
+            rows.append([name, i, k, batch.states[i, k], control, batch.observations[i, k]])
     return rows
 
 
 # ----------------------------------------------------------- subcommands --
 
 def cmd_validate(args) -> int:
-    model, costs = _load_model_and_costs(args)
+    model, costs = load_model(args.model)
     violations = validate_model(model) + validate_costs(costs, model)
     for v in violations:
         print(v)
@@ -272,9 +278,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    model, costs = _load_model_and_costs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
     d_main = max(densities)

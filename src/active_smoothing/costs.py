@@ -48,15 +48,34 @@ class EntropyConfig:
 DEFAULT_CONFIG = EntropyConfig()
 
 
-def _xlogx_sum(p: np.ndarray) -> float:
-    """sum p log p in nats with 0 log 0 = 0."""
+def _xlogx_sum(p: np.ndarray) -> np.ndarray:
+    """sum p log p in nats along the last axis, with 0 log 0 = 0.
+
+    One belief is summed over its positive entries only. A batch reproduces
+    that sum bit for bit: each row's positive terms move, in order, to the
+    front, and rows with the same count of them form one contiguous 2-D sum
+    (zeros left in place would shift numpy's pairwise summation lanes).
+    """
     p = np.asarray(p, dtype=float)
-    pos = p > 0
-    return float(np.sum(p[pos] * np.log(p[pos])))
+    if p.ndim == 1:
+        pos = p > 0
+        return np.sum(p[pos] * np.log(p[pos]))
+    rows = p.reshape(-1, p.shape[-1])
+    pos = rows > 0
+    terms = np.where(pos, rows * np.log(np.where(pos, rows, 1.0)), 0.0)
+    terms = np.take_along_axis(terms, np.argsort(~pos, axis=-1, kind="stable"), axis=-1)
+    counts = pos.sum(axis=-1)
+    out = np.zeros(len(rows))
+    for count in np.unique(counts):
+        group = np.flatnonzero(counts == count)
+        out[group] = terms[np.ix_(group, np.arange(count))].sum(axis=-1)
+    return out.reshape(p.shape[:-1])
 
 
-def belief_entropy(belief: np.ndarray, config: EntropyConfig = DEFAULT_CONFIG) -> float:
-    return -_xlogx_sum(belief) / config.log_scale
+def belief_entropy(belief: np.ndarray, config: EntropyConfig = DEFAULT_CONFIG):
+    """Entropy of a belief (a float), or of each belief along the last axis (an array)."""
+    entropy = -_xlogx_sum(belief) / config.log_scale
+    return float(entropy) if np.ndim(entropy) == 0 else entropy
 
 
 def stage_entropy_cost(model: ControlledHMM, belief: np.ndarray, control: int,
@@ -149,36 +168,41 @@ def expected_next_entropy(model: ControlledHMM, belief: np.ndarray, control: int
 
 
 def pointwise_smoother_entropy(model: ControlledHMM, observations, controls,
-                               config: EntropyConfig = DEFAULT_CONFIG) -> float:
+                               config: EntropyConfig = DEFAULT_CONFIG):
     """Entropy of the hidden trajectory given one realised data sequence.
 
     Runs the filter along (y_0..y_T, u_0..u_{T-1}), extracts the backward
     kernel p(x_k | x_{k+1}, data to k) from each joint predicted belief, and
     accumulates H(final belief) plus the smoothed-marginal-weighted backward
     conditional entropies. Equals the entropy of p(x_0..x_T | all data).
+
+    Sequences of shape (T+1,) and (T,) give a float; (R, T+1) and (R, T) give
+    one entropy per row, computed with the same operations as one sequence.
     """
-    observations = list(observations)
-    controls = list(controls)
-    if len(observations) != len(controls) + 1:
+    observations = np.asarray(observations, dtype=int)
+    controls = np.asarray(controls, dtype=int)
+    if observations.shape[-1] != controls.shape[-1] + 1:
         raise ValueError(
-            f"need one more observation than controls, got {len(observations)} observations "
-            f"and {len(controls)} controls"
+            f"need one more observation than controls, got {observations.shape[-1]} "
+            f"observations and {controls.shape[-1]} controls"
         )
-    pi = initial_update(model, observations[0])
+    pi = initial_update(model, observations[..., 0])
     backward = []
-    for k, u in enumerate(controls):
+    for k in range(controls.shape[-1]):
+        u = controls[..., k]
         joint = predict_joint(model, pi, u)
-        rows = marginalize_next(joint)
+        rows = marginalize_next(joint)[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            bk = np.where(rows[:, None] > 0, joint / rows[:, None], 0.0)
+            bk = np.where(rows > 0, joint / rows, 0.0)
         backward.append(bk)
-        pi = update(model, joint, u, observations[k + 1], stage=k)
+        pi = update(model, joint, u, observations[..., k + 1], stage=k)
 
     total = belief_entropy(pi, config)
-    gamma = pi
+    gamma = pi[..., None, :]
     for bk in reversed(backward):
         pos = bk > 0
-        row_ent = -np.where(pos, bk * np.where(pos, np.log(np.where(pos, bk, 1.0)), 0.0), 0.0).sum(axis=1)
-        total += float(gamma @ row_ent) / config.log_scale
+        row_ent = -np.where(pos, bk * np.where(pos, np.log(np.where(pos, bk, 1.0)), 0.0), 0.0).sum(axis=-1)
+        # a stacked @ runs one dot / gemv per row: the same bits as 1-D operands
+        total = total + (gamma @ row_ent[..., None])[..., 0, 0] / config.log_scale
         gamma = gamma @ bk
-    return total
+    return float(total) if np.ndim(total) == 0 else total

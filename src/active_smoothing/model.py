@@ -106,6 +106,14 @@ def validate_model(model: ControlledHMM) -> list[str]:
         )
         return out
 
+    # NaN fails every comparison below, so non-finite entries are named here
+    for name, a in (("prior", model.prior), ("transition", model.transition),
+                    ("observation", model.observation),
+                    ("initial_observation", model.initial_observation)):
+        for idx in np.argwhere(~np.isfinite(a)):
+            where = "".join(f"[{i}]" for i in idx)
+            out.append(f"{name}{where} = {float(a[tuple(idx)])!r} is not finite")
+
     for idx in np.flatnonzero(model.prior < 0):
         out.append(f"prior[{idx}] = {float(model.prior[idx])!r} is negative")
     s = model.prior.sum()

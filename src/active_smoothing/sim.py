@@ -3,6 +3,11 @@
 Rollouts draw their randomness from a counter-based generator keyed by
 (seed, run index), so run i sees the same uniform stream regardless of the
 policy under test: comparisons across policies use common random numbers.
+All runs of a block advance together, one stage at a time, as arrays with the
+run on the leading axis (states and observations (R, T+1), beliefs (R, N),
+backward kernels (R, N, N)); a single rollout is a block of one. Every row is
+computed with the operations of a single run, so results do not depend on the
+block it was simulated in.
 Exact evaluation enumerates all observation sequences with their probabilities
 under a deterministic policy and, per sequence, the full joint distribution of
 the hidden trajectory; it refuses above a term-count guard.
@@ -24,6 +29,7 @@ from .model import ControlledHMM, CostModel, fingerprint
 from .solver import ValuePolicy, best_action
 
 SIZE_GUARD = 10_000_000
+ROLLOUT_CHUNK = 1024
 _MASK64 = (1 << 64) - 1
 
 
@@ -47,6 +53,42 @@ class RolloutRecord:
     @property
     def total_cost(self) -> float:
         return self.smoother_entropy + float(self.stage_costs.sum()) + self.terminal_cost
+
+
+@dataclass(frozen=True)
+class RolloutBatch:
+    """Runs start, start + 1, ... of one seed; row r holds run start + r."""
+    seed: int
+    start: int
+    states: np.ndarray            # (R, T+1)
+    observations: np.ndarray      # (R, T+1)
+    controls: np.ndarray          # (R, T)
+    beliefs: np.ndarray           # (R, T+1, N)
+    stage_costs: np.ndarray       # (R, T)
+    terminal_cost: np.ndarray     # (R,)
+    smoother_entropy: np.ndarray  # (R,)
+    belief_entropies: np.ndarray  # (R, T+1)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def total_cost(self) -> np.ndarray:
+        return self.smoother_entropy + self.stage_costs.sum(axis=1) + self.terminal_cost
+
+    def record(self, row: int) -> RolloutRecord:
+        return RolloutRecord(
+            seed=self.seed,
+            run_index=self.start + row,
+            states=self.states[row],
+            observations=self.observations[row],
+            controls=self.controls[row],
+            beliefs=self.beliefs[row],
+            stage_costs=self.stage_costs[row],
+            terminal_cost=float(self.terminal_cost[row]),
+            smoother_entropy=float(self.smoother_entropy[row]),
+            belief_entropies=self.belief_entropies[row],
+        )
 
 
 @dataclass(frozen=True)
@@ -84,6 +126,18 @@ def as_decision_rule(policy_like, n_controls: int):
     raise TypeError(f"cannot interpret {type(policy_like).__name__} as a policy")
 
 
+def _rows_rule(policy_like, n_controls: int):
+    """The decision rule for a (R, N) belief array: one control per row.
+
+    Value policies and fixed controls decide every row at once; a user
+    callable (belief, stage) -> control is called once per row.
+    """
+    rule = as_decision_rule(policy_like, n_controls)
+    if rule is not policy_like:
+        return rule
+    return lambda beliefs, stage: [int(rule(belief, stage)) for belief in beliefs]
+
+
 def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> None:
     if isinstance(policy_like, ValuePolicy):
         expected = fingerprint(model, cost_model)
@@ -98,9 +152,75 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> No
             )
 
 
-def _sample(pmf: np.ndarray, uniform: float) -> int:
-    idx = int(np.searchsorted(np.cumsum(pmf), uniform, side="right"))
-    return min(idx, len(pmf) - 1)
+def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
+    """Row r: the 2 + 2T uniforms of run start + r, from its own Philox key (seed, run).
+
+    One generator is re-keyed per run, which draws exactly what a fresh
+    Philox(key=(seed, run)) would.
+    """
+    bit_generator = np.random.Philox(key=0)
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    out = np.empty((stop - start, 2 + 2 * horizon))
+    for row, run in enumerate(range(start, stop)):
+        key = np.array([seed & _MASK64, run & _MASK64], dtype=np.uint64)
+        bit_generator.state = {**fresh, "state": {**fresh["state"], "key": key}}
+        out[row] = generator.random(out.shape[1])
+    return out
+
+
+def _sample(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row, searchsorted(cumulative, u, side="right") clipped to the last index."""
+    index = (cumulative <= uniforms[:, None]).sum(axis=1)
+    return np.minimum(index, cumulative.shape[1] - 1)
+
+
+def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, start: int,
+             uniforms: np.ndarray, config: EntropyConfig) -> RolloutBatch:
+    """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms."""
+    runs, t = len(uniforms), cost_model.horizon
+    states = np.empty((runs, t + 1), dtype=int)
+    observations = np.empty((runs, t + 1), dtype=int)
+    controls = np.empty((runs, t), dtype=int)
+    beliefs = np.empty((runs, t + 1, model.n_states))
+    stage_costs = np.empty((runs, t))
+    transition_cdf = np.cumsum(model.transition, axis=1)      # [u, :, x] over next states
+    observation_cdf = np.cumsum(model.observation, axis=2)    # [u, x, :] over observations
+
+    states[:, 0] = _sample(np.broadcast_to(np.cumsum(model.prior), (runs, model.n_states)),
+                           uniforms[:, 0])
+    observations[:, 0] = _sample(np.cumsum(model.initial_observation, axis=1)[states[:, 0]],
+                                 uniforms[:, 1])
+    beliefs[:, 0] = initial_update(model, observations[:, 0])
+    for k in range(t):
+        controls[:, k] = decide(beliefs[:, k], k)
+        u, x = controls[:, k], states[:, k]
+        stage_costs[:, k] = cost_model.stage_cost[k][x, u]
+        states[:, k + 1] = _sample(transition_cdf[u, :, x], uniforms[:, 2 + 2 * k])
+        observations[:, k + 1] = _sample(observation_cdf[u, states[:, k + 1]],
+                                         uniforms[:, 3 + 2 * k])
+        beliefs[:, k + 1] = step(model, beliefs[:, k], u, observations[:, k + 1], stage=k)
+
+    return RolloutBatch(
+        seed=seed,
+        start=start,
+        states=states,
+        observations=observations,
+        controls=controls,
+        beliefs=beliefs,
+        stage_costs=stage_costs,
+        terminal_cost=cost_model.terminal_cost[states[:, t]],
+        smoother_entropy=pointwise_smoother_entropy(model, observations, controls, config),
+        belief_entropies=belief_entropy(beliefs, config),
+    )
+
+
+def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int, runs: int,
+             config: EntropyConfig = DEFAULT_CONFIG, start: int = 0) -> RolloutBatch:
+    """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r)."""
+    check_policy(model, cost_model, policy_like)
+    return _advance(model, cost_model, _rows_rule(policy_like, model.n_controls), seed, start,
+                    _uniforms(seed, start, start + runs, cost_model.horizon), config)
 
 
 def rollout(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int,
@@ -109,44 +229,9 @@ def rollout(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int,
 
     The uniform stream is drawn up front with a fixed layout (two draws for the
     initial state/observation, two per stage), so trajectories are comparable
-    across policies under common random numbers.
+    across policies under common random numbers. A batch of one.
     """
-    check_policy(model, cost_model, policy_like)
-    rule = as_decision_rule(policy_like, model.n_controls)
-    t = cost_model.horizon
-    key = np.array([seed & _MASK64, run_index & _MASK64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    uniforms = rng.random(2 + 2 * t)
-
-    states = np.empty(t + 1, dtype=int)
-    observations = np.empty(t + 1, dtype=int)
-    controls = np.empty(t, dtype=int)
-    beliefs = np.empty((t + 1, model.n_states))
-    stage_costs = np.empty(t)
-
-    states[0] = _sample(model.prior, uniforms[0])
-    observations[0] = _sample(model.initial_observation[states[0]], uniforms[1])
-    beliefs[0] = initial_update(model, int(observations[0]))
-    for k in range(t):
-        u = int(rule(beliefs[k], k))
-        controls[k] = u
-        stage_costs[k] = cost_model.stage_cost[k][states[k], u]
-        states[k + 1] = _sample(model.transition[u][:, states[k]], uniforms[2 + 2 * k])
-        observations[k + 1] = _sample(model.observation[u][states[k + 1]], uniforms[3 + 2 * k])
-        beliefs[k + 1] = step(model, beliefs[k], u, int(observations[k + 1]), stage=k)
-
-    return RolloutRecord(
-        seed=seed,
-        run_index=run_index,
-        states=states,
-        observations=observations,
-        controls=controls,
-        beliefs=beliefs,
-        stage_costs=stage_costs,
-        terminal_cost=float(cost_model.terminal_cost[states[t]]),
-        smoother_entropy=pointwise_smoother_entropy(model, observations, controls, config),
-        belief_entropies=np.array([belief_entropy(b, config) for b in beliefs]),
-    )
+    return rollouts(model, cost_model, policy_like, seed, 1, config, start=run_index).record(0)
 
 
 def _summarise(per_run: dict[str, np.ndarray], runs: int, config: EntropyConfig,
@@ -177,16 +262,8 @@ def _summarise(per_run: dict[str, np.ndarray], runs: int, config: EntropyConfig,
 
 def monte_carlo(model: ControlledHMM, cost_model: CostModel, policy_like, runs: int,
                 seed: int, config: EntropyConfig = DEFAULT_CONFIG) -> MetricsSummary:
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    per_run = {key: np.empty(runs) for key in ("terminal", "tbe", "smoother", "total")}
-    for i in range(runs):
-        rec = rollout(model, cost_model, policy_like, seed, config, run_index=i)
-        per_run["terminal"][i] = rec.terminal_cost
-        per_run["tbe"][i] = rec.belief_entropies.sum()
-        per_run["smoother"][i] = rec.smoother_entropy
-        per_run["total"][i] = rec.total_cost
-    return _summarise(per_run, runs, config, seed)
+    """Mean and standard error of each metric over runs 0 .. runs - 1."""
+    return compare_policies(model, cost_model, [("", policy_like)], runs, seed, config)[0][1]
 
 
 def _joint_trajectory_entropy(model: ControlledHMM, observations, controls,
@@ -259,8 +336,27 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
 def compare_policies(model: ControlledHMM, cost_model: CostModel,
                      policies: list[tuple[str, object]], runs: int, seed: int,
                      config: EntropyConfig = DEFAULT_CONFIG) -> list[tuple[str, MetricsSummary]]:
-    """One summary per named policy, on common random numbers across policies."""
-    return [
-        (name, monte_carlo(model, cost_model, policy_like, runs, seed, config))
-        for name, policy_like in policies
-    ]
+    """One summary per named policy, on common random numbers across policies.
+
+    Runs advance in blocks of ROLLOUT_CHUNK, which bounds memory for any run
+    count; each block's uniforms are drawn once and shared by every policy.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    rules = []
+    for _, policy_like in policies:
+        check_policy(model, cost_model, policy_like)
+        rules.append(_rows_rule(policy_like, model.n_controls))
+    per_run = [{key: np.empty(runs) for key in ("terminal", "tbe", "smoother", "total")}
+               for _ in policies]
+    for start in range(0, runs, ROLLOUT_CHUNK):
+        stop = min(start + ROLLOUT_CHUNK, runs)
+        uniforms = _uniforms(seed, start, stop, cost_model.horizon)
+        for rule, metrics in zip(rules, per_run):
+            batch = _advance(model, cost_model, rule, seed, start, uniforms, config)
+            metrics["terminal"][start:stop] = batch.terminal_cost
+            metrics["tbe"][start:stop] = batch.belief_entropies.sum(axis=1)
+            metrics["smoother"][start:stop] = batch.smoother_entropy
+            metrics["total"][start:stop] = batch.total_cost
+    return [(name, _summarise(metrics, runs, config, seed))
+            for (name, _), metrics in zip(policies, per_run)]

@@ -443,14 +443,20 @@ def value(policy: ValuePolicy, belief: np.ndarray, stage: int) -> float:
     return float(np.min(policy.stages[stage].values @ np.asarray(belief)))
 
 
-def best_action(policy: ValuePolicy, belief: np.ndarray, stage: int) -> int:
-    """Action of the minimising alpha vector; ties go to the lowest control index."""
+def best_action(policy: ValuePolicy, belief: np.ndarray, stage: int):
+    """Action of the minimising alpha vector; ties go to the lowest control index.
+
+    A belief of shape (N,) gives an int; a batch of shape (R, N) gives one
+    action per row.
+    """
     if not 0 <= stage < policy.horizon:
         raise IndexError(f"stage {stage} out of range [0, {policy.horizon})")
     stage_set = policy.stages[stage]
-    vals = stage_set.values @ np.asarray(belief)
-    best = vals.min()
-    return int(stage_set.actions[vals <= best + TIE_TOL].min())
+    # a stacked @ runs one gemv per row: the same bits as values @ belief
+    vals = (stage_set.values @ np.asarray(belief)[..., None])[..., 0]
+    tied = vals <= vals.min(axis=-1, keepdims=True) + TIE_TOL
+    actions = np.where(tied, stage_set.actions, np.iinfo(stage_set.actions.dtype).max).min(axis=-1)
+    return int(actions) if actions.ndim == 0 else actions
 
 
 # ------------------------------------------------------------- policy IO --

@@ -212,6 +212,63 @@ def directional_fd(f, b: np.ndarray, d: np.ndarray, h: float = 1e-6) -> float:
     return (f(b + h * d) - f(b - h * d)) / (2.0 * h)
 
 
+_MASK64 = (1 << 64) - 1
+TIE_TOL = 1e-12
+
+
+def alpha_rule(policy, tol: float = TIE_TOL):
+    """Decision rule of a solved policy read from its stage arrays: the action of
+    the minimising vector, ties within `tol` to the lowest control."""
+    def rule(belief, stage):
+        stage_set = policy.stages[stage]
+        vals = stage_set.values @ np.asarray(belief)
+        return int(stage_set.actions[vals <= vals.min() + tol].min())
+
+    return rule
+
+
+def reference_rollout(model, costs, rule, seed: int, run_index: int, scale: float = 1.0,
+                      smoother_cache: dict | None = None) -> dict:
+    """One rollout by a plain per-run loop: Philox key (seed, run_index), 2 + 2T
+    uniforms (initial state, y_0, then state and observation per stage), each
+    draw the first index whose running pmf sum exceeds the uniform."""
+    t = costs.horizon
+    key = np.array([seed & _MASK64, run_index & _MASK64], dtype=np.uint64)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(2 + 2 * t)
+
+    def sample(pmf, v):
+        return min(int(np.searchsorted(np.cumsum(pmf), v, side="right")), len(pmf) - 1)
+
+    x = sample(model.prior, uniforms[0])
+    y = sample(model.initial_observation[x], uniforms[1])
+    belief = initial_filter(model, y)
+    states, ys, us, beliefs, stage_costs = [x], [y], [], [belief], []
+    for k in range(t):
+        u = int(rule(belief, k))
+        stage_costs.append(float(costs.stage_cost[k][x, u]))
+        x = sample(model.transition[u][:, x], uniforms[2 + 2 * k])
+        y = sample(model.observation[u][x], uniforms[3 + 2 * k])
+        belief = filter_step(model, belief, u, y)
+        states.append(x)
+        ys.append(y)
+        us.append(u)
+        beliefs.append(belief)
+    cache = {} if smoother_cache is None else smoother_cache
+    key = (tuple(ys), tuple(us))
+    if key not in cache:
+        cache[key] = trajectory_entropy(model, ys, us, scale)[0]
+    return {
+        "states": np.array(states),
+        "observations": np.array(ys),
+        "controls": np.array(us, dtype=int),
+        "beliefs": np.array(beliefs),
+        "stage_costs": np.array(stage_costs),
+        "terminal_cost": float(costs.terminal_cost[x]),
+        "smoother_entropy": cache[key],
+        "belief_entropies": np.array([entropy(b, scale) for b in beliefs]),
+    }
+
+
 # --------------------------------------------------- random instance factories --
 
 

@@ -116,3 +116,41 @@ def test_filter_is_invariant_to_belief_scale_after_update(grid):
     b = step(model, belief * (1.0 + 1e-9), 2, 1)
     np.testing.assert_allclose(a, b, atol=1e-9)
     np.testing.assert_allclose(a.sum(), 1.0, atol=1e-12)
+
+
+def _sparse_random_model(rng, n_states):
+    """A random model whose transition columns have zeros, so beliefs have zeros."""
+    model = oracle.random_model(rng, n_states=n_states, n_obs=3, n_controls=2)
+    transition = model.transition * (rng.random(model.transition.shape) < 0.6)
+    transition[:, 0, :] += 1e-3
+    return make_model(model.prior, transition / transition.sum(axis=1, keepdims=True),
+                      model.observation, model.initial_observation)
+
+
+@pytest.mark.parametrize("n_states", [2, 5, 9, 12])
+def test_batched_filter_rows_equal_single_beliefs(rng, n_states):
+    model = _sparse_random_model(rng, n_states)
+    rows = 64
+    ys = rng.integers(model.n_observations, size=rows)
+    us = rng.integers(model.n_controls, size=rows)
+    beliefs = initial_update(model, ys)
+    assert beliefs.shape == (rows, n_states)
+    for i in range(rows):
+        np.testing.assert_array_equal(beliefs[i], initial_update(model, int(ys[i])))
+    nexts = step(model, beliefs, us, ys, stage=0)
+    for i in range(rows):
+        np.testing.assert_array_equal(nexts[i], step(model, beliefs[i], int(us[i]), int(ys[i])))
+
+
+def test_batched_impossible_evidence_names_the_first_bad_row():
+    model = make_model(
+        prior=[1.0, 0.0],
+        transition=[np.eye(2)],
+        observation=[[[1.0, 0.0], [0.0, 1.0]]],
+    )
+    beliefs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ImpossibleEvidence) as exc:
+        step(model, beliefs, np.zeros(3, dtype=int), np.array([0, 0, 1]), stage=4)
+    assert (exc.value.observation, exc.value.stage) == (0, 4)
+    with pytest.raises(IndexError):
+        predict_joint(model, beliefs, np.array([0, 1, 0]))

@@ -72,6 +72,45 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def _nan_transition(d):
+    d["transition"][0][1][2] = float("nan")
+
+
+def _nan_prior(d):
+    d["prior"][0] = float("nan")
+
+
+def _column_sums_to_one_and_a_half(d):
+    d["transition"][0][1][0] = 0.5
+
+
+def _nan_terminal_cost(d):
+    d["terminal_cost"][0] = float("nan")
+
+
+BAD_MODELS = [_nan_transition, _nan_prior, _column_sums_to_one_and_a_half, _nan_terminal_cost]
+
+
+@pytest.mark.parametrize("mutate", BAD_MODELS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("command", [
+    ["solve", "--base-points", "1", "--out", "p.json"],
+    ["simulate", "--policy", "always-east", "--runs", "5", "--out", "r.csv"],
+    ["sweep", "--base-points", "1", "--out", "s.csv"],
+    ["experiment", "--base-points", "1", "--runs", "5", "--out", "exp"],
+], ids=lambda argv: argv[0])
+def test_commands_reject_invalid_models(tmp_path, monkeypatch, capsys, command, mutate):
+    path = write_grid(tmp_path, mutate)
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--model", str(path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "invalid model" in err
+    assert "not finite" in err or "sums to 1.5" in err or "finite and nonnegative" in err
+    assert not (tmp_path / command[-1]).exists()
+    # validate still gives its own report of the same file
+    assert main(["validate", "--model", str(path)]) == 1
+    assert "violation" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------------- solve --
 
 def test_solve_writes_reproducible_policy(tmp_path, capsys):
@@ -169,6 +208,24 @@ def test_simulate_trace_format(tmp_path):
         for r in run_rows:
             assert r["state"] in {"0", "1", "2", "3"}
             assert r["observation"] in {"0", "1"}
+
+
+def test_trace_rows_are_the_first_runs_of_the_batch(tmp_path):
+    from active_smoothing import rollout
+
+    out, trace = tmp_path / "r.csv", tmp_path / "t.csv"
+    assert main(["simulate", "--policy", "fixed:1", "--policy", "always-east", "--runs", "12",
+                 "--seed", "5", "--out", str(out), "--trace", str(trace)]) == 0
+    _, rows = read_csv(trace)
+    model, costs = build_grid_agent()
+    want = []
+    for name, policy in (("fixed:1", 1), ("always-east", 2)):
+        for i in range(10):
+            rec = rollout(model, costs, policy, 5, run_index=i)
+            want += [[name, str(i), str(k), str(rec.states[k]),
+                      str(rec.controls[k]) if k < 3 else "", str(rec.observations[k])]
+                     for k in range(4)]
+    assert [list(r.values()) for r in rows] == want
 
 
 def test_simulate_policy_file_and_mismatch(tmp_path):

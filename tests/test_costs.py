@@ -212,3 +212,22 @@ def test_pointwise_smoother_entropy_length_mismatch(grid):
     model, _ = grid
     with pytest.raises(ValueError):
         pointwise_smoother_entropy(model, [0, 1], [2, 2])
+
+
+@pytest.mark.parametrize("n_states", [2, 4, 9, 13])
+def test_batched_entropies_equal_single_sequences(rng, n_states):
+    model = oracle.random_model(rng, n_states=n_states, n_obs=2, n_controls=2)
+    beliefs = rng.dirichlet(np.ones(n_states), size=300)
+    beliefs[rng.random(beliefs.shape) < 0.4] = 0.0
+    beliefs[beliefs.sum(axis=1) == 0, 0] = 1.0
+    for config in (EntropyConfig(), BASE2):
+        batch = belief_entropy(beliefs.reshape(30, 10, n_states), config)
+        assert batch.shape == (30, 10)
+        assert batch.ravel().tolist() == [belief_entropy(b, config) for b in beliefs]
+
+    t, rows = 3, 40
+    observations = rng.integers(2, size=(rows, t + 1))
+    controls = rng.integers(2, size=(rows, t))
+    batch = pointwise_smoother_entropy(model, observations, controls, BASE2)
+    assert batch.tolist() == [pointwise_smoother_entropy(model, list(y), list(u), BASE2)
+                              for y, u in zip(observations, controls)]

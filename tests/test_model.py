@@ -85,6 +85,27 @@ def test_validate_model_reports_violations():
     assert any("outside [0, 1]" in m for m in validate_model(neg))
 
 
+@pytest.mark.parametrize("where", ["prior", "transition", "observation", "initial_observation"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validate_model_flags_non_finite_entries(where, bad):
+    arrays = {"prior": np.array([0.5, 0.5]), "transition": np.array([np.eye(2)]),
+              "observation": np.full((1, 2, 2), 0.5),
+              "initial_observation": np.full((2, 2), 0.5)}
+    arrays[where][(0,) * arrays[where].ndim] = bad
+    msgs = validate_model(make_model(**arrays))
+    assert any(m.startswith(where + "[0]") and "not finite" in m for m in msgs)
+
+
+@pytest.mark.parametrize("field", ["stage_cost", "terminal_cost"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validate_costs_flags_non_finite_entries(grid, field, bad):
+    model, _ = grid
+    tables = {"stage_cost": np.zeros((2, 4, 3)), "terminal_cost": np.zeros(4)}
+    tables[field][(0,) * tables[field].ndim] = bad
+    costs = make_cost_model(2, tables["stage_cost"], tables["terminal_cost"])
+    assert any(field in m and "finite" in m for m in validate_costs(costs, model))
+
+
 def test_validate_model_messages_use_plain_floats():
     bad = make_model([0.5, 0.5], [[[0.9, 0.0], [0.0, 1.0]]],
                      [[0.5, 0.5], [0.5, 0.5]])

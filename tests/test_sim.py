@@ -5,18 +5,27 @@ import pytest
 
 import _oracles as oracle
 from active_smoothing import (
+    EntropyConfig,
     PolicyModelMismatch,
+    StageSet,
+    ValuePolicy,
     as_decision_rule,
+    best_action,
     check_policy,
     compare_policies,
     exact_policy_metrics,
+    fingerprint,
     generate_base_points,
     make_cost_model,
     monte_carlo,
     pointwise_smoother_entropy,
     rollout,
+    rollouts,
     solve,
 )
+from active_smoothing import sim
+from active_smoothing.sim import ROLLOUT_CHUNK
+from active_smoothing.solver import TIE_TOL
 
 _MASK64 = (1 << 64) - 1
 
@@ -214,3 +223,124 @@ def test_monte_carlo_converges_to_exact(grid):
     assert abs(mc.total_belief_entropy - exact.total_belief_entropy) <= 5 * mc.tbe_se
     assert abs(mc.smoother_entropy - exact.smoother_entropy) <= 5 * mc.se_se
     assert abs(mc.total_cost - exact.total_cost) <= 5 * mc.tc_se
+
+
+# ------------------------------------------------------- lockstep engine --
+
+def _assert_matches_reference(batch, model, costs, rule, seed, scale=1.0):
+    cache = {}
+    for row in range(len(batch)):
+        want = oracle.reference_rollout(model, costs, rule, seed, batch.start + row, scale, cache)
+        rec = batch.record(row)
+        assert rec.run_index == batch.start + row
+        for field in ("states", "observations", "controls"):
+            np.testing.assert_array_equal(getattr(rec, field), want[field], err_msg=field)
+        for field in ("beliefs", "stage_costs", "terminal_cost", "smoother_entropy",
+                      "belief_entropies"):
+            np.testing.assert_allclose(getattr(rec, field), want[field], rtol=0, atol=1e-12,
+                                       err_msg=field)
+
+
+@pytest.fixture(scope="module")
+def grid_policies(grid):
+    model, costs = grid
+    bp = generate_base_points(4, 2)
+    return {
+        "smoother": solve(model, costs, "smoother", bp),
+        "belief-sum": solve(model, costs, "belief-sum", bp),
+    }
+
+
+@pytest.mark.parametrize("name", ["smoother", "belief-sum", "always-east", "callable"])
+def test_lockstep_engine_matches_reference_rollouts(grid, grid_policies, name):
+    model, costs = grid
+    runs = ROLLOUT_CHUNK + 3
+    if name in grid_policies:
+        policy_like = grid_policies[name]
+        rule = oracle.alpha_rule(policy_like)
+    elif name == "always-east":
+        policy_like, rule = name, (lambda b, k: 2)
+    else:
+        policy_like = rule = lambda b, k: int(np.argmax(b) + k) % 3
+    batch = rollouts(model, costs, policy_like, 31, runs, start=5)
+    assert len(batch) == runs
+    _assert_matches_reference(batch, model, costs, rule, 31)
+
+    # monte_carlo advances the same runs block by block
+    summary = monte_carlo(model, costs, policy_like, runs, seed=31)
+    whole = rollouts(model, costs, policy_like, 31, runs)
+    np.testing.assert_allclose(summary.total_cost, whole.total_cost.mean(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(summary.total_belief_entropy,
+                               whole.belief_entropies.sum(axis=1).mean(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4, 5, 6])
+def test_lockstep_engine_matches_reference_on_random_models(n_states):
+    rng = np.random.default_rng(100 + n_states)
+    model = oracle.random_model(rng, n_states=n_states, n_obs=3, n_controls=2)
+    for horizon, runs in ((0, 1), (0, 17), (1, 1), (3, 40)):
+        costs = oracle.random_costs(rng, model, horizon)
+        rule = oracle.random_rule(rng, model, max(horizon, 1))
+        for policy_like, reference in ((1, lambda b, k: 1), (rule, rule)):
+            for log_base in ("natural", "base-2"):
+                config = EntropyConfig(log_base)
+                batch = rollouts(model, costs, policy_like, 2024, runs, config)
+                _assert_matches_reference(batch, model, costs, reference, 2024,
+                                          config.log_scale)
+
+
+def test_rollout_is_a_batch_of_one(grid, grid_policies):
+    model, costs = grid
+    policy = grid_policies["smoother"]
+    batch = rollouts(model, costs, policy, 8, 12)
+    for row in (0, 7, 11):
+        one, rec = rollout(model, costs, policy, 8, run_index=row), batch.record(row)
+        for field in ("states", "observations", "controls", "beliefs", "stage_costs",
+                      "belief_entropies"):
+            np.testing.assert_array_equal(getattr(one, field), getattr(rec, field))
+        assert (one.smoother_entropy, one.terminal_cost, one.total_cost) == \
+            (rec.smoother_entropy, rec.terminal_cost, rec.total_cost)
+
+
+def _tie_policy(model, costs):
+    """Stage sets where the vectors of controls 1 and 0 tie within TIE_TOL everywhere and
+    control 2's vector wins near state 3."""
+    values = np.array([[1.0, 1.0, 1.0, 1.0],
+                       [1.0 + 5e-13, 1.0 + 5e-13, 1.0 + 5e-13, 1.0 + 5e-13],
+                       [3.0, 3.0, 3.0, -2.0]])
+    stage = StageSet(values=values, actions=np.array([1, 0, 2]))
+    terminal = StageSet(values=np.zeros((1, 4)), actions=None)
+    return ValuePolicy(stages=(stage,) * costs.horizon + (terminal,), objective="smoother",
+                       density=1, epsilon_interior=1e-4, log_base="natural",
+                       model_fingerprint=fingerprint(model, costs))
+
+
+def test_ties_go_to_the_lowest_control_on_every_row(grid, rng):
+    model, costs = grid
+    policy = _tie_policy(model, costs)
+    beliefs = np.vstack([rng.dirichlet(np.ones(4), size=200), np.eye(4)])
+    actions = best_action(policy, beliefs, 0)
+    assert actions.shape == (len(beliefs),)
+    # vector 0 (control 1) is strictly smallest where control 2 loses, but control 0 ties it
+    want = np.where(beliefs @ policy.stages[0].values[2] < 1.0 - TIE_TOL, 2, 0)
+    np.testing.assert_array_equal(actions, want)
+    assert set(actions) == {0, 2}
+    assert [best_action(policy, b, 0) for b in beliefs] == list(actions)
+    batch = rollouts(model, costs, policy, 3, 300)
+    for row in range(len(batch)):
+        for k in range(costs.horizon):
+            assert batch.controls[row, k] == best_action(policy, batch.beliefs[row, k], k)
+    assert 1 not in batch.controls
+
+
+def test_fingerprint_runs_once_per_policy_per_call(grid, grid_policies, monkeypatch):
+    model, costs = grid
+    calls = []
+    monkeypatch.setattr(sim, "fingerprint", lambda *a: calls.append(1) or fingerprint(*a))
+    monte_carlo(model, costs, grid_policies["smoother"], ROLLOUT_CHUNK + 3, seed=1)
+    assert len(calls) == 1
+    calls.clear()
+    compare_policies(model, costs, [("a", grid_policies["smoother"]),
+                                    ("b", grid_policies["belief-sum"]),
+                                    ("c", "always-east")], ROLLOUT_CHUNK + 3, seed=1)
+    assert len(calls) == 2
