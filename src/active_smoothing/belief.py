@@ -29,8 +29,8 @@ class ImpossibleEvidence(ValueError):
 def _normalise(unnorm: np.ndarray, observation, stage: int | None) -> np.ndarray:
     """unnorm / its sum along the last axis; ImpossibleEvidence if any sum is <= 0."""
     norm = unnorm.sum(axis=-1, keepdims=True)
-    impossible = norm[..., 0] <= 0.0
-    if impossible.any():
+    if norm.min() <= 0.0:
+        impossible = norm[..., 0] <= 0.0
         raise ImpossibleEvidence(int(np.broadcast_to(observation, impossible.shape)[impossible][0]),
                                  stage)
     return unnorm / norm
@@ -38,11 +38,15 @@ def _normalise(unnorm: np.ndarray, observation, stage: int | None) -> np.ndarray
 
 def predict_joint(model: ControlledHMM, belief: np.ndarray, control) -> np.ndarray:
     """Joint predicted belief J[..., i, j] = A(u)[i, j] * belief[..., j]."""
-    control = np.asarray(control)
-    out_of_range = (control < 0) | (control >= model.n_controls)
-    if out_of_range.any():
-        raise IndexError(f"control {int(control[out_of_range].flat[0])} out of range "
-                         f"[0, {model.n_controls})")
+    n = model.n_controls
+    if isinstance(control, np.ndarray) and control.ndim:
+        in_range = 0 <= control.min() and control.max() < n
+    else:
+        in_range = 0 <= control < n
+    if not in_range:
+        controls = np.ravel(control)
+        bad = controls[(controls < 0) | (controls >= n)][0]
+        raise IndexError(f"control {int(bad)} out of range [0, {n})")
     return model.transition[control] * np.asarray(belief)[..., None, :]
 
 

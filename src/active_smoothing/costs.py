@@ -75,7 +75,7 @@ def _xlogx_sum(p: np.ndarray) -> np.ndarray:
 def belief_entropy(belief: np.ndarray, config: EntropyConfig = DEFAULT_CONFIG):
     """Entropy of a belief (a float), or of each belief along the last axis (an array)."""
     entropy = -_xlogx_sum(belief) / config.log_scale
-    return float(entropy) if np.ndim(entropy) == 0 else entropy
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 def stage_entropy_cost(model: ControlledHMM, belief: np.ndarray, control: int,

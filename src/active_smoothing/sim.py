@@ -153,19 +153,11 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> No
 
 
 def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
-    """Row r: the 2 + 2T uniforms of run start + r, from its own Philox key (seed, run).
-
-    One generator is re-keyed per run, which draws exactly what a fresh
-    Philox(key=(seed, run)) would.
-    """
-    bit_generator = np.random.Philox(key=0)
-    generator = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
+    """Row r: the 2 + 2T uniforms of run start + r, from its own Philox key (seed, run)."""
     out = np.empty((stop - start, 2 + 2 * horizon))
     for row, run in enumerate(range(start, stop)):
         key = np.array([seed & _MASK64, run & _MASK64], dtype=np.uint64)
-        bit_generator.state = {**fresh, "state": {**fresh["state"], "key": key}}
-        out[row] = generator.random(out.shape[1])
+        out[row] = np.random.Generator(np.random.Philox(key=key)).random(out.shape[1])
     return out
 
 

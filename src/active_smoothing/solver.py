@@ -49,6 +49,7 @@ EXACT_PRUNE_CAP = 2000
 CROSS_GUARD = 5_000_000
 CLOUD_CHUNK = 1024
 FD_STEP = 1e-6
+_NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 
 
 @dataclass(frozen=True)
@@ -455,7 +456,7 @@ def best_action(policy: ValuePolicy, belief: np.ndarray, stage: int):
     # a stacked @ runs one gemv per row: the same bits as values @ belief
     vals = (stage_set.values @ np.asarray(belief)[..., None])[..., 0]
     tied = vals <= vals.min(axis=-1, keepdims=True) + TIE_TOL
-    actions = np.where(tied, stage_set.actions, np.iinfo(stage_set.actions.dtype).max).min(axis=-1)
+    actions = np.where(tied, stage_set.actions, _NO_ACTION).min(axis=-1)
     return int(actions) if actions.ndim == 0 else actions
 
 
