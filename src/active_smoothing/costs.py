@@ -3,10 +3,11 @@
 Stage cost: the conditional entropy of the current state given the next state
 under the joint predicted belief, whose accumulated expectation (plus the
 terminal belief entropy) equals the expected entropy of the full hidden
-trajectory given all data. Also provides the analytic stage-cost gradient,
-expected costs including the linear c-terms, the entropy/mutual-information
-decomposition, the realised (pointwise) trajectory entropy, and the expected
-next-step belief entropy used by the belief-sum baseline.
+trajectory given all data. Also provides expected costs including the linear
+c-terms, the entropy/mutual-information decomposition, the realised
+(pointwise) trajectory entropy, and the expected next-step belief entropy used
+by the belief-sum baseline. Their tangents come from one kernel,
+`pwl.conditional_entropy_tangents`.
 
 All conventions are term-wise: 0 log 0 = 0 and 0 log(0/0) = 0.
 """
@@ -24,7 +25,7 @@ BOUNDARY_TOL = 1e-12
 
 
 class BoundaryBelief(ValueError):
-    """Gradient requested at a simplex boundary point; project to the interior first."""
+    """Tangent requested at a simplex boundary point; project to the interior first."""
 
 
 @dataclass(frozen=True)
@@ -91,39 +92,6 @@ def stage_entropy_cost(model: ControlledHMM, belief: np.ndarray, control: int,
     rows = np.broadcast_to(predicted[:, None], joint.shape)
     val = -np.sum(joint[pos] * np.log(joint[pos] / rows[pos]))
     return float(max(val, 0.0)) / config.log_scale
-
-
-def stage_entropy_gradient(model: ControlledHMM, belief: np.ndarray, control: int,
-                           config: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Gradient of stage_entropy_cost in the belief.
-
-    Component m = -sum_i A[i,m] log(A[i,m] pi(m) / sum_l A[i,l] pi(l)), zero
-    terms dropped. Defined only on the simplex interior.
-    """
-    pi = np.asarray(belief, dtype=float)
-    if (pi <= BOUNDARY_TOL).any():
-        raise BoundaryBelief(
-            "stage entropy gradient is undefined at the simplex boundary; "
-            "project the belief to the interior first"
-        )
-    a = model.transition[control]
-    joint = a * pi[None, :]
-    predicted = joint.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(joint > 0, np.log(joint / predicted[:, None]), 0.0)
-    return -(a * logs).sum(axis=0) / config.log_scale
-
-
-def terminal_entropy_gradient(belief: np.ndarray,
-                              config: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Gradient of belief_entropy; defined only on the simplex interior."""
-    pi = np.asarray(belief, dtype=float)
-    if (pi <= BOUNDARY_TOL).any():
-        raise BoundaryBelief(
-            "entropy gradient is undefined at the simplex boundary; "
-            "project the belief to the interior first"
-        )
-    return -(1.0 + np.log(pi)) / config.log_scale
 
 
 def expected_stage_cost(model: ControlledHMM, cost_model: CostModel, belief: np.ndarray,

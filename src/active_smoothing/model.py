@@ -30,21 +30,12 @@ class ControlledHMM:
     observation: np.ndarray    # (U, N, Y), row-stochastic per control
     initial_observation: np.ndarray  # (N, Y), row-stochastic
 
-    def A(self, u: int) -> np.ndarray:
-        return self.transition[u]
-
-    def B(self, u: int) -> np.ndarray:
-        return self.observation[u]
-
 
 @dataclass(frozen=True)
 class CostModel:
     horizon: int
     stage_cost: np.ndarray     # (T, N, U), c_k(i, u) >= 0
     terminal_cost: np.ndarray  # (N,), c_T(i) >= 0
-
-    def c(self, k: int) -> np.ndarray:
-        return self.stage_cost[k]
 
 
 def make_model(prior, transition, observation, initial_observation=None) -> ControlledHMM:

@@ -5,6 +5,11 @@ hyperplanes at a finite set of base points; each tangent is stored as a length-N
 alpha vector whose inner product with a belief evaluates the plane. Linear cost
 terms enter the alpha vectors exactly, so only the entropy part carries
 approximation error.
+
+Every entropy cost here is a conditional entropy H(X | Z) of a joint that is
+linear in the belief, q(x, z) = sum_m weights[x, z, m] pi_m. Such a cost is
+concave and homogeneous of degree 1, so by Euler's theorem its tangent alpha at
+a base point is its gradient, and one kernel serves every cost.
 """
 from __future__ import annotations
 
@@ -13,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import (
-    DEFAULT_CONFIG,
-    EntropyConfig,
-    stage_entropy_cost,
-    stage_entropy_gradient,
-)
+from .costs import BOUNDARY_TOL, DEFAULT_CONFIG, BoundaryBelief, EntropyConfig
 from .model import ControlledHMM, CostModel
 
 MAX_LATTICE = 2_000_000
@@ -32,12 +32,6 @@ class BasePointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class CostAlphaSet:
-    stage: np.ndarray      # (T, U, P, N): tangents of g_k(., u)
-    terminal: np.ndarray   # (P, N): tangents of g_T
 
 
 def generate_base_points(n_states: int, density: int,
@@ -80,15 +74,32 @@ def generate_base_points(n_states: int, density: int,
     return BasePointSet(points=points, density=density, epsilon_interior=epsilon_interior)
 
 
-def tangent_plane(value: float, gradient: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Alpha vector of the tangent at `point`: value + gradient - <point, gradient>."""
-    return value + gradient - float(np.asarray(point) @ np.asarray(gradient))
+def conditional_entropy_tangents(weights: np.ndarray, points: np.ndarray,
+                                 config: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Tangent alphas of H(X | Z) at each base point, one row per point.
+
+    The joint is q_p(x, z) = sum_m weights[x, z, m] points[p, m], and
+    alpha[p, m] = -sum_{x,z} weights[x, z, m] log(q_p(x, z) / q_p(z)), zero
+    terms dropped: the gradient, which for a degree-1 homogeneous cost is also
+    the tangent plane. Defined only on the simplex interior.
+    """
+    points = np.asarray(points, dtype=float)
+    if (points <= BOUNDARY_TOL).any():
+        raise BoundaryBelief(
+            "entropy tangents are undefined at the simplex boundary; "
+            "project the belief to the interior first"
+        )
+    joint = np.einsum("xzm,pm->pxz", weights, points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(joint > 0, np.log(joint / joint.sum(axis=1, keepdims=True)), 0.0)
+    return -np.einsum("pxz,xzm->pm", logs, weights) / config.log_scale
 
 
 def entropy_tangent_alphas(base_points: BasePointSet,
                            config: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Tangents of the belief entropy; the plane at xi reduces to -log xi."""
-    return -np.log(base_points.points) / config.log_scale
+    """Tangents of the belief entropy H(x); the plane at xi reduces to -log xi."""
+    n = base_points.points.shape[1]
+    return conditional_entropy_tangents(np.eye(n)[:, None, :], base_points.points, config)
 
 
 def terminal_tangent_alphas(cost_model: CostModel, base_points: BasePointSet,
@@ -99,43 +110,13 @@ def terminal_tangent_alphas(cost_model: CostModel, base_points: BasePointSet,
 def stage_tangent_alphas(model: ControlledHMM, cost_model: CostModel,
                          base_points: BasePointSet, stage: int, control: int,
                          config: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Tangents of g_k(., u): entropy tangents plus the exact linear c_k part."""
+    """Tangents of g_k(., u): H(x_k | x_{k+1}) tangents plus the exact linear c_k part."""
+    # weights[x, z, m] = A(u)[z, m] where x = m: current state x, next state z
+    weights = np.eye(model.n_states)[:, None, :] * model.transition[control][None, :, :]
     linear = cost_model.stage_cost[stage][:, control]
-    out = np.empty((len(base_points), model.n_states))
-    for p, xi in enumerate(base_points.points):
-        val = stage_entropy_cost(model, xi, control, config)
-        grad = stage_entropy_gradient(model, xi, control, config)
-        out[p] = tangent_plane(val, grad, xi) + linear
-    return out
-
-
-def tangent_cost_set(model: ControlledHMM, cost_model: CostModel,
-                     base_points: BasePointSet,
-                     config: EntropyConfig = DEFAULT_CONFIG) -> CostAlphaSet:
-    t, u, p, n = cost_model.horizon, model.n_controls, len(base_points), model.n_states
-    stage = np.empty((t, u, p, n))
-    for k in range(t):
-        for uu in range(u):
-            stage[k, uu] = stage_tangent_alphas(model, cost_model, base_points, k, uu, config)
-    return CostAlphaSet(stage=stage, terminal=terminal_tangent_alphas(cost_model, base_points, config))
+    return conditional_entropy_tangents(weights, base_points.points, config) + linear
 
 
 def evaluate_pwl(alphas: np.ndarray, belief: np.ndarray) -> float:
     """Minimum inner product over the alpha set: the PWL upper bound at `belief`."""
     return float(np.min(np.asarray(alphas) @ np.asarray(belief)))
-
-
-def fd_gradient(f, belief: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences along the simplex tangent directions e_m - 1/N.
-
-    Matches an analytic gradient only up to an additive multiple of the all-ones
-    vector, which tangent planes on the simplex are insensitive to.
-    """
-    belief = np.asarray(belief, dtype=float)
-    n = len(belief)
-    grad = np.zeros(n)
-    for m in range(n):
-        direction = np.full(n, -1.0 / n)
-        direction[m] += 1.0
-        grad[m] = (f(belief + step * direction) - f(belief - step * direction)) / (2.0 * step)
-    return grad

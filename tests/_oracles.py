@@ -51,6 +51,16 @@ def stage_conditional_entropy(model, belief, u: int, scale: float = 1.0) -> floa
     return total / scale
 
 
+def next_belief_entropy(model, belief, u: int, scale: float = 1.0) -> float:
+    """E over y of the entropy of the filter update: H(X_{k+1} | Y_{k+1})."""
+    total = 0.0
+    for y in range(model.n_observations):
+        q = obs_prob(model, belief, u, y)
+        if q > 0.0:
+            total += q * entropy(filter_step(model, belief, u, y), scale)
+    return total
+
+
 def trajectory_entropy(model, ys, us, scale: float = 1.0):
     """(H(X^T | y^T, u^{T-1}), p(y^T)) by enumerating every state trajectory."""
     t = len(us)
@@ -272,12 +282,19 @@ def reference_rollout(model, costs, rule, seed: int, run_index: int, scale: floa
 # --------------------------------------------------- random instance factories --
 
 
-def random_model(rng, n_states=None, n_obs=None, n_controls=None):
+def random_model(rng, n_states=None, n_obs=None, n_controls=None, zero_fraction=0.0):
+    """Random model; `zero_fraction` of the transition entries are set to zero
+    (each column keeps its largest entry) and the columns renormalised."""
     n = int(n_states if n_states is not None else rng.integers(2, 4))
     y = int(n_obs if n_obs is not None else rng.integers(1, 3))
     u = int(n_controls if n_controls is not None else rng.integers(1, 4))
     prior = rng.dirichlet(np.ones(n))
     transition = np.stack([rng.dirichlet(np.ones(n), size=n).T for _ in range(u)])
+    if zero_fraction > 0.0:
+        zero = rng.random(transition.shape) < zero_fraction
+        zero &= transition < transition.max(axis=1, keepdims=True)
+        transition = np.where(zero, 0.0, transition)
+        transition /= transition.sum(axis=1, keepdims=True)
     observation = np.stack([rng.dirichlet(np.ones(y), size=n) for _ in range(u)])
     initial = rng.dirichlet(np.ones(y), size=n)
     return make_model(prior, transition, observation, initial)

@@ -11,6 +11,7 @@ import _oracles as oracle
 from active_smoothing import (
     belief_entropy,
     build_grid_agent,
+    conditional_entropy_tangents,
     evaluate_pwl,
     expected_stage_cost,
     expected_terminal_cost,
@@ -19,7 +20,6 @@ from active_smoothing import (
     load_policy,
     solve,
     stage_entropy_cost,
-    stage_entropy_gradient,
     stage_tangent_alphas,
     step,
     terminal_tangent_alphas,
@@ -270,8 +270,10 @@ def test_criterion_09_stage_gradient_matches_finite_differences():
         model = oracle.random_model(rng)
         n = model.n_states
         u = int(rng.integers(model.n_controls))
-        for belief in oracle.interior_beliefs(rng, n, 50, margin=1e-3):
-            grad = stage_entropy_gradient(model, belief, u)
+        # H(x_k | x_{k+1}) of the joint q(x, z) = A[z, x] pi_x
+        weights = np.eye(n)[:, None, :] * model.transition[u][None, :, :]
+        beliefs = oracle.interior_beliefs(rng, n, 50, margin=1e-3)
+        for belief, grad in zip(beliefs, conditional_entropy_tangents(weights, beliefs)):
             m = int(rng.integers(n))
             d = -np.full(n, 1.0 / n)
             d[m] += 1.0

@@ -23,7 +23,7 @@ def test_predict_joint_matches_elementwise_product(grid):
     expected = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
-            expected[i, j] = model.A(2)[i, j] * belief[j]
+            expected[i, j] = model.transition[2][i, j] * belief[j]
     np.testing.assert_allclose(joint, expected)
     np.testing.assert_allclose(joint.sum(), 1.0)
 
@@ -32,7 +32,7 @@ def test_marginalize_next_is_transition_push_forward(grid):
     model, _ = grid
     belief = np.array([0.1, 0.2, 0.3, 0.4])
     joint = predict_joint(model, belief, 0)
-    np.testing.assert_allclose(marginalize_next(joint), model.A(0) @ belief, atol=1e-15)
+    np.testing.assert_allclose(marginalize_next(joint), model.transition[0] @ belief, atol=1e-15)
 
 
 def test_update_and_step_match_direct_bayes_filter(rng):

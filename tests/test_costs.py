@@ -10,6 +10,7 @@ from active_smoothing import (
     BoundaryBelief,
     EntropyConfig,
     belief_entropy,
+    conditional_entropy_tangents,
     expected_next_entropy,
     expected_stage_cost,
     expected_terminal_cost,
@@ -19,9 +20,7 @@ from active_smoothing import (
     pointwise_smoother_entropy,
     stage_decomposition,
     stage_entropy_cost,
-    stage_entropy_gradient,
     step,
-    terminal_entropy_gradient,
 )
 
 # conditional entropy of the current state given the next, grid agent,
@@ -84,40 +83,77 @@ def test_stage_entropy_cost_degenerate_transitions(rng):
                                belief_entropy(belief), atol=1e-12)
 
 
+def joint_weights(model, cost: str, u: int) -> np.ndarray:
+    """weights[x, z, m] of the joint q(x, z) = sum_m weights[x, z, m] pi_m whose
+    conditional entropy H(X | Z) the cost is."""
+    n = model.n_states
+    if cost == "terminal":  # H(x): Z takes a single value
+        return np.eye(n)[:, None, :]
+    a = model.transition[u]
+    if cost == "smoother":  # H(x_k | x_{k+1}): q(x, z) = A[z, x] pi_x
+        return np.eye(n)[:, None, :] * a[None, :, :]
+    # belief-sum, H(x_{k+1} | y_{k+1}): q(x', y) = B[x', y] (A pi)[x']
+    return model.observation[u][:, :, None] * a[:, None, :]
+
+
+ORACLE_COSTS = {
+    "terminal": lambda model, b, u, scale: oracle.entropy(b, scale),
+    "smoother": oracle.stage_conditional_entropy,
+    "belief-sum": oracle.next_belief_entropy,
+}
+
+
+def kernel_cases(rng):
+    """Random models with N = 2..6, with and without zero transition entries,
+    each in nats and in bits."""
+    for n in range(2, 7):
+        for zero_fraction in (0.0, 0.4):
+            model = oracle.random_model(rng, n_states=n, n_obs=int(rng.integers(1, 4)),
+                                        n_controls=2, zero_fraction=zero_fraction)
+            for config in (EntropyConfig(), BASE2):
+                yield model, config
+
+
+def assert_tangents_match_directional_fd(rng, model, cost: str, u: int, config) -> None:
+    n = model.n_states
+    beliefs = oracle.interior_beliefs(rng, n, 4, margin=5e-3)
+    alphas = conditional_entropy_tangents(joint_weights(model, cost, u), beliefs, config)
+    for alpha, belief in zip(alphas, beliefs):
+        for m in range(n):
+            d = -np.full(n, 1.0 / n)
+            d[m] += 1.0
+            fd = oracle.directional_fd(
+                lambda b: ORACLE_COSTS[cost](model, b, u, config.log_scale), belief, d)
+            np.testing.assert_allclose(alpha @ d, fd, rtol=1e-6, atol=1e-9)
+
+
 def test_stage_entropy_gradient_matches_directional_fd(rng):
-    for _ in range(25):
-        model = oracle.random_model(rng)
-        n = model.n_states
-        u = int(rng.integers(model.n_controls))
-        for belief in oracle.interior_beliefs(rng, n, 4, margin=5e-3):
-            grad = stage_entropy_gradient(model, belief, u)
-            for m in range(n):
-                d = -np.full(n, 1.0 / n)
-                d[m] += 1.0
-                fd = oracle.directional_fd(
-                    lambda b: stage_entropy_cost(model, b, u), belief, d)
-                np.testing.assert_allclose(grad @ d, fd, rtol=1e-6, atol=1e-8)
+    # the kernel's tangent is the gradient of both stage costs
+    for model, config in kernel_cases(rng):
+        for cost in ("smoother", "belief-sum"):
+            for u in range(model.n_controls):
+                assert_tangents_match_directional_fd(rng, model, cost, u, config)
 
 
 def test_stage_entropy_gradient_boundary_raises(grid):
     model, _ = grid
-    with pytest.raises(BoundaryBelief):
-        stage_entropy_gradient(model, np.array([0.5, 0.5, 0.0, 0.0]), 2)
+    for cost in ("smoother", "belief-sum"):
+        with pytest.raises(BoundaryBelief):
+            conditional_entropy_tangents(joint_weights(model, cost, 2),
+                                         np.array([[0.5, 0.5, 0.0, 0.0]]))
 
 
 def test_terminal_entropy_gradient_formula_and_fd(rng):
-    belief = np.array([0.1, 0.2, 0.3, 0.4])
-    grad = terminal_entropy_gradient(belief)
-    np.testing.assert_allclose(grad, -(1.0 + np.log(belief)), atol=1e-15)
-    for m in range(4):
-        d = -np.full(4, 0.25)
-        d[m] += 1.0
-        fd = oracle.directional_fd(lambda b: belief_entropy(b), belief, d)
-        np.testing.assert_allclose(grad @ d, fd, rtol=1e-6, atol=1e-9)
+    belief = np.array([[0.1, 0.2, 0.3, 0.4]])
+    weights = np.eye(4)[:, None, :]
+    np.testing.assert_allclose(conditional_entropy_tangents(weights, belief),
+                               -np.log(belief), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(conditional_entropy_tangents(weights, belief, BASE2),
+                               -np.log2(belief), rtol=0, atol=1e-15)
     with pytest.raises(BoundaryBelief):
-        terminal_entropy_gradient(np.array([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(terminal_entropy_gradient(belief, BASE2),
-                               grad / math.log(2.0), atol=1e-12)
+        conditional_entropy_tangents(weights, np.array([[1.0, 0.0, 0.0, 0.0]]))
+    for model, config in kernel_cases(rng):
+        assert_tangents_match_directional_fd(rng, model, "terminal", 0, config)
 
 
 def test_expected_costs_add_linear_terms(grid, rng):
@@ -154,13 +190,8 @@ def test_expected_next_entropy_matches_manual_average(rng):
         model = oracle.random_model(rng)
         belief = rng.dirichlet(np.ones(model.n_states))
         u = int(rng.integers(model.n_controls))
-        manual = 0.0
-        for y in range(model.n_observations):
-            q = oracle.obs_prob(model, belief, u, y)
-            if q > 0.0:
-                manual += q * oracle.entropy(oracle.filter_step(model, belief, u, y))
         got = expected_next_entropy(model, belief, u)
-        np.testing.assert_allclose(got, manual, atol=1e-12)
+        np.testing.assert_allclose(got, oracle.next_belief_entropy(model, belief, u), atol=1e-12)
         # conditioning on the observation cannot raise expected entropy
         predicted = model.transition[u] @ belief
         assert got <= oracle.entropy(predicted) + 1e-12

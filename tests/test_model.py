@@ -24,20 +24,20 @@ def test_grid_agent_shapes_and_values(grid):
     assert (model.n_states, model.n_controls, model.n_observations) == (4, 3, 2)
     assert costs.horizon == 3
     np.testing.assert_allclose(model.prior, 0.25)
-    np.testing.assert_allclose(model.A(1), np.eye(4))
+    np.testing.assert_allclose(model.transition[1], np.eye(4))
     # east: column j moves mass 0.8 to j+1, last column absorbing
-    east = model.A(2)
+    east = model.transition[2]
     np.testing.assert_allclose(east[:, 3], [0.0, 0.0, 0.0, 1.0])
     np.testing.assert_allclose(east[1, 0], 0.8)
     np.testing.assert_allclose(east[0, 0], 0.2)
     # west mirrors east
-    np.testing.assert_allclose(model.A(0), east[::-1, ::-1])
+    np.testing.assert_allclose(model.transition[0], east[::-1, ::-1])
     for u in range(3):
-        np.testing.assert_allclose(model.B(u)[0], [0.8, 0.2])
-        np.testing.assert_allclose(model.B(u)[1], [0.8, 0.2])
-        np.testing.assert_allclose(model.B(u)[2], [0.2, 0.8])
-        np.testing.assert_allclose(model.B(u)[3], [0.2, 0.8])
-    np.testing.assert_allclose(model.initial_observation, model.B(0))
+        np.testing.assert_allclose(model.observation[u][0], [0.8, 0.2])
+        np.testing.assert_allclose(model.observation[u][1], [0.8, 0.2])
+        np.testing.assert_allclose(model.observation[u][2], [0.2, 0.8])
+        np.testing.assert_allclose(model.observation[u][3], [0.2, 0.8])
+    np.testing.assert_allclose(model.initial_observation, model.observation[0])
     np.testing.assert_allclose(costs.stage_cost, 0.0)
     np.testing.assert_allclose(costs.terminal_cost, [1.0, 1.0, 1.0, 0.0])
 
@@ -54,8 +54,8 @@ def test_make_model_broadcasts_observation_and_defaults_initial():
     obs = [[0.9, 0.1], [0.3, 0.7]]
     model = make_model(prior, transition, obs)
     assert model.observation.shape == (2, 2, 2)
-    np.testing.assert_allclose(model.B(0), model.B(1))
-    np.testing.assert_allclose(model.initial_observation, model.B(0))
+    np.testing.assert_allclose(model.observation[0], model.observation[1])
+    np.testing.assert_allclose(model.initial_observation, model.observation[0])
 
 
 def test_model_arrays_are_read_only(grid):

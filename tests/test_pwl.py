@@ -7,20 +7,19 @@ import pytest
 
 import _oracles as oracle
 from active_smoothing import (
+    EntropyConfig,
     belief_entropy,
     entropy_tangent_alphas,
     evaluate_pwl,
-    expected_stage_cost,
     expected_terminal_cost,
-    fd_gradient,
     generate_base_points,
     make_cost_model,
-    stage_entropy_cost,
     stage_tangent_alphas,
-    tangent_cost_set,
-    tangent_plane,
     terminal_tangent_alphas,
 )
+from active_smoothing.solver import _belief_sum_stage_alphas
+
+CONFIGS = (EntropyConfig(), EntropyConfig("2"))
 
 
 def lattice_count(n: int, d: int) -> int:
@@ -63,38 +62,21 @@ def test_generate_base_points_rejects_bad_arguments():
         generate_base_points(12, 100)
 
 
-def test_tangent_plane_touches_and_dominates_entropy(rng):
-    # tangent planes to a concave function lie above it and touch at the point
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        point = oracle.interior_beliefs(rng, n, 1)[0]
-        grad = -(1.0 + np.log(point))
-        alpha = tangent_plane(belief_entropy(point), grad, point)
-        np.testing.assert_allclose(alpha @ point, belief_entropy(point), atol=1e-12)
-        for b in rng.dirichlet(np.ones(n), size=50):
-            assert alpha @ b >= belief_entropy(b) - 1e-12
-
-
-def test_tangent_plane_gauge_invariance(rng):
-    # shifting the gradient along the all-ones direction leaves values on the
-    # simplex unchanged only if the plane is rebuilt; the builder keeps tangency
-    point = np.array([0.25, 0.25, 0.25, 0.25])
-    grad = -(1.0 + np.log(point))
-    a1 = tangent_plane(belief_entropy(point), grad, point)
-    a2 = tangent_plane(belief_entropy(point), grad + 3.7, point)
-    for b in np.random.default_rng(0).dirichlet(np.ones(4), size=20):
-        np.testing.assert_allclose(a1 @ b, a2 @ b, atol=1e-12)
-
-
 def test_entropy_tangent_alphas_bound_and_tangency(rng):
     bp = generate_base_points(4, 4)
     alphas = entropy_tangent_alphas(bp)
     assert alphas.shape == (len(bp), 4)
     np.testing.assert_allclose(alphas, -np.log(bp.points), atol=1e-14)
-    for xi in bp.points:
-        assert abs(evaluate_pwl(alphas, xi) - belief_entropy(xi)) <= 1e-9
-    for b in rng.dirichlet(np.ones(4), size=1000):
-        assert evaluate_pwl(alphas, b) >= belief_entropy(b) - 1e-9
+    for n in range(2, 7):
+        bp = generate_base_points(n, 3)
+        beliefs = rng.dirichlet(np.full(n, 0.5), size=2000)
+        for config in CONFIGS:
+            alphas = entropy_tangent_alphas(bp, config)
+            np.testing.assert_allclose((alphas * bp.points).sum(axis=1),
+                                       belief_entropy(bp.points, config),
+                                       rtol=0, atol=1e-12)
+            bound = (alphas @ beliefs.T).min(axis=0)
+            assert (bound >= belief_entropy(beliefs, config) - 1e-12).all()
 
 
 def test_terminal_tangent_alphas_add_linear_cost(grid):
@@ -111,35 +93,44 @@ def test_terminal_tangent_alphas_add_linear_cost(grid):
                                    expected_terminal_cost(costs, xi), atol=1e-9)
 
 
+def stage_entropy_batch(model, cost: str, beliefs: np.ndarray, u: int, config) -> np.ndarray:
+    """H(X | Z) = H(X, Z) - H(Z) for each belief, from the joint of the named stage cost."""
+    if cost == "smoother":  # q[x, z] = pi_x A[z, x]
+        joint = beliefs[:, :, None] * model.transition[u].T[None]
+    else:  # belief-sum: q[x', y] = (A pi)[x'] B[x', y]
+        joint = (beliefs @ model.transition[u].T)[:, :, None] * model.observation[u][None]
+    return (belief_entropy(joint.reshape(len(joint), -1), config)
+            - belief_entropy(joint.sum(axis=1), config))
+
+
+STAGE_TANGENTS = {"smoother": stage_tangent_alphas, "belief-sum": _belief_sum_stage_alphas}
+
+
 def test_stage_tangent_alphas_bound_and_tangency(grid, rng):
-    model, _ = grid
-    costs = make_cost_model(3, rng.uniform(size=(3, 4, 3)), rng.uniform(size=4))
-    bp = generate_base_points(4, 4)
-    for u in range(model.n_controls):
-        alphas = stage_tangent_alphas(model, costs, bp, 1, u)
-        assert alphas.shape == (len(bp), 4)
-        for xi in bp.points:
-            np.testing.assert_allclose(
-                evaluate_pwl(alphas, xi),
-                expected_stage_cost(model, costs, xi, u, 1), atol=1e-9)
-        for b in rng.dirichlet(np.ones(4), size=500):
-            assert evaluate_pwl(alphas, b) >= expected_stage_cost(
-                model, costs, b, u, 1) - 1e-9
-
-
-def test_tangent_cost_set_shapes(grid):
-    model, costs = grid
-    bp = generate_base_points(4, 2)
-    cs = tangent_cost_set(model, costs, bp)
-    assert cs.stage.shape == (3, 3, len(bp), 4)
-    assert cs.terminal.shape == (len(bp), 4)
-    np.testing.assert_allclose(cs.terminal, terminal_tangent_alphas(costs, bp),
-                               atol=1e-14)
-    for k in range(3):
-        for u in range(3):
-            np.testing.assert_allclose(
-                cs.stage[k, u], stage_tangent_alphas(model, costs, bp, k, u),
-                atol=1e-14)
+    # the grid agent, then random models with N = 2..6 and zero transition entries
+    cases = [(grid[0], 4)] + [
+        (oracle.random_model(rng, n_states=n, n_obs=int(rng.integers(1, 4)), n_controls=2,
+                             zero_fraction=0.4), 3)
+        for n in range(2, 7)
+    ]
+    for model, density in cases:
+        n = model.n_states
+        costs = make_cost_model(3, rng.uniform(size=(3, n, model.n_controls)),
+                                rng.uniform(size=n))
+        bp = generate_base_points(n, density)
+        beliefs = rng.dirichlet(np.full(n, 0.5), size=2000)
+        for config in CONFIGS:
+            for cost, tangents in STAGE_TANGENTS.items():
+                for u in range(model.n_controls):
+                    alphas = tangents(model, costs, bp, 1, u, config)
+                    assert alphas.shape == (len(bp), n)
+                    linear = costs.stage_cost[1][:, u]
+                    np.testing.assert_allclose(
+                        (alphas * bp.points).sum(axis=1),
+                        stage_entropy_batch(model, cost, bp.points, u, config) + bp.points @ linear,
+                        rtol=0, atol=1e-12)
+                    want = stage_entropy_batch(model, cost, beliefs, u, config) + beliefs @ linear
+                    assert ((alphas @ beliefs.T).min(axis=0) >= want - 1e-12).all()
 
 
 def test_evaluate_pwl_is_minimum_inner_product(rng):
@@ -147,29 +138,3 @@ def test_evaluate_pwl_is_minimum_inner_product(rng):
     for b in rng.dirichlet(np.ones(5), size=20):
         np.testing.assert_allclose(evaluate_pwl(alphas, b),
                                    min(a @ b for a in alphas), atol=1e-12)
-
-
-def test_fd_gradient_on_known_function(rng):
-    # quadratic with known gradient; compare tangent-space projections
-    n = 4
-    q = rng.normal(size=(n, n))
-    q = q + q.T
-    c = rng.normal(size=n)
-
-    def f(b):
-        return 0.5 * b @ q @ b + c @ b
-
-    b0 = oracle.interior_beliefs(rng, n, 1)[0]
-    grad = fd_gradient(f, b0)
-    true = q @ b0 + c
-    proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    np.testing.assert_allclose(proj @ grad, proj @ true, rtol=1e-6, atol=1e-6)
-
-
-def test_fd_gradient_matches_entropy_gradient_in_tangent_space():
-    b0 = np.array([0.4, 0.3, 0.2, 0.1])
-    grad = fd_gradient(lambda b: belief_entropy(b), b0)
-    true = -(1.0 + np.log(b0))
-    n = 4
-    proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    np.testing.assert_allclose(proj @ grad, proj @ true, rtol=1e-6, atol=1e-6)

@@ -304,12 +304,13 @@ def test_smoother_prune_modes_agree_at_density_one(grid, rng):
             np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
-def test_preselection_cap_keeps_upper_bound(grid, rng):
+def test_preselection_cap_keeps_upper_bound(grid, rng, monkeypatch):
     # forcing the winner-cloud path still yields a valid (possibly looser) bound
     model, costs = grid
     bp = generate_base_points(4, 2)
     exact = solve(model, costs, "smoother", bp)
-    capped = solve(model, costs, "smoother", bp, exact_prune_cap=0)
+    monkeypatch.setattr(solver_module, "EXACT_PRUNE_CAP", 0)
+    capped = solve(model, costs, "smoother", bp)
     beliefs = rng.dirichlet(np.ones(4), size=200)
     for b in beliefs:
         lo = value(exact, b, 0)
