@@ -14,12 +14,16 @@ The lp mode keeps the winners on a fixed seed cloud, then builds the
 lower-envelope polytope of the kept vectors once as an incremental Qhull
 halfspace intersection. Each round batch-evaluates candidate margins at its
 vertices, which is equivalent to solving one witness linear program per
-vector, keeps the vector that wins at the best vertex and adds that vector's
-halfspace to the same polytope. A direct LP fallback covers degenerate
-geometry. Above `EXACT_PRUNE_CAP` vectors, exact pruning switches to winner
-selection on a fixed witness-point cloud: every kept vector still attains the
-minimum somewhere, so the represented function remains a valid upper bound,
-but rarely-winning vectors may be dropped.
+vector. At every vertex where some candidate beats the kept envelope by more
+than `PRUNE_TOL`, it keeps the minimising vector (lowest index on ties), and
+it adds the halfspaces of all newly kept vectors to the same polytope in one
+update. The rounds stop when no candidate beats the envelope at any vertex,
+so the envelope is exact; which of several merely tied vectors is kept
+depends on the order in which they are found. A direct LP fallback covers
+degenerate geometry. Above `EXACT_PRUNE_CAP` vectors, exact pruning switches
+to winner selection on a fixed witness-point cloud: every kept vector still
+attains the minimum somewhere, so the represented function remains a valid
+upper bound, but rarely-winning vectors may be dropped.
 """
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ PRUNE_TOL = 1e-9
 TIE_TOL = 1e-12
 EXACT_PRUNE_CAP = 2000
 CROSS_GUARD = 5_000_000
-CLOUD_CHUNK = 1024
+CLOUD_CHUNK = 1 << 17  # floats per values @ block.T in _cloud_argmin, about 1 MiB
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 
 
@@ -209,8 +213,7 @@ def _lp_indices(values: np.ndarray) -> np.ndarray:
     if n == 1:
         return idx[[int(np.argmin(v[:, 0]))]]
 
-    winners = np.unique(np.argmin(v @ _seed_cloud(n).T, axis=0))
-    kept = set(int(w) for w in winners)
+    kept = set(_cloud_argmin(v, _seed_cloud(n)).tolist())
     candidates = np.array([i for i in range(n_vec) if i not in kept])
     lower = float(v.min()) - 1.0
 
@@ -224,18 +227,17 @@ def _lp_indices(values: np.ndarray) -> np.ndarray:
             alive = margins > PRUNE_TOL
             if not alive.any():
                 break
-            j = int(np.argmax(margins))
-            vertex = vertices[arg_vertex[j]]
-            witness = np.concatenate([vertex[:n - 1], [1.0 - vertex[:n - 1].sum()]])
-            witness = np.clip(witness, 0.0, None)
-            witness /= witness.sum()
-            best = int(np.argmin(v @ witness))
-            if best in kept:
-                best = int(candidates[j])
-            kept.add(best)
-            candidates = candidates[alive & (candidates != best)]
+            # the minimiser at each vertex where some candidate beats the kept envelope
+            p = vertices[np.unique(arg_vertex[alive]), :n - 1]
+            witnesses = np.clip(np.hstack([p, 1.0 - p.sum(axis=1, keepdims=True)]), 0.0, None)
+            witnesses /= witnesses.sum(axis=1, keepdims=True)
+            new = np.setdiff1d(_cloud_argmin(v, witnesses), list(kept))
+            if not len(new):  # rounding at the vertices: keep the best candidate instead
+                new = candidates[[int(np.argmax(margins))]]
+            kept.update(new.tolist())
+            candidates = candidates[alive & ~np.isin(candidates, new)]
             if len(candidates):
-                hull.add_halfspaces(_envelope_halfspaces(v[best:best + 1]))
+                hull.add_halfspaces(_envelope_halfspaces(v[new]))
     except QhullError:
         _witness_rounds(v, kept, candidates)
     finally:
@@ -290,13 +292,15 @@ def _witness_cloud(n: int) -> np.ndarray:
 def _cloud_argmin(values: np.ndarray, cloud: np.ndarray) -> np.ndarray:
     """Per cloud point, the index of the minimising row of `values` (first on ties).
 
-    Evaluated over fixed-size chunks of cloud points, so memory stays at
-    len(values) x CLOUD_CHUNK floats whatever the cloud size.
+    Evaluated over blocks of cloud points sized so that each `values @ block.T`
+    holds about CLOUD_CHUNK floats: it stays in cache, and memory stays bounded
+    whatever the cloud size.
     """
+    step = max(1, CLOUD_CHUNK // len(values))
     out = np.empty(len(cloud), dtype=np.intp)
-    for start in range(0, len(cloud), CLOUD_CHUNK):
-        chunk = cloud[start:start + CLOUD_CHUNK]
-        out[start:start + len(chunk)] = np.argmin(values @ chunk.T, axis=0)
+    for start in range(0, len(cloud), step):
+        block = cloud[start:start + step]
+        out[start:start + len(block)] = np.argmin(values @ block.T, axis=0)
     return out
 
 

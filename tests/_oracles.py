@@ -190,30 +190,43 @@ def optimal_value_from(model, costs, objective: str, belief, stage: int = 0,
     return v(stage, np.asarray(belief, dtype=float))
 
 
-def essential_indices(values: np.ndarray, tol: float = 1e-9) -> list[int]:
-    """Indices whose hyperplane lies strictly below all others somewhere (LP witness)."""
+def witness_margin(vector: np.ndarray, others: np.ndarray) -> float:
+    """max over the simplex of min over rows w of <pi, w - vector> (LP); -inf if it fails.
+
+    Positive: `vector` lies strictly below every row somewhere. Negative: it lies
+    strictly above the lower envelope of the rows everywhere.
+    """
     from scipy.optimize import linprog
 
-    m, n = values.shape
+    n = len(vector)
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([vector[None, :] - others, np.ones((len(others), 1))])
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(len(others)),
+        A_eq=np.hstack([np.ones((1, n)), np.zeros((1, 1))]),
+        b_eq=np.ones(1),
+        bounds=[(0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    return -res.fun if res.status == 0 else -np.inf
+
+
+def essential_indices(values: np.ndarray, tol: float = 1e-9) -> list[int]:
+    """Indices whose hyperplane lies strictly below all others somewhere (LP witness).
+
+    A row that is componentwise at least some other row has a margin of at most
+    0, so it is skipped without solving its LP.
+    """
     keep = []
-    for i in range(m):
+    for i in range(len(values)):
         others = np.delete(values, i, axis=0)
         if len(others) == 0:
             keep.append(i)
-            continue
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([values[i][None, :] - others, np.ones((m - 1, 1))])
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=np.zeros(m - 1),
-            A_eq=np.hstack([np.ones((1, n)), np.zeros((1, 1))]),
-            b_eq=np.ones(1),
-            bounds=[(0, None)] * n + [(None, None)],
-            method="highs",
-        )
-        if res.status == 0 and -res.fun > tol:
+        elif (not (others <= values[i]).all(axis=1).any()
+              and witness_margin(values[i], others) > tol):
             keep.append(i)
     return keep
 

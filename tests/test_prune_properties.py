@@ -1,0 +1,74 @@
+"""Property tests of exact `lp` pruning on random vector sets with ties."""
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import _oracles as oracle
+from active_smoothing import prune
+from active_smoothing.solver import PRUNE_TOL
+
+MAX_VECTORS = 300
+
+
+@st.composite
+def vector_sets(draw):
+    """1-300 vectors in N = 2-6 with duplicated rows, face ties and near-copies.
+
+    The base rows are normal draws, entropy tangents at clustered beliefs
+    (every one essential, most found only in vertex rounds), or small integers
+    (many exact ties). Copies are then appended of random base rows: exact
+    duplicates, rows equal to the original in some components and larger or
+    different in the rest, and rows within PRUNE_TOL of the original.
+    """
+    n = draw(st.integers(2, 6), label="n")
+    size = draw(st.integers(1, MAX_VECTORS), label="base rows")
+    kind = draw(st.sampled_from(["normal", "tangents", "integers"]), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "normal":
+        values = rng.normal(size=(size, n))
+    elif kind == "tangents":
+        values = -np.log(rng.dirichlet(np.full(n, 400.0), size=size))
+    else:
+        values = rng.integers(0, 4, size=(size, n)).astype(float)
+
+    room = (MAX_VECTORS - size) // 3
+    copies = [values]
+    for copy_kind in ("duplicates", "face ties", "near-copies"):
+        count = draw(st.integers(0, min(size, room)), label=copy_kind)
+        rows = values[rng.integers(size, size=count)].copy()
+        if copy_kind == "face ties":
+            changed = rng.random((count, n)) < 0.5
+            shift = rng.exponential(size=(count, n))
+            if draw(st.booleans(), label="two-sided face ties"):
+                shift *= rng.choice([-1.0, 1.0], size=(count, n))
+            rows += np.where(changed, shift, 0.0)
+        elif copy_kind == "near-copies":
+            rows += rng.uniform(-PRUNE_TOL, PRUNE_TOL, size=(count, n))
+        copies.append(rows)
+    values = np.vstack(copies)
+    return values[rng.permutation(len(values))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(values=vector_sets())
+def test_prune_lp_is_exact(values):
+    kept = prune(values, mode="lp")
+    n = values.shape[1]
+
+    # the kept envelope is the full minimum on the simplex vertices and inside
+    rng = np.random.default_rng(len(values))
+    beliefs = np.vstack([np.eye(n), rng.dirichlet(np.ones(n), size=2000)])
+    np.testing.assert_allclose((values[kept] @ beliefs.T).min(axis=0),
+                               (values @ beliefs.T).min(axis=0), atol=1e-8)
+
+    # every vector that is strictly below all others somewhere is kept
+    assert set(oracle.essential_indices(values)) <= set(kept.tolist())
+
+    # no kept vector lies strictly above the envelope of the other kept vectors
+    if len(kept) > 1:
+        for i in kept:
+            others = values[kept[kept != i]]
+            assert oracle.witness_margin(values[i], others) >= -PRUNE_TOL

@@ -119,7 +119,8 @@ def _clustered_tangents(rng, n, size):
     return -np.log(rng.dirichlet(np.full(n, 400.0), size=size))
 
 
-def test_prune_lp_builds_one_polytope(rng, monkeypatch):
+def test_prune_lp_batches_vertex_rounds(rng, monkeypatch):
+    # one polytope per prune, and each vertex round adds all of its winners in one update
     real = solver_module.HalfspaceIntersection
     calls = {"build": 0, "add": 0}
 
@@ -136,18 +137,20 @@ def test_prune_lp_builds_one_polytope(rng, monkeypatch):
     values = _clustered_tangents(rng, 4, 200)
     assert len(prune(values, mode="lp")) == 200
     assert calls["build"] <= 1
-    assert calls["add"] >= 2
+    assert 2 <= calls["add"] <= 20
 
 
 def _raise_qhull(*args, **kwargs):
     raise QhullError("forced failure")
 
 
-@pytest.mark.parametrize("failure", ["build", "add"])
+@pytest.mark.parametrize("failure", ["build", "add", "multi-add"])
 def test_prune_lp_falls_back_to_witness_lps(rng, monkeypatch, failure):
     class FailingAdd(solver_module.HalfspaceIntersection):
-        def add_halfspaces(self, *args, **kwargs):
-            raise QhullError("forced failure")
+        def add_halfspaces(self, halfspaces, *args, **kwargs):
+            if failure == "add" or len(halfspaces) >= 2:
+                raise QhullError("forced failure")
+            super().add_halfspaces(halfspaces, *args, **kwargs)
 
     real_linprog = solver_module.linprog
     lp_calls = []
