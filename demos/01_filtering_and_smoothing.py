@@ -14,7 +14,6 @@ import numpy as np
 from active_smoothing import (
     belief_entropy,
     build_grid_agent,
-    exact_policy_metrics,
     initial_update,
     observation_marginal,
     pointwise_smoother_entropy,
@@ -68,6 +67,16 @@ for record in itertools.product(range(2), repeat=4):
         prob *= observation_marginal(model, b, 2)[y]
         b = step(model, b, 2, y)
     expected_additive += prob * (acc + belief_entropy(b))
-expected_joint = exact_policy_metrics(model, costs, "always-east").smoother_entropy
+
+# The same expectation from the other side: per record, the joint distribution
+# of all four states as a 4x4x4x4 tensor, whose mass is the record's probability.
+expected_joint = 0.0
+for record in itertools.product(range(2), repeat=4):
+    joint = model.prior * model.initial_observation[:, record[0]]
+    for y in record[1:]:
+        joint = joint[..., None] * (model.transition[2].T * model.observation[2][:, y])
+    mass = joint.sum()
+    q = joint[joint > 0] / mass
+    expected_joint -= mass * float(q @ np.log(q))
 print(f"\nE[sum of residuals + final entropy]  = {expected_additive:.10f}")
 print(f"E[joint trajectory entropy]          = {expected_joint:.10f}")

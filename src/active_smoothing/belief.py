@@ -74,7 +74,7 @@ def step(model: ControlledHMM, belief: np.ndarray, control,
     return update(model, predict_joint(model, belief, control), control, observation, stage)
 
 
-def observation_marginal(model: ControlledHMM, belief: np.ndarray, control: int) -> np.ndarray:
+def observation_marginal(model: ControlledHMM, belief: np.ndarray, control) -> np.ndarray:
     """Distribution of the next observation: p(y) = sum_i B(u)[i, y] * (A(u) belief)(i)."""
-    predicted = model.transition[control] @ np.asarray(belief)
-    return predicted @ model.observation[control]
+    predicted = marginalize_next(predict_joint(model, belief, control))
+    return (model.observation[control] * predicted[..., None]).sum(axis=-2)

@@ -34,11 +34,11 @@ from .model import (
 )
 from .pwl import generate_base_points
 from .sim import (
-    SIZE_GUARD,
     PolicyModelMismatch,
     check_policy,
     compare_policies,
     exact_policy_metrics,
+    exact_refusal,
     monte_carlo,
     rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
     rollouts,
@@ -253,10 +253,7 @@ def cmd_sweep(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
-    exact_feasible = (
-        model.n_observations ** (costs.horizon + 1) * model.n_states ** (costs.horizon + 1)
-        <= SIZE_GUARD
-    )
+    exact_feasible = exact_refusal(model, costs.horizon) is None
     rows = []
     for density in densities:
         base_points = generate_base_points(model.n_states, density, args.epsilon)

@@ -49,49 +49,51 @@ class EntropyConfig:
 DEFAULT_CONFIG = EntropyConfig()
 
 
-def _xlogx_sum(p: np.ndarray) -> np.ndarray:
-    """sum p log p in nats along the last axis, with 0 log 0 = 0.
+def _sum_where(terms: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Sum of the terms where pos holds, along the last axis.
 
-    One belief is summed over its positive entries only. A batch reproduces
-    that sum bit for bit: each row's positive terms move, in order, to the
-    front, and rows with the same count of them form one contiguous 2-D sum
-    (zeros left in place would shift numpy's pairwise summation lanes).
+    One row is summed over its selected entries only. A batch reproduces that
+    sum bit for bit: each row's selected terms move, in order, to the front,
+    and rows with the same count of them form one contiguous 2-D sum (zeros
+    left in place would shift numpy's pairwise summation lanes).
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        pos = p > 0
-        return np.sum(p[pos] * np.log(p[pos]))
-    rows = p.reshape(-1, p.shape[-1])
-    pos = rows > 0
-    terms = np.where(pos, rows * np.log(np.where(pos, rows, 1.0)), 0.0)
-    terms = np.take_along_axis(terms, np.argsort(~pos, axis=-1, kind="stable"), axis=-1)
+    if terms.ndim == 1:
+        return np.sum(terms[pos])
+    rows = terms.reshape(-1, terms.shape[-1])
+    pos = pos.reshape(rows.shape)
+    rows = np.take_along_axis(rows, np.argsort(~pos, axis=-1, kind="stable"), axis=-1)
     counts = pos.sum(axis=-1)
     out = np.zeros(len(rows))
     for count in np.unique(counts):
         group = np.flatnonzero(counts == count)
-        out[group] = terms[np.ix_(group, np.arange(count))].sum(axis=-1)
-    return out.reshape(p.shape[:-1])
+        out[group] = rows[np.ix_(group, np.arange(count))].sum(axis=-1)
+    return out.reshape(terms.shape[:-1])
 
 
 def belief_entropy(belief: np.ndarray, config: EntropyConfig = DEFAULT_CONFIG):
     """Entropy of a belief (a float), or of each belief along the last axis (an array)."""
-    entropy = -_xlogx_sum(belief) / config.log_scale
+    p = np.asarray(belief, dtype=float)
+    pos = p > 0
+    entropy = -_sum_where(p * np.log(np.where(pos, p, 1.0)), pos) / config.log_scale
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def stage_entropy_cost(model: ControlledHMM, belief: np.ndarray, control: int,
-                       config: EntropyConfig = DEFAULT_CONFIG) -> float:
+def stage_entropy_cost(model: ControlledHMM, belief: np.ndarray, control,
+                       config: EntropyConfig = DEFAULT_CONFIG):
     """Conditional entropy of the current state given the next state.
 
     Equals -sum_ij J[i,j] log(J[i,j] / rowsum_i J) for the joint predicted
-    belief J; terms with J[i,j] = 0 contribute 0.
+    belief J; terms with J[i,j] = 0 contribute 0. One belief gives a float; a
+    batch (R, N) with one control per row gives one cost per row, each with
+    the operations of a single belief.
     """
     joint = predict_joint(model, belief, control)
-    predicted = marginalize_next(joint)
     pos = joint > 0
-    rows = np.broadcast_to(predicted[:, None], joint.shape)
-    val = -np.sum(joint[pos] * np.log(joint[pos] / rows[pos]))
-    return float(max(val, 0.0)) / config.log_scale
+    rows = np.where(pos, marginalize_next(joint)[..., None], 1.0)
+    terms = joint * np.log(np.where(pos, joint / rows, 1.0))
+    flat = joint.shape[:-2] + (-1,)
+    val = np.maximum(-_sum_where(terms.reshape(flat), pos.reshape(flat)), 0.0) / config.log_scale
+    return float(val) if val.ndim == 0 else val
 
 
 def expected_stage_cost(model: ControlledHMM, cost_model: CostModel, belief: np.ndarray,

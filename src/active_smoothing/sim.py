@@ -1,4 +1,4 @@
-"""Monte Carlo rollout harness and exact policy evaluation by enumeration.
+"""Monte Carlo rollout harness and exact policy evaluation over the observation tree.
 
 Rollouts draw their randomness from a counter-based generator keyed by
 (seed, run index), so run i sees the same uniform stream regardless of the
@@ -8,9 +8,9 @@ run on the leading axis (states and observations (R, T+1), beliefs (R, N),
 backward kernels (R, N, N)); a single rollout is a block of one. Every row is
 computed with the operations of a single run, so results do not depend on the
 block it was simulated in.
-Exact evaluation enumerates all observation sequences with their probabilities
-under a deterministic policy and, per sequence, the full joint distribution of
-the hidden trajectory; it refuses above a term-count guard.
+Exact evaluation walks the observation tree breadth-first with the same batched
+filter and decision rules, one level of (L, N) beliefs per stage, and charges
+the smoother entropy in its belief-state form; it refuses above a size guard.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .costs import (
     EntropyConfig,
     belief_entropy,
     pointwise_smoother_entropy,
+    stage_entropy_cost,
 )
 from .model import ControlledHMM, CostModel, fingerprint
 from .solver import ValuePolicy, best_action
@@ -258,67 +259,63 @@ def monte_carlo(model: ControlledHMM, cost_model: CostModel, policy_like, runs: 
     return compare_policies(model, cost_model, [("", policy_like)], runs, seed, config)[0][1]
 
 
-def _joint_trajectory_entropy(model: ControlledHMM, observations, controls,
-                              config: EntropyConfig) -> float:
-    """Entropy of p(x_0..x_T | y_0..y_T, u_0..u_{T-1}) by full enumeration."""
-    joint = model.prior * model.initial_observation[:, observations[0]]
-    for k, u in enumerate(controls):
-        w = model.transition[u].T * model.observation[u][:, observations[k + 1]][None, :]
-        joint = joint[..., None] * w
-    flat = joint.ravel()
-    norm = flat.sum()
-    q = flat[flat > 0] / norm
-    return float(-(q @ np.log(q))) / config.log_scale
+# bench/tracer.py patches this name for its "sim.exact_leaf" span; nothing calls it
+_joint_trajectory_entropy = None
+
+
+def exact_refusal(model: ControlledHMM, horizon: int) -> str | None:
+    """Why exact evaluation refuses, or None: its largest array, the (Y^(T+1), N, N)
+    joint predicted beliefs of the last level's children, is over SIZE_GUARD entries."""
+    terms = model.n_observations ** (horizon + 1) * model.n_states ** 2
+    if terms > SIZE_GUARD:
+        return f"exact evaluation needs {terms} joint terms, over the {SIZE_GUARD} guard"
+    return None
 
 
 def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_like,
                          config: EntropyConfig = DEFAULT_CONFIG,
                          seed: int = 0) -> MetricsSummary:
-    """Exact expectations by enumerating all observation sequences.
+    """Exact expectations over the observation tree; ValueError if `exact_refusal` refuses.
 
-    Refuses when |Y|^(T+1) * |X|^(T+1) exceeds the term guard.
+    Walks the tree breadth-first: level k holds the (L, N) beliefs of its L
+    nodes and their (L,) path probabilities, decides every row as Monte Carlo
+    does and expands it into its children of positive probability with the
+    batched filter. The smoother entropy is charged in its belief-state form,
+    E[sum_k H(x_k | x_{k+1}, data to k) + H(b_T)]: prob * stage_entropy_cost
+    at each node and prob * H(b_T) at each leaf.
     """
     check_policy(model, cost_model, policy_like)
-    t, ny, n = cost_model.horizon, model.n_observations, model.n_states
-    terms = (ny ** (t + 1)) * (n ** (t + 1))
-    if terms > SIZE_GUARD:
-        raise ValueError(
-            f"exact evaluation needs {terms} joint terms, over the {SIZE_GUARD} guard"
-        )
-    rule = as_decision_rule(policy_like, model.n_controls)
-    totals = {"terminal": 0.0, "tbe": 0.0, "smoother": 0.0, "stage_c": 0.0}
-
-    def walk(belief: np.ndarray, k: int, prob: float, ys: list[int], us: list[int]) -> None:
-        totals["tbe"] += prob * belief_entropy(belief, config)
-        if k == t:
-            totals["terminal"] += prob * float(belief @ cost_model.terminal_cost)
-            totals["smoother"] += prob * _joint_trajectory_entropy(model, ys, us, config)
-            return
-        u = int(rule(belief, k))
-        totals["stage_c"] += prob * float(belief @ cost_model.stage_cost[k][:, u])
-        p_next = observation_marginal(model, belief, u)
-        for y in range(ny):
-            if p_next[y] <= 0.0:
-                continue
-            walk(step(model, belief, u, y, stage=k), k + 1, prob * float(p_next[y]),
-                 ys + [y], us + [u])
+    refusal = exact_refusal(model, cost_model.horizon)
+    if refusal:
+        raise ValueError(refusal)
+    decide = _rows_rule(policy_like, model.n_controls)
 
     p0 = model.prior @ model.initial_observation
-    for y0 in range(ny):
-        if p0[y0] <= 0.0:
-            continue
-        walk(initial_update(model, y0), 0, float(p0[y0]), [y0], [])
+    observations = np.flatnonzero(p0 > 0.0)
+    prob, beliefs = p0[observations], initial_update(model, observations)
+    tbe = smoother = stage_c = 0.0
+    for k in range(cost_model.horizon):
+        tbe += prob @ belief_entropy(beliefs, config)
+        controls = np.broadcast_to(np.asarray(decide(beliefs, k), dtype=int), len(beliefs))
+        stage_c += prob @ (beliefs * cost_model.stage_cost[k].T[controls]).sum(axis=1)
+        smoother += prob @ stage_entropy_cost(model, beliefs, controls, config)
+        p_next = observation_marginal(model, beliefs, controls)
+        parents, observations = np.nonzero(p_next > 0.0)
+        prob = prob[parents] * p_next[parents, observations]
+        beliefs = step(model, beliefs[parents], controls[parents], observations, stage=k)
+    final_entropy = prob @ belief_entropy(beliefs, config)
+    terminal = prob @ (beliefs @ cost_model.terminal_cost)
+    smoother += final_entropy
 
-    total = totals["smoother"] + totals["stage_c"] + totals["terminal"]
     return MetricsSummary(
         runs=0,
-        terminal_cost=totals["terminal"],
+        terminal_cost=float(terminal),
         terminal_cost_se=0.0,
-        total_belief_entropy=totals["tbe"],
+        total_belief_entropy=float(tbe + final_entropy),
         tbe_se=0.0,
-        smoother_entropy=totals["smoother"],
+        smoother_entropy=float(smoother),
         se_se=0.0,
-        total_cost=total,
+        total_cost=float(smoother + stage_c + terminal),
         tc_se=0.0,
         log_base=config.log_base,
         seed=seed,

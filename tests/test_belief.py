@@ -142,6 +142,21 @@ def test_batched_filter_rows_equal_single_beliefs(rng, n_states):
         np.testing.assert_array_equal(nexts[i], step(model, beliefs[i], int(us[i]), int(ys[i])))
 
 
+@pytest.mark.parametrize("rows", [4, 7])
+def test_batched_observation_marginal_rows_equal_single_beliefs(grid, rng, rows):
+    # R == N (4 on the grid agent) and R != N: a batch axis taken for the state
+    # axis fails on shapes only when R != N
+    for model in (grid[0], _sparse_random_model(rng, 5)):
+        beliefs = rng.dirichlet(np.ones(model.n_states), size=rows)
+        us = rng.integers(model.n_controls, size=rows)
+        margs = observation_marginal(model, beliefs, us)
+        assert margs.shape == (rows, model.n_observations)
+        np.testing.assert_allclose(margs.sum(axis=1), 1.0, atol=1e-12)
+        for i in range(rows):
+            np.testing.assert_array_equal(margs[i],
+                                          observation_marginal(model, beliefs[i], int(us[i])))
+
+
 def test_batched_impossible_evidence_names_the_first_bad_row():
     model = make_model(
         prior=[1.0, 0.0],

@@ -14,6 +14,7 @@ from active_smoothing import (
     make_cost_model,
     save_model,
 )
+from active_smoothing import sim
 from active_smoothing.cli import (
     RESULTS_HEADER,
     SWEEP_HEADER,
@@ -267,6 +268,23 @@ def test_sweep_rows_and_exact_column(tmp_path):
     # the reported tangent bound dominates the achieved cost at every density
     for r in rows:
         assert float(r["bound_value"]) >= float(r["total_cost"]) - 1e-9
+
+
+@pytest.mark.parametrize("guard, exact", [(256, 1), (255, 0)])
+def test_size_guard_sets_exact_evaluation_and_the_sweep_together(tmp_path, monkeypatch,
+                                                                  guard, exact):
+    # the grid agent at T=3: 2^4 observation paths of 4 x 4 joints, 256 entries
+    monkeypatch.setattr(sim, "SIZE_GUARD", guard)
+    model, costs = build_grid_agent()
+    if exact:
+        exact_policy_metrics(model, costs, "always-east")
+    else:
+        with pytest.raises(ValueError, match="256 joint terms"):
+            exact_policy_metrics(model, costs, "always-east")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--base-points", "1", "--runs", "50", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert int(rows[0]["exact"]) == exact
 
 
 def test_sweep_rejects_bad_densities(tmp_path, capsys):

@@ -83,6 +83,25 @@ def test_stage_entropy_cost_degenerate_transitions(rng):
                                belief_entropy(belief), atol=1e-12)
 
 
+@pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
+def test_batched_stage_entropy_cost_rows_equal_single_beliefs(grid, rng, zero_fraction):
+    models = [grid[0]] + [oracle.random_model(rng, n_states=n, zero_fraction=zero_fraction)
+                          for n in (2, 3, 5, 9)]
+    for model in models:
+        beliefs = rng.dirichlet(np.ones(model.n_states), size=6)
+        beliefs[::2] *= rng.random(beliefs[::2].shape) < 0.6  # beliefs with zeros
+        beliefs[::2, 0] += 1e-3
+        beliefs /= beliefs.sum(axis=1, keepdims=True)
+        us = rng.integers(model.n_controls, size=6)
+        for config in (EntropyConfig(), BASE2):
+            got = stage_entropy_cost(model, beliefs, us, config)
+            assert got.shape == (6,)
+            for i in range(6):
+                single = stage_entropy_cost(model, beliefs[i], int(us[i]), config)
+                assert isinstance(single, float)
+                assert got[i] == single
+
+
 def joint_weights(model, cost: str, u: int) -> np.ndarray:
     """weights[x, z, m] of the joint q(x, z) = sum_m weights[x, z, m] pi_m whose
     conditional entropy H(X | Z) the cost is."""

@@ -208,10 +208,28 @@ def test_exact_policy_metrics_random_models(rng):
 
 
 def test_exact_policy_metrics_enumeration_guard(rng):
+    # 4^11 observation paths of 4 x 4 joints: 6.7e7 terms
     model = oracle.random_model(rng, n_states=4, n_obs=4)
     costs = oracle.zero_costs(model, 10)
     with pytest.raises(ValueError, match="[0-9]"):
         exact_policy_metrics(model, costs, 0)
+
+
+def test_exact_policy_metrics_grid_agent_at_horizon_eight(grid, rng):
+    # 2^9 observation paths, the largest array 2^9 x 4 x 4 joints
+    model, costs = grid
+    costs = make_cost_model(8, np.repeat(costs.stage_cost[:1], 8, axis=0), costs.terminal_cost)
+    by_belief = oracle.random_rule(rng, model, 8)
+    for policy, rule in (("always-east", lambda b, k: 2), (by_belief, by_belief)):
+        exact = exact_policy_metrics(model, costs, policy)
+        np.testing.assert_allclose(exact.smoother_entropy,
+                                   oracle.additive_smoother_expectation(model, 8, rule),
+                                   rtol=0, atol=1e-12)
+        mc = monte_carlo(model, costs, policy, runs=4000, seed=8)
+        assert abs(mc.terminal_cost - exact.terminal_cost) <= 5 * mc.terminal_cost_se
+        assert abs(mc.total_belief_entropy - exact.total_belief_entropy) <= 5 * mc.tbe_se
+        assert abs(mc.smoother_entropy - exact.smoother_entropy) <= 5 * mc.se_se
+        assert abs(mc.total_cost - exact.total_cost) <= 5 * mc.tc_se
 
 
 def test_monte_carlo_converges_to_exact(grid):
