@@ -168,14 +168,46 @@ def _reported_bound(model, costs, policy, config) -> float:
     return total
 
 
-def _trace_rows(model, costs, name: str, policy_like, runs: int, seed: int, config) -> list[list]:
-    batch = rollouts(model, costs, policy_like, seed, min(runs, MAX_TRACE_RUNS), config)
+def _solve(model, costs, args, objective: str, density: int, config):
+    """The policy solved on the `density` lattice, and the seconds the solve took."""
+    base_points = generate_base_points(model.n_states, density, args.epsilon)
+    start = time.perf_counter()
+    policy = solve(model, costs, objective, base_points, args.prune, config)
+    return policy, time.perf_counter() - start
+
+
+def _evaluate(model, costs, pairs, exact: bool, args, config) -> list:
+    """(name, summary) per (name, policy) pair: exact, or Monte Carlo on common random numbers."""
+    if exact:
+        return [(name, exact_policy_metrics(model, costs, policy_like, config, seed=args.seed))
+                for name, policy_like in pairs]
+    return compare_policies(model, costs, pairs, args.runs, args.seed, config)
+
+
+def _summary_line(name: str, s) -> str:
+    return (f"{name}: terminal={s.terminal_cost:.4f} tbe={s.total_belief_entropy:.4f} "
+            f"smoother={s.smoother_entropy:.4f} total={s.total_cost:.4f}")
+
+
+def _sweep_row(model, costs, args, density: int, policy, exact: bool, config) -> list:
+    if exact:
+        summary = exact_policy_metrics(model, costs, policy, config, seed=args.seed)
+    else:
+        summary = monte_carlo(model, costs, policy, args.runs, args.seed, config)
+    return [density, summary.total_cost, _reported_bound(model, costs, policy, config),
+            ";".join(str(x) for x in policy.gamma_sizes()), int(exact)]
+
+
+def _trace_rows(model, costs, pairs, runs: int, seed: int, config) -> list[list]:
+    """One row per stage of the first min(runs, MAX_TRACE_RUNS) rollouts of each policy."""
     t = costs.horizon
     rows = []
-    for i in range(len(batch)):
-        for k in range(t + 1):
-            control = batch.controls[i, k] if k < t else ""
-            rows.append([name, i, k, batch.states[i, k], control, batch.observations[i, k]])
+    for name, policy_like in pairs:
+        batch = rollouts(model, costs, policy_like, seed, min(runs, MAX_TRACE_RUNS), config)
+        for i in range(len(batch)):
+            for k in range(t + 1):
+                control = batch.controls[i, k] if k < t else ""
+                rows.append([name, i, k, batch.states[i, k], control, batch.observations[i, k]])
     return rows
 
 
@@ -196,55 +228,26 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
-    base_points = generate_base_points(model.n_states, args.base_points, args.epsilon)
-    start = time.perf_counter()
-    policy = solve(model, costs, args.objective, base_points, args.prune, config)
-    elapsed = time.perf_counter() - start
+    policy, elapsed = _solve(model, costs, args, args.objective, args.base_points, config)
     save_policy(args.out, policy, extra_metadata=_config_dict(args, model, costs))
-    sizes = policy.gamma_sizes()
-    for k, size in enumerate(sizes):
+    for k, size in enumerate(policy.gamma_sizes()):
         print(f"stage {k}: {size} vectors")
     print(f"solved {args.objective} in {elapsed:.2f}s -> {args.out}")
     return 0
 
 
-def cmd_evaluate_exact(args) -> int:
-    model, costs = _load_model_and_costs(args)
-    config = EntropyConfig(args.log_base)
-    pairs = [_resolve_policy(ref, model, costs) for ref in args.policy]
-    rows = [
-        _summary_row(name, exact_policy_metrics(model, costs, pol, config, seed=args.seed))
-        for name, pol in pairs
-    ]
-    metadata = _config_dict(args, model, costs, exact=True)
-    _write_csv(args.out, metadata, RESULTS_HEADER, rows)
-    for row in rows:
-        print(f"{row[0]}: total_cost={row[8]!r} (exact)")
-    if args.trace:
-        trace = []
-        for name, pol in pairs:
-            trace.extend(_trace_rows(model, costs, name, pol, 1, args.seed, config))
-        _write_csv(args.trace, metadata, TRACE_HEADER, trace)
-    return 0
-
-
 def cmd_simulate(args) -> int:
-    if args.exact:
-        return cmd_evaluate_exact(args)
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     pairs = [_resolve_policy(ref, model, costs) for ref in args.policy]
-    results = compare_policies(model, costs, pairs, args.runs, args.seed, config)
-    rows = [_summary_row(name, s) for name, s in results]
-    metadata = _config_dict(args, model, costs)
-    _write_csv(args.out, metadata, RESULTS_HEADER, rows)
+    results = _evaluate(model, costs, pairs, args.exact, args, config)
+    metadata = _config_dict(args, model, costs, **({"exact": True} if args.exact else {}))
+    _write_csv(args.out, metadata, RESULTS_HEADER, [_summary_row(name, s) for name, s in results])
     for name, s in results:
-        print(f"{name}: terminal={s.terminal_cost:.4f} tbe={s.total_belief_entropy:.4f} "
-              f"smoother={s.smoother_entropy:.4f} total={s.total_cost:.4f}")
+        print(f"{name}: total_cost={s.total_cost!r} (exact)" if args.exact
+              else _summary_line(name, s))
     if args.trace:
-        trace = []
-        for (name, pol) in pairs:
-            trace.extend(_trace_rows(model, costs, name, pol, args.runs, args.seed, config))
+        trace = _trace_rows(model, costs, pairs, 1 if args.exact else args.runs, args.seed, config)
         _write_csv(args.trace, metadata, TRACE_HEADER, trace)
     return 0
 
@@ -253,22 +256,12 @@ def cmd_sweep(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
-    exact_feasible = exact_refusal(model, costs.horizon) is None
+    exact = exact_refusal(model, costs.horizon) is None
     rows = []
     for density in densities:
-        base_points = generate_base_points(model.n_states, density, args.epsilon)
-        start = time.perf_counter()
-        policy = solve(model, costs, args.objective, base_points, args.prune, config)
-        elapsed = time.perf_counter() - start
-        bound = _reported_bound(model, costs, policy, config)
-        if exact_feasible:
-            summary = exact_policy_metrics(model, costs, policy, config, seed=args.seed)
-        else:
-            summary = monte_carlo(model, costs, policy, args.runs, args.seed, config)
-        rows.append([density, summary.total_cost, bound,
-                     ";".join(str(x) for x in policy.gamma_sizes()),
-                     1 if exact_feasible else 0])
-        print(f"d={density}: total_cost={summary.total_cost!r} bound={bound!r} "
+        policy, elapsed = _solve(model, costs, args, args.objective, density, config)
+        rows.append(_sweep_row(model, costs, args, density, policy, exact, config))
+        print(f"d={density}: total_cost={rows[-1][1]!r} bound={rows[-1][2]!r} "
               f"gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
     _write_csv(args.out, _config_dict(args, model, costs), SWEEP_HEADER, rows)
     return 0
@@ -276,26 +269,23 @@ def cmd_sweep(args) -> int:
 
 def cmd_experiment(args) -> int:
     model, costs = _load_model_and_costs(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
+    refusal = exact_refusal(model, costs.horizon)
+    if refusal:
+        raise ValueError(refusal)
     d_main = max(densities)
-    base_points = generate_base_points(model.n_states, d_main, args.epsilon)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    solved = {}
+    for objective in ("smoother", "belief-sum"):
+        print(f"solving {objective} objective at d={d_main} ...")
+        solved[objective], elapsed = _solve(model, costs, args, objective, d_main, config)
+        print(f"  gammas={solved[objective].gamma_sizes()} ({elapsed:.2f}s)")
+    active, baseline = solved["smoother"], solved["belief-sum"]
 
     save_model(out_dir / "model.json", model, costs)
-
-    print(f"solving smoother objective at d={d_main} ...")
-    start = time.perf_counter()
-    active = solve(model, costs, "smoother", base_points, args.prune, config)
-    t_active = time.perf_counter() - start
-    print(f"  gammas={active.gamma_sizes()} ({t_active:.2f}s)")
-    print(f"solving belief-sum objective at d={d_main} ...")
-    start = time.perf_counter()
-    baseline = solve(model, costs, "belief-sum", base_points, args.prune, config)
-    t_baseline = time.perf_counter() - start
-    print(f"  gammas={baseline.gamma_sizes()} ({t_baseline:.2f}s)")
-
     metadata = _config_dict(
         args, model, costs,
         gamma_sizes_smoother=active.gamma_sizes(),
@@ -306,35 +296,24 @@ def cmd_experiment(args) -> int:
 
     policies = [("active-smoothing", active), ("belief-sum", baseline), ("always-east", "always-east")]
     print(f"simulating {args.runs} runs per policy ...")
-    results = compare_policies(model, costs, policies, args.runs, args.seed, config)
-    rows = [_summary_row(name, s) for name, s in results]
-    for name, policy_like in policies:
-        rows.append(_summary_row(name, exact_policy_metrics(model, costs, policy_like,
-                                                            config, seed=args.seed)))
+    results = _evaluate(model, costs, policies, False, args, config)
+    rows = [_summary_row(name, s)
+            for name, s in results + _evaluate(model, costs, policies, True, args, config)]
     _write_csv(out_dir / "table1.csv", metadata, RESULTS_HEADER, rows)
     for name, s in results:
-        print(f"  {name}: terminal={s.terminal_cost:.4f} tbe={s.total_belief_entropy:.4f} "
-              f"smoother={s.smoother_entropy:.4f} total={s.total_cost:.4f}")
+        print("  " + _summary_line(name, s))
 
     print(f"density sweep over {densities} ...")
     sweep_rows = []
     for density in densities:
-        if density == d_main:
-            policy = active
-        else:
-            bp = generate_base_points(model.n_states, density, args.epsilon)
-            policy = solve(model, costs, "smoother", bp, args.prune, config)
-        summary = exact_policy_metrics(model, costs, policy, config, seed=args.seed)
-        bound = _reported_bound(model, costs, policy, config)
-        sweep_rows.append([density, summary.total_cost, bound,
-                           ";".join(str(x) for x in policy.gamma_sizes()), 1])
-        print(f"  d={density}: total_cost={summary.total_cost!r}")
+        policy = (active if density == d_main
+                  else _solve(model, costs, args, "smoother", density, config)[0])
+        sweep_rows.append(_sweep_row(model, costs, args, density, policy, True, config))
+        print(f"  d={density}: total_cost={sweep_rows[-1][1]!r}")
     _write_csv(out_dir / "sweep.csv", metadata, SWEEP_HEADER, sweep_rows)
 
-    trace = []
-    for name, policy_like in policies:
-        trace.extend(_trace_rows(model, costs, name, policy_like, 1, args.seed, config))
-    _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER, trace)
+    _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER,
+               _trace_rows(model, costs, policies, 1, args.seed, config))
 
     with open(out_dir / "metadata.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)

@@ -6,7 +6,9 @@ terminal belief entropy) equals the expected entropy of the full hidden
 trajectory given all data. Also provides expected costs including the linear
 c-terms, the entropy/mutual-information decomposition, the realised
 (pointwise) trajectory entropy, and the expected next-step belief entropy used
-by the belief-sum baseline. Their tangents come from one kernel,
+by the belief-sum baseline. Both entropy costs the solver plans with are
+conditional entropies H(X | Z) of a joint linear in the belief: their values
+share one kernel, `_conditional_entropy`, and their tangents another,
 `pwl.conditional_entropy_tangents`.
 
 All conventions are term-wise: 0 log 0 = 0 and 0 log(0/0) = 0.
@@ -49,32 +51,25 @@ class EntropyConfig:
 DEFAULT_CONFIG = EntropyConfig()
 
 
-def _sum_where(terms: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Sum of the terms where pos holds, along the last axis.
+def _conditional_entropy(joint: np.ndarray, config: EntropyConfig):
+    """H(X | Z) of the joint q[..., z, x] over its last two axes; terms with q = 0 add 0.
 
-    One row is summed over its selected entries only. A batch reproduces that
-    sum bit for bit: each row's selected terms move, in order, to the front,
-    and rows with the same count of them form one contiguous 2-D sum (zeros
-    left in place would shift numpy's pairwise summation lanes).
+    Each leading index sums its whole (z, x) block as one row, so a batch row
+    is computed with exactly the operations of a single joint. A single joint
+    gives a float.
     """
-    if terms.ndim == 1:
-        return np.sum(terms[pos])
-    rows = terms.reshape(-1, terms.shape[-1])
-    pos = pos.reshape(rows.shape)
-    rows = np.take_along_axis(rows, np.argsort(~pos, axis=-1, kind="stable"), axis=-1)
-    counts = pos.sum(axis=-1)
-    out = np.zeros(len(rows))
-    for count in np.unique(counts):
-        group = np.flatnonzero(counts == count)
-        out[group] = rows[np.ix_(group, np.arange(count))].sum(axis=-1)
-    return out.reshape(terms.shape[:-1])
+    pos = joint > 0
+    marginal = np.where(pos, joint.sum(axis=-1, keepdims=True), 1.0)
+    terms = joint * np.log(np.where(pos, joint / marginal, 1.0))
+    total = terms.reshape(joint.shape[:-2] + (-1,)).sum(axis=-1)
+    val = np.maximum(-total, 0.0) / config.log_scale
+    return float(val) if val.ndim == 0 else val
 
 
 def belief_entropy(belief: np.ndarray, config: EntropyConfig = DEFAULT_CONFIG):
     """Entropy of a belief (a float), or of each belief along the last axis (an array)."""
     p = np.asarray(belief, dtype=float)
-    pos = p > 0
-    entropy = -_sum_where(p * np.log(np.where(pos, p, 1.0)), pos) / config.log_scale
+    entropy = -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1) / config.log_scale
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
@@ -84,16 +79,9 @@ def stage_entropy_cost(model: ControlledHMM, belief: np.ndarray, control,
 
     Equals -sum_ij J[i,j] log(J[i,j] / rowsum_i J) for the joint predicted
     belief J; terms with J[i,j] = 0 contribute 0. One belief gives a float; a
-    batch (R, N) with one control per row gives one cost per row, each with
-    the operations of a single belief.
+    batch (R, N) with one control per row gives one cost per row.
     """
-    joint = predict_joint(model, belief, control)
-    pos = joint > 0
-    rows = np.where(pos, marginalize_next(joint)[..., None], 1.0)
-    terms = joint * np.log(np.where(pos, joint / rows, 1.0))
-    flat = joint.shape[:-2] + (-1,)
-    val = np.maximum(-_sum_where(terms.reshape(flat), pos.reshape(flat)), 0.0) / config.log_scale
-    return float(val) if val.ndim == 0 else val
+    return _conditional_entropy(predict_joint(model, belief, control), config)
 
 
 def expected_stage_cost(model: ControlledHMM, cost_model: CostModel, belief: np.ndarray,
@@ -127,14 +115,10 @@ def stage_decomposition(model: ControlledHMM, belief: np.ndarray, control: int,
 
 def expected_next_entropy(model: ControlledHMM, belief: np.ndarray, control: int,
                           config: EntropyConfig = DEFAULT_CONFIG) -> float:
-    """E over the next observation of the updated belief's entropy."""
-    joint = predict_joint(model, belief, control)
-    predicted = marginalize_next(joint)
-    p_y = predicted @ model.observation[control]
-    total = 0.0
-    for y in np.flatnonzero(p_y > 0):
-        total += p_y[y] * belief_entropy(update(model, joint, control, int(y)), config)
-    return float(total)
+    """E over the next observation of the updated belief's entropy: H(x_{k+1} | y_{k+1})."""
+    predicted = marginalize_next(predict_joint(model, belief, control))
+    joint = predicted[..., :, None] * model.observation[control]  # q[x', y]
+    return _conditional_entropy(np.swapaxes(joint, -1, -2), config)
 
 
 def pointwise_smoother_entropy(model: ControlledHMM, observations, controls,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 COLUMN_TOL = 1e-12
-BELIEF_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,19 @@ class BasePointSet:
         return len(self.points)
 
 
+def simplex_lattice(n: int, levels: int) -> np.ndarray:
+    """Beliefs whose coordinates lie in {0, 1/(levels-1), ..., 1}, in lexicographic order."""
+    return np.array([combo for combo in itertools.product(range(levels), repeat=n)
+                     if sum(combo) == levels - 1], dtype=float) / (levels - 1)
+
+
 def generate_base_points(n_states: int, density: int,
                          epsilon_interior: float = 1e-4) -> BasePointSet:
     """Simplex lattice with `density` coordinate levels, projected to the interior.
 
-    Coordinates take values {0, 1/(density-1), ..., 1}; points not summing to 1
-    are discarded. density=1 yields the single barycentre. Each point is then
-    mixed with the uniform belief: point <- (1 - N eps) point + eps.
+    density=1 yields the single barycentre. Each point is then mixed with the
+    uniform belief, point <- (1 - N eps) point + eps; as 1 - N eps > 1/2, distinct
+    lattice points stay distinct.
     """
     if density < 1:
         raise ValueError(f"density must be >= 1, got {density}")
@@ -56,20 +62,8 @@ def generate_base_points(n_states: int, density: int,
             raise ValueError(
                 f"lattice of {density}^{n_states} candidate points is too large"
             )
-        rows = [
-            np.array(combo, dtype=float) / (density - 1)
-            for combo in itertools.product(range(density), repeat=n_states)
-            if sum(combo) == density - 1
-        ]
-        points = np.array(rows)
+        points = simplex_lattice(n_states, density)
     points = (1.0 - n_states * epsilon_interior) * points + epsilon_interior
-
-    order = np.lexsort(points.T[::-1])
-    sorted_pts = points[order]
-    keep = np.ones(len(points), dtype=bool)
-    if len(points) > 1:
-        keep[1:] = np.abs(np.diff(sorted_pts, axis=0)).max(axis=1) > 1e-12
-    points = points[np.sort(order[keep])]
     points.setflags(write=False)
     return BasePointSet(points=points, density=density, epsilon_interior=epsilon_interior)
 

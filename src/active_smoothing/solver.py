@@ -27,7 +27,6 @@ upper bound, but rarely-winning vectors may be dropped.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -44,6 +43,7 @@ from .model import ControlledHMM, CostModel, fingerprint
 from .pwl import (
     BasePointSet,
     conditional_entropy_tangents,
+    simplex_lattice,
     stage_tangent_alphas,
     terminal_tangent_alphas,
 )
@@ -276,13 +276,7 @@ def _witness_cloud(n: int) -> np.ndarray:
             rng.dirichlet(np.full(n, 0.3), size=4096),
         ]
         if 9 ** n <= 100_000:
-            coords = np.linspace(0.0, 1.0, 9)
-            lattice = [
-                coords[list(combo)]
-                for combo in itertools.product(range(9), repeat=n)
-                if sum(combo) == 8
-            ]
-            parts.append(np.array(lattice))
+            parts.append(simplex_lattice(n, 9))
         _WITNESS_CLOUDS[n] = np.vstack(parts)
     return _WITNESS_CLOUDS[n]
 

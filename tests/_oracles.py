@@ -61,18 +61,24 @@ def next_belief_entropy(model, belief, u: int, scale: float = 1.0) -> float:
     return total
 
 
-def trajectory_entropy(model, ys, us, scale: float = 1.0):
-    """(H(X^T | y^T, u^{T-1}), p(y^T)) by enumerating every state trajectory."""
+def state_paths(model, ys, us):
+    """(state trajectories, their joint probabilities p(x^T, y^T) under controls us)."""
     t = len(us)
     assert len(ys) == t + 1
+    paths = list(itertools.product(range(model.n_states), repeat=t + 1))
     probs = []
-    for xs in itertools.product(range(model.n_states), repeat=t + 1):
+    for xs in paths:
         p = model.prior[xs[0]] * model.initial_observation[xs[0], ys[0]]
         for k in range(t):
             p *= model.transition[us[k]][xs[k + 1], xs[k]]
             p *= model.observation[us[k]][xs[k + 1], ys[k + 1]]
         probs.append(p)
-    probs = np.asarray(probs)
+    return paths, np.asarray(probs)
+
+
+def trajectory_entropy(model, ys, us, scale: float = 1.0):
+    """(H(X^T | y^T, u^{T-1}), p(y^T)) by enumerating every state trajectory."""
+    _, probs = state_paths(model, ys, us)
     total = probs.sum()
     if total <= 0.0:
         return 0.0, 0.0
@@ -111,6 +117,38 @@ def policy_metrics(model, costs, rule, scale: float = 1.0):
         smoother += p * h
         stage += p * sc
     return term, tbe, smoother, stage
+
+
+def per_run_moments(model, costs, rule, scale: float = 1.0):
+    """Mean and variance of one run's (terminal cost, belief-entropy sum, smoother
+    entropy, total cost) under a deterministic belief-feedback rule, by
+    enumerating every observation path and every state path."""
+    t = costs.horizon
+    values, weights = [], []
+    for ys in y_sequences(model.n_observations, t + 1):
+        if float(model.initial_observation[:, ys[0]] @ model.prior) <= 0.0:
+            continue
+        b = initial_filter(model, ys[0])
+        bent = entropy(b, scale)
+        us = []
+        for k in range(t):
+            us.append(rule(b, k))
+            if obs_prob(model, b, us[k], ys[k + 1]) <= 0.0:
+                break
+            b = filter_step(model, b, us[k], ys[k + 1])
+            bent += entropy(b, scale)
+        else:
+            h, _ = trajectory_entropy(model, ys, us, scale)
+            for xs, p in zip(*state_paths(model, ys, us)):
+                if p > 0.0:
+                    term = costs.terminal_cost[xs[t]]
+                    stage = sum(costs.stage_cost[k][xs[k], us[k]] for k in range(t))
+                    values.append((term, bent, h, h + stage + term))
+                    weights.append(p)
+    values, weights = np.asarray(values), np.asarray(weights)
+    weights /= weights.sum()
+    mean = weights @ values
+    return mean, weights @ (values - mean) ** 2
 
 
 def additive_smoother_expectation(model, horizon: int, rule, scale: float = 1.0) -> float:

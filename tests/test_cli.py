@@ -287,6 +287,14 @@ def test_size_guard_sets_exact_evaluation_and_the_sweep_together(tmp_path, monke
     assert int(rows[0]["exact"]) == exact
 
 
+def test_experiment_refuses_before_writing_anything(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim, "SIZE_GUARD", 255)
+    out = tmp_path / "exp"
+    assert main(["experiment", "--base-points", "1", "--runs", "10", "--out", str(out)]) == 1
+    assert "256 joint terms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_densities(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--base-points", "0,2", "--out", str(out)]) == 2

@@ -1,4 +1,5 @@
-"""Property tests of exact policy evaluation against the brute-force oracle."""
+"""Property tests of exact policy evaluation: against the brute-force oracle, and
+Monte Carlo against it."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,10 +11,14 @@ from active_smoothing import (
     EntropyConfig,
     StageSet,
     ValuePolicy,
+    compare_policies,
     exact_policy_metrics,
     fingerprint,
     make_model,
 )
+
+MC_RUNS = 2000
+MC_SIGMAS = 5.0
 
 
 def _with_zeros(rng, pmfs: np.ndarray, fraction: float) -> np.ndarray:
@@ -83,3 +88,23 @@ def test_exact_policy_metrics_matches_the_oracle(instance):
     np.testing.assert_allclose(got.smoother_entropy, smoother, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.total_cost, smoother + stage + term, rtol=0, atol=1e-12)
     assert got.log_base == config.log_base
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(instance=instances())
+def test_monte_carlo_agrees_with_exact_evaluation(instance):
+    """Each Monte Carlo mean lies within MC_SIGMAS standard errors of the exact one.
+
+    The standard error comes from the exact per-run variance, not from the
+    sample: the rollouts can miss a rare outcome altogether and show no
+    variance at all.
+    """
+    model, costs, config, policy, rule = instance
+    exact = exact_policy_metrics(model, costs, policy, config)
+    [(_, mc)] = compare_policies(model, costs, [("policy", policy)], MC_RUNS, 11, config)
+    _, variance = oracle.per_run_moments(model, costs, rule, config.log_scale)
+    keys = ("terminal_cost", "total_belief_entropy", "smoother_entropy", "total_cost")
+    for key, var in zip(keys, variance):
+        got, want, se = getattr(mc, key), getattr(exact, key), np.sqrt(var / MC_RUNS)
+        assert abs(got - want) <= MC_SIGMAS * se + 1e-12, (key, got, want, se)
