@@ -1,13 +1,15 @@
 """Monte Carlo rollout harness and exact policy evaluation over the observation tree.
 
-Rollouts draw their randomness from a counter-based generator keyed by
+Rollouts draw their randomness from the counter-based Philox4x64-10 keyed by
 (seed, run index), so run i sees the same uniform stream regardless of the
-policy under test: comparisons across policies use common random numbers.
+policy under test: comparisons across policies use common random numbers. A
+block's draws are one array computation over its keys.
 All runs of a block advance together, one stage at a time, as arrays with the
 run on the leading axis (states and observations (R, T+1), beliefs (R, N),
-backward kernels (R, N, N)); a single rollout is a block of one. Every row is
-computed with the operations of a single run, so results do not depend on the
-block it was simulated in.
+backward kernels (R, N, N)); a single rollout is a block of one. One filter
+pass gives both the beliefs and, from the backward kernels, the realised
+smoother entropy. Every row is computed with the operations of a single run,
+so results do not depend on the block it was simulated in.
 Exact evaluation walks the observation tree breadth-first with the same batched
 filter and decision rules, one level of (L, N) beliefs per stage, and charges
 the smoother entropy in its belief-state form; it refuses above a size guard.
@@ -18,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import initial_update, observation_marginal, step
+from .belief import initial_update, observation_marginal, predict_joint, step, update
 from .costs import (
     DEFAULT_CONFIG,
     EntropyConfig,
+    backward_entropy,
+    backward_kernel,
     belief_entropy,
-    pointwise_smoother_entropy,
+    pointwise_smoother_entropy,  # noqa: F401  kept importable: the benchmark's tracer wraps sim.pointwise_smoother_entropy by name
     stage_entropy_cost,
 )
 from .model import ControlledHMM, CostModel, fingerprint
@@ -32,6 +36,9 @@ from .solver import ValuePolicy, best_action
 SIZE_GUARD = 10_000_000
 ROLLOUT_CHUNK = 1024
 _MASK64 = (1 << 64) - 1
+_LOW32 = (1 << 32) - 1
+_PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 class PolicyModelMismatch(ValueError):
@@ -153,13 +160,41 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> No
             )
 
 
+def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of multiplier * x, the high word built from 32-bit halves."""
+    m_hi, m_lo = multiplier >> 32, multiplier & _LOW32
+    x_hi, x_lo = x >> 32, x & _LOW32
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    carry = ((lo_lo >> 32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> 32
+    return x_hi * m_hi + (hi_lo >> 32) + (lo_hi >> 32) + carry, x * multiplier
+
+
 def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
-    """Row r: the 2 + 2T uniforms of run start + r, from its own Philox key (seed, run)."""
-    out = np.empty((stop - start, 2 + 2 * horizon))
-    for row, run in enumerate(range(start, stop)):
-        key = np.array([seed & _MASK64, run & _MASK64], dtype=np.uint64)
-        out[row] = np.random.Generator(np.random.Philox(key=key)).random(out.shape[1])
-    return out
+    """Row r: the 2 + 2T uniforms of run start + r, numpy's Philox(key=(seed, run)) stream.
+
+    Philox4x64-10 (Salmon et al., SC 2011) is counter-based, so the whole block is one
+    array computation: key words (seed, run) mod 2^64, counters 1, 2, ... (numpy
+    increments before each block of four words), and each double (word >> 11) * 2^-53.
+    All arithmetic is on uint64 arrays, which wrap mod 2^64 without a warning.
+    """
+    width = 2 + 2 * horizon
+    key0 = np.full((stop - start, 1), seed & _MASK64, dtype=np.uint64)
+    key1 = (np.uint64(start & _MASK64) + np.arange(stop - start, dtype=np.uint64))[:, None]
+    x0 = np.arange(1, (width + 3) // 4 + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for rnd in range(10):
+        if rnd:
+            key0, key1 = key0 + _PHILOX_WEYL[0], key1 + _PHILOX_WEYL[1]
+        hi0, lo0 = _mulhilo(_PHILOX_MULT[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_MULT[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1).reshape(len(key0), -1)
+    return (words[:, :width] >> 11) * 2.0 ** -53
+
+
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
 
 
 def _sample(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -177,6 +212,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
     controls = np.empty((runs, t), dtype=int)
     beliefs = np.empty((runs, t + 1, model.n_states))
     stage_costs = np.empty((runs, t))
+    kernels = []
     transition_cdf = np.cumsum(model.transition, axis=1)      # [u, :, x] over next states
     observation_cdf = np.cumsum(model.observation, axis=2)    # [u, x, :] over observations
 
@@ -192,7 +228,9 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
         states[:, k + 1] = _sample(transition_cdf[u, :, x], uniforms[:, 2 + 2 * k])
         observations[:, k + 1] = _sample(observation_cdf[u, states[:, k + 1]],
                                          uniforms[:, 3 + 2 * k])
-        beliefs[:, k + 1] = step(model, beliefs[:, k], u, observations[:, k + 1], stage=k)
+        joint = predict_joint(model, beliefs[:, k], u)
+        kernels.append(backward_kernel(joint))
+        beliefs[:, k + 1] = update(model, joint, u, observations[:, k + 1], stage=k)
 
     return RolloutBatch(
         seed=seed,
@@ -203,7 +241,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
         beliefs=beliefs,
         stage_costs=stage_costs,
         terminal_cost=cost_model.terminal_cost[states[:, t]],
-        smoother_entropy=pointwise_smoother_entropy(model, observations, controls, config),
+        smoother_entropy=backward_entropy(beliefs[:, t], kernels, config),
         belief_entropies=belief_entropy(beliefs, config),
     )
 
@@ -211,6 +249,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
 def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int, runs: int,
              config: EntropyConfig = DEFAULT_CONFIG, start: int = 0) -> RolloutBatch:
     """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r)."""
+    _check_runs(runs)
     check_policy(model, cost_model, policy_like)
     return _advance(model, cost_model, _rows_rule(policy_like, model.n_controls), seed, start,
                     _uniforms(seed, start, start + runs, cost_model.horizon), config)
@@ -330,8 +369,7 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     Runs advance in blocks of ROLLOUT_CHUNK, which bounds memory for any run
     count; each block's uniforms are drawn once and shared by every policy.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_runs(runs)
     rules = []
     for _, policy_like in policies:
         check_policy(model, cost_model, policy_like)

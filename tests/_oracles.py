@@ -288,14 +288,19 @@ def alpha_rule(policy, tol: float = TIE_TOL):
     return rule
 
 
+def run_uniforms(seed: int, run_index: int, count: int) -> np.ndarray:
+    """The first `count` uniforms of numpy's own Philox generator keyed (seed, run_index)."""
+    key = np.array([seed & _MASK64, run_index & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
 def reference_rollout(model, costs, rule, seed: int, run_index: int, scale: float = 1.0,
                       smoother_cache: dict | None = None) -> dict:
     """One rollout by a plain per-run loop: Philox key (seed, run_index), 2 + 2T
     uniforms (initial state, y_0, then state and observation per stage), each
     draw the first index whose running pmf sum exceeds the uniform."""
     t = costs.horizon
-    key = np.array([seed & _MASK64, run_index & _MASK64], dtype=np.uint64)
-    uniforms = np.random.Generator(np.random.Philox(key=key)).random(2 + 2 * t)
+    uniforms = run_uniforms(seed, run_index, 2 + 2 * t)
 
     def sample(pmf, v):
         return min(int(np.searchsorted(np.cumsum(pmf), v, side="right")), len(pmf) - 1)

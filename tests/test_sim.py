@@ -17,6 +17,7 @@ from active_smoothing import (
     fingerprint,
     generate_base_points,
     make_cost_model,
+    make_model,
     monte_carlo,
     pointwise_smoother_entropy,
     rollout,
@@ -80,9 +81,7 @@ def test_rollout_is_reproducible_and_documented(grid):
                 and np.array_equal(a.observations, c.observations))
 
     # reproduce the draw layout: Philox key (seed, run_index), 2 + 2T uniforms
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([42 & _MASK64, 3 & _MASK64], dtype=np.uint64)))
-    u = rng.random(2 + 2 * costs.horizon)
+    u = oracle.run_uniforms(42, 3, 2 + 2 * costs.horizon)
     x0 = int(np.searchsorted(np.cumsum(model.prior), u[0]))
     assert a.states[0] == x0
     y0 = int(np.searchsorted(np.cumsum(model.initial_observation[x0]), u[1]))
@@ -163,6 +162,13 @@ def test_monte_carlo_single_run_has_zero_se(grid):
     assert summary.tc_se == 0.0
     with pytest.raises(ValueError):
         monte_carlo(model, costs, "always-east", runs=0, seed=9)
+
+
+def test_rollouts_reject_fewer_than_one_run(grid):
+    model, costs = grid
+    for runs in (0, -1):
+        with pytest.raises(ValueError, match=f"runs must be >= 1, got {runs}$"):
+            rollouts(model, costs, "always-east", seed=9, runs=runs)
 
 
 def test_common_random_numbers_align_trajectories(grid):
@@ -362,3 +368,61 @@ def test_fingerprint_runs_once_per_policy_per_call(grid, grid_policies, monkeypa
                                     ("b", grid_policies["belief-sum"]),
                                     ("c", "always-east")], ROLLOUT_CHUNK + 3, seed=1)
     assert len(calls) == 2
+
+
+# ------------------------------------------------------------------ draws --
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, -3, 2**64 - 2])
+@pytest.mark.parametrize("horizon", [0, 1, 2, 6, 8])
+def test_uniforms_equal_numpy_philox_bit_for_bit(seed, start, horizon):
+    # 2 + 2T words fill the last counter block of four fully at T = 1, partly at even T
+    runs = np.uint64(start & _MASK64) + np.arange(5, dtype=np.uint64)  # wraps past 2^64
+    got = sim._uniforms(seed, start, start + len(runs), horizon)
+    want = np.stack([oracle.run_uniforms(seed, int(run), 2 + 2 * horizon) for run in runs])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("runs", [1, ROLLOUT_CHUNK + 3])
+def test_compare_policies_matches_reference_rollouts(runs):
+    rng = np.random.default_rng(runs)
+    model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=2, zero_fraction=0.3)
+    costs = oracle.random_costs(rng, model, 3)
+    rule = oracle.random_rule(rng, model, 3)
+    (_, got), = compare_policies(model, costs, [("rule", rule)], runs, seed=-1)
+    cache = {}
+    want = [oracle.reference_rollout(model, costs, rule, -1, run, smoother_cache=cache)
+            for run in range(runs)]
+    terminal = np.array([w["terminal_cost"] for w in want])
+    tbe = np.array([w["belief_entropies"].sum() for w in want])
+    smoother = np.array([w["smoother_entropy"] for w in want])
+    total = smoother + np.array([w["stage_costs"].sum() for w in want]) + terminal
+    for field, values in (("terminal_cost", terminal), ("total_belief_entropy", tbe),
+                          ("smoother_entropy", smoother), ("total_cost", total)):
+        np.testing.assert_allclose(getattr(got, field), values.mean(), rtol=0, atol=1e-12,
+                                   err_msg=field)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 4])
+def test_shared_filter_gives_pointwise_smoother_entropy_exactly(horizon):
+    rng = np.random.default_rng(40 + horizon)
+    zero_rows = False
+    for n_states in (1, 2, 4, 6):
+        model = oracle.random_model(rng, n_states=n_states, n_obs=2, n_controls=2,
+                                    zero_fraction=0.6)
+        if n_states > 1:
+            # control 0 never leads to state 0: that backward-kernel row has zero mass
+            transition = model.transition.copy()
+            transition[0, 1] += transition[0, 0]
+            transition[0, 0] = 0.0
+            model = make_model(model.prior, transition, model.observation,
+                               model.initial_observation)
+        costs = oracle.random_costs(rng, model, horizon)
+        rule = oracle.random_rule(rng, model, max(horizon, 1))
+        for config in (EntropyConfig("natural"), EntropyConfig("base-2")):
+            batch = rollouts(model, costs, rule, 11, 200, config)
+            want = pointwise_smoother_entropy(model, batch.observations, batch.controls, config)
+            assert batch.smoother_entropy.tolist() == want.tolist()
+            zero_rows |= n_states > 1 and bool((batch.controls == 0).any())
+    assert zero_rows or horizon == 0
