@@ -54,7 +54,7 @@ PRUNE_TOL = 1e-9
 TIE_TOL = 1e-12
 EXACT_PRUNE_CAP = 2000
 CROSS_GUARD = 5_000_000
-CLOUD_CHUNK = 1 << 17  # floats per values @ block.T in _cloud_argmin, about 1 MiB
+CLOUD_CHUNK = 1 << 17  # floats per block @ values.T in _cloud_argmin, about 1 MiB
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 
 
@@ -286,15 +286,17 @@ def _witness_cloud(n: int) -> np.ndarray:
 def _cloud_argmin(values: np.ndarray, cloud: np.ndarray) -> np.ndarray:
     """Per cloud point, the index of the minimising row of `values` (first on ties).
 
-    Evaluated over blocks of cloud points sized so that each `values @ block.T`
+    Evaluated over blocks of cloud points sized so that each `block @ values.T`
     holds about CLOUD_CHUNK floats: it stays in cache, and memory stays bounded
-    whatever the cloud size.
+    whatever the cloud size. Blocks are point-major (points x vectors), so each
+    point's argmin runs along one contiguous row; an argmin down the columns of
+    the vector-major product would copy the block first.
     """
     step = max(1, CLOUD_CHUNK // len(values))
     out = np.empty(len(cloud), dtype=np.intp)
     for start in range(0, len(cloud), step):
         block = cloud[start:start + step]
-        out[start:start + len(block)] = np.argmin(values @ block.T, axis=0)
+        out[start:start + len(block)] = np.argmin(block @ values.T, axis=1)
     return out
 
 
@@ -315,10 +317,11 @@ def _cross(first: np.ndarray, second: np.ndarray, mode: str) -> np.ndarray:
     size = len(first) * len(second)
     if mode == "lp" and size > EXACT_PRUNE_CAP:
         cloud = _witness_cloud(n)
-        arg_first = _cloud_argmin(first, cloud)
-        arg_second = _cloud_argmin(second, cloud)
-        pairs = np.unique(np.stack([arg_first, arg_second], axis=1), axis=0)
-        return first[pairs[:, 0]] + second[pairs[:, 1]]
+        # pair (i, j) as the integer i * len(second) + j: its order is (i, j)'s
+        # lexicographic order, and unique on integers avoids a sort of row records
+        pairs = np.unique(_cloud_argmin(first, cloud) * len(second)
+                          + _cloud_argmin(second, cloud))
+        return first[pairs // len(second)] + second[pairs % len(second)]
     if size > CROSS_GUARD:
         raise ValueError(
             f"cross-sum of {len(first)} x {len(second)} vectors exceeds the safety "

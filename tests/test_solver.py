@@ -218,6 +218,60 @@ def test_backup_prune_modes_agree_on_envelope(rng):
     np.testing.assert_allclose(envelopes["lp"], envelopes["none"], atol=1e-8)
 
 
+# ----------------------------------------------------------- cloud winners --
+# Dyadic inputs: values are integers/8 and cloud coordinates k/8, so every
+# product is exact in any summation order and the reference is exact too.
+
+def _dyadic_values(rng, rows, n):
+    # few distinct levels, so many rows tie exactly at some point
+    return rng.integers(-3, 4, size=(rows, n)) / 8
+
+
+def _dyadic_cloud(rng, points, n):
+    return rng.multinomial(8, np.full(n, 1.0 / n), size=points) / 8
+
+
+def _first_argmin(values, cloud):
+    """Per point, the first row attaining the minimum, on exact integer scores."""
+    scores = np.rint(cloud * 8).astype(np.int64) @ np.rint(values * 8).astype(np.int64).T
+    return np.array([np.flatnonzero(row == row.min())[0] for row in scores])
+
+
+@pytest.mark.parametrize("rows, points", [
+    (40, 500),                                   # many exact ties
+    (solver_module.CLOUD_CHUNK + 1, 3),          # one point per block
+    (1000, 300),                                 # blocks of 131 points, the last one ragged
+    (1, 50),                                     # one vector
+    (200, 1),                                    # one point
+])
+def test_cloud_argmin_is_the_first_minimising_row(rng, rows, points):
+    n = 3
+    values = _dyadic_values(rng, rows, n)
+    values[rows // 2:rows // 2 + 2] = values[0]  # exact duplicates of row 0
+    cloud = _dyadic_cloud(rng, points, n)
+    got = solver_module._cloud_argmin(values, cloud)
+    want = _first_argmin(values, cloud)
+    assert got.shape == (points,)
+    np.testing.assert_array_equal(got, want)
+    if rows > 1:
+        assert not np.isin(got, [rows // 2, rows // 2 + 1]).any()  # ties go to row 0
+
+
+@pytest.mark.parametrize("n_first, n_second", [(12, 1), (6, 23), (30, 9)])
+def test_cross_cap_branch_sums_the_distinct_winner_pairs_in_order(rng, monkeypatch,
+                                                                 n_first, n_second):
+    n = 3
+    first = _dyadic_values(rng, n_first, n)
+    second = _dyadic_values(rng, n_second, n)
+    cloud = _dyadic_cloud(rng, 400, n)
+    monkeypatch.setattr(solver_module, "EXACT_PRUNE_CAP", 0)
+    monkeypatch.setattr(solver_module, "_witness_cloud", lambda _: cloud)
+    pairs = sorted(set(zip(_first_argmin(first, cloud).tolist(),
+                           _first_argmin(second, cloud).tolist())))
+    want = np.array([first[i] + second[j] for i, j in pairs])
+    np.testing.assert_array_equal(solver_module._cross(first, second, "lp"), want)
+
+
 # -------------------------------------------------------------------- solve --
 
 def test_costs_only_horizon_zero(grid):
