@@ -36,8 +36,8 @@ def _normalise(unnorm: np.ndarray, observation, stage: int | None) -> np.ndarray
     return unnorm / norm
 
 
-def predict_joint(model: ControlledHMM, belief: np.ndarray, control) -> np.ndarray:
-    """Joint predicted belief J[..., i, j] = A(u)[i, j] * belief[..., j]."""
+def check_controls(model: ControlledHMM, control) -> None:
+    """IndexError naming the first control, scalar or array, outside [0, U)."""
     n = model.n_controls
     if isinstance(control, np.ndarray) and control.ndim:
         in_range = 0 <= control.min() and control.max() < n
@@ -47,6 +47,11 @@ def predict_joint(model: ControlledHMM, belief: np.ndarray, control) -> np.ndarr
         controls = np.ravel(control)
         bad = controls[(controls < 0) | (controls >= n)][0]
         raise IndexError(f"control {int(bad)} out of range [0, {n})")
+
+
+def predict_joint(model: ControlledHMM, belief: np.ndarray, control) -> np.ndarray:
+    """Joint predicted belief J[..., i, j] = A(u)[i, j] * belief[..., j]."""
+    check_controls(model, control)
     return model.transition[control] * np.asarray(belief)[..., None, :]
 
 

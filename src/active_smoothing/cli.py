@@ -98,6 +98,8 @@ def _load_model_and_costs(args):
         raise ValueError(f"invalid model, {len(violations)} violation(s):\n  "
                          + "\n  ".join(violations))
     horizon = getattr(args, "horizon", None)
+    if horizon is not None and horizon < 0:
+        raise ValueError(f"horizon {horizon} must be nonnegative")
     if horizon is not None and horizon != costs.horizon:
         base = costs.stage_cost[0]
         if any(not np.array_equal(costs.stage_cost[k], base) for k in range(costs.horizon)):

@@ -5,11 +5,14 @@ Rollouts draw their randomness from the counter-based Philox4x64-10 keyed by
 policy under test: comparisons across policies use common random numbers. A
 block's draws are one array computation over its keys.
 All runs of a block advance together, one stage at a time, as arrays with the
-run on the leading axis (states and observations (R, T+1), beliefs (R, N),
-backward kernels (R, N, N)); a single rollout is a block of one. One filter
-pass gives both the beliefs and, from the backward kernels, the realised
-smoother entropy. Every row is computed with the operations of a single run,
-so results do not depend on the block it was simulated in.
+run on the leading axis (states and observations (R, T+1)); a single rollout
+is a block of one. The filter, the decisions and the realised smoother
+entropy depend on a run's data alone, so they are computed once per distinct
+history: rows that saw the same observations and controls share one group,
+whose (G, N) belief and (G, N, N) backward kernel reach the rows by gathers.
+One filter pass gives both the beliefs and, from the backward kernels, the
+realised smoother entropy. Every group is computed with the operations of a
+single run, so results do not depend on the block it was simulated in.
 Exact evaluation walks the observation tree breadth-first with the same batched
 filter and decision rules, one level of (L, N) beliefs per stage, and charges
 the smoother entropy in its belief-state form; it refuses above a size guard.
@@ -20,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import initial_update, observation_marginal, predict_joint, step, update
+from .belief import (
+    check_controls,
+    initial_update,
+    observation_marginal,
+    predict_joint,
+    step,
+    update,
+)
 from .costs import (
     DEFAULT_CONFIG,
     EntropyConfig,
@@ -135,15 +145,21 @@ def as_decision_rule(policy_like, n_controls: int):
 
 
 def _rows_rule(policy_like, n_controls: int):
-    """The decision rule for a (R, N) belief array: one control per row.
+    """The decision rule for rows grouped by history: decide(beliefs, group, stage).
 
-    Value policies and fixed controls decide every row at once; a user
-    callable (belief, stage) -> control is called once per row.
+    `beliefs` (G, N) holds one belief per group and `group` (R,) the group of
+    each row; the result is one control per row, as an int array. Value
+    policies and fixed controls decide each group once. A user callable
+    (belief, stage) -> control is called once per row, in row order, with that
+    row's belief, so a stochastic or stateful callable sees the same calls as
+    it would with one belief per row.
     """
     rule = as_decision_rule(policy_like, n_controls)
     if rule is not policy_like:
-        return rule
-    return lambda beliefs, stage: [int(rule(belief, stage)) for belief in beliefs]
+        return lambda beliefs, group, stage: np.broadcast_to(
+            np.asarray(rule(beliefs, stage), dtype=int), len(beliefs))[group]
+    return lambda beliefs, group, stage: np.array(
+        [int(rule(beliefs[g], stage)) for g in group], dtype=int)
 
 
 def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> None:
@@ -205,14 +221,24 @@ def _sample(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, start: int,
              uniforms: np.ndarray, config: EntropyConfig) -> RolloutBatch:
-    """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms."""
+    """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms.
+
+    What the filter computes for a run follows from its data alone, so it runs
+    once per distinct history. `group` (R,) gives each row's history at the
+    current stage, numbered by its sorted code: the first observation at stage
+    0, then (group, control, next observation) after each stage. The beliefs,
+    decisions, backward kernels and entropies are computed per group, each with
+    the operations of a single run, and reach the rows by gathers; states,
+    observations and realised costs are sampled per row from its uniforms.
+    """
     runs, t = len(uniforms), cost_model.horizon
     states = np.empty((runs, t + 1), dtype=int)
     observations = np.empty((runs, t + 1), dtype=int)
     controls = np.empty((runs, t), dtype=int)
     beliefs = np.empty((runs, t + 1, model.n_states))
+    belief_entropies = np.empty((runs, t + 1))
     stage_costs = np.empty((runs, t))
-    kernels = []
+    kernels, parents = [], []  # per stage, indexed by the groups after it
     transition_cdf = np.cumsum(model.transition, axis=1)      # [u, :, x] over next states
     observation_cdf = np.cumsum(model.observation, axis=2)    # [u, x, :] over observations
 
@@ -220,17 +246,35 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
                            uniforms[:, 0])
     observations[:, 0] = _sample(np.cumsum(model.initial_observation, axis=1)[states[:, 0]],
                                  uniforms[:, 1])
-    beliefs[:, 0] = initial_update(model, observations[:, 0])
+    _, first, group = np.unique(observations[:, 0], return_index=True, return_inverse=True)
+    group_beliefs = initial_update(model, observations[first, 0])
     for k in range(t):
-        controls[:, k] = decide(beliefs[:, k], k)
-        u, x = controls[:, k], states[:, k]
+        beliefs[:, k] = group_beliefs[group]
+        belief_entropies[:, k] = belief_entropy(group_beliefs, config)[group]
+        u = controls[:, k] = decide(group_beliefs, group, k)
+        check_controls(model, u)  # an out-of-range control would alias another's code
+        x = states[:, k]
         stage_costs[:, k] = cost_model.stage_cost[k][x, u]
         states[:, k + 1] = _sample(transition_cdf[u, :, x], uniforms[:, 2 + 2 * k])
         observations[:, k + 1] = _sample(observation_cdf[u, states[:, k + 1]],
                                          uniforms[:, 3 + 2 * k])
-        joint = predict_joint(model, beliefs[:, k], u)
+        code = (group * model.n_controls + u) * model.n_observations + observations[:, k + 1]
+        _, first, child = np.unique(code, return_index=True, return_inverse=True)
+        parent, u = group[first], u[first]
+        joint = predict_joint(model, group_beliefs[parent], u)
         kernels.append(backward_kernel(joint))
-        beliefs[:, k + 1] = update(model, joint, u, observations[:, k + 1], stage=k)
+        parents.append(parent)
+        group_beliefs = update(model, joint, u, observations[first, k + 1], stage=k)
+        group = child
+    beliefs[:, t] = group_beliefs[group]
+    belief_entropies[:, t] = belief_entropy(group_beliefs, config)[group]
+
+    # each final group's kernels: stage k's row is the final group's ancestor after stage k
+    ancestor, final_kernels = np.arange(len(group_beliefs)), []
+    for kernel, parent in zip(reversed(kernels), reversed(parents)):
+        final_kernels.append(kernel[ancestor])
+        ancestor = parent[ancestor]
+    smoother = backward_entropy(group_beliefs, final_kernels[::-1], config)
 
     return RolloutBatch(
         seed=seed,
@@ -241,8 +285,8 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
         beliefs=beliefs,
         stage_costs=stage_costs,
         terminal_cost=cost_model.terminal_cost[states[:, t]],
-        smoother_entropy=backward_entropy(beliefs[:, t], kernels, config),
-        belief_entropies=belief_entropy(beliefs, config),
+        smoother_entropy=smoother[group],
+        belief_entropies=belief_entropies,
     )
 
 
@@ -335,7 +379,7 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
     tbe = smoother = stage_c = 0.0
     for k in range(cost_model.horizon):
         tbe += prob @ belief_entropy(beliefs, config)
-        controls = np.broadcast_to(np.asarray(decide(beliefs, k), dtype=int), len(beliefs))
+        controls = decide(beliefs, np.arange(len(beliefs)), k)
         stage_c += prob @ (beliefs * cost_model.stage_cost[k].T[controls]).sum(axis=1)
         smoother += prob @ stage_entropy_cost(model, beliefs, controls, config)
         p_next = observation_marginal(model, beliefs, controls)

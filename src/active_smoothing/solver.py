@@ -138,9 +138,10 @@ def _vertex_margins(vertices: np.ndarray, candidates: np.ndarray) -> tuple[np.nd
     """Per candidate: max over vertices of (envelope z - candidate value), argmax vertex."""
     m = vertices.shape[1] - 1
     p, z = vertices[:, :m], vertices[:, m]
-    values = p @ (candidates[:, :m] - candidates[:, m:]).T + candidates[:, m]
-    gaps = z[:, None] - values
-    return gaps.max(axis=0), gaps.argmax(axis=0)
+    # candidates-major (candidates x vertices), so both reductions run along contiguous rows
+    values = (candidates[:, :m] - candidates[:, m:]) @ p.T + candidates[:, m:]
+    gaps = z - values
+    return gaps.max(axis=1), gaps.argmax(axis=1)
 
 
 _SEED_CLOUDS: dict[int, np.ndarray] = {}

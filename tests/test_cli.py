@@ -144,6 +144,15 @@ def test_solve_horizon_override(tmp_path):
     assert policy.horizon == 1
 
 
+@pytest.mark.parametrize("command", [["solve"], ["simulate", "--policy", "always-east"],
+                                     ["sweep"]])
+def test_negative_horizon_override_is_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(command + ["--horizon", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: horizon -1 must be nonnegative\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- simulate --
 
 def test_simulate_csv_is_byte_identical_across_reruns(tmp_path):

@@ -16,6 +16,7 @@ from active_smoothing import (
     exact_policy_metrics,
     fingerprint,
     generate_base_points,
+    initial_update,
     make_cost_model,
     make_model,
     monte_carlo,
@@ -252,9 +253,12 @@ def test_monte_carlo_converges_to_exact(grid):
 # ------------------------------------------------------- lockstep engine --
 
 def _assert_matches_reference(batch, model, costs, rule, seed, scale=1.0):
+    """`rule` decides every row, or is a list with one rule per row."""
     cache = {}
     for row in range(len(batch)):
-        want = oracle.reference_rollout(model, costs, rule, seed, batch.start + row, scale, cache)
+        row_rule = rule[row] if isinstance(rule, list) else rule
+        want = oracle.reference_rollout(model, costs, row_rule, seed, batch.start + row, scale,
+                                        cache)
         rec = batch.record(row)
         assert rec.run_index == batch.start + row
         for field in ("states", "observations", "controls"):
@@ -324,6 +328,80 @@ def test_rollout_is_a_batch_of_one(grid, grid_policies):
             np.testing.assert_array_equal(getattr(one, field), getattr(rec, field))
         assert (one.smoother_entropy, one.terminal_cost, one.total_cost) == \
             (rec.smoother_entropy, rec.terminal_cost, rec.total_cost)
+
+
+def test_value_policies_decide_once_per_distinct_history(grid, grid_policies, monkeypatch):
+    model, costs = grid
+    assert (model.n_observations, costs.horizon) == (2, 3)
+    rows = []
+
+    def counting(policy, beliefs, stage):
+        rows.append((stage, len(beliefs)))
+        return best_action(policy, beliefs, stage)
+
+    monkeypatch.setattr(sim, "best_action", counting)
+    policy = grid_policies["smoother"]
+    rollouts(model, costs, policy, 31, ROLLOUT_CHUNK + 3)
+    monte_carlo(model, costs, policy, ROLLOUT_CHUNK + 3, seed=31)
+    # a deterministic policy's history at stage k is fixed by y_0..y_k: at most 2^(k+1)
+    assert sorted({stage for stage, _ in rows}) == [0, 1, 2]
+    for stage, count in rows:
+        assert 1 <= count <= 2 ** (stage + 1)
+
+
+def test_stateful_callable_is_called_once_per_row_in_row_order(grid):
+    model, costs = grid
+    t, n_controls, runs = costs.horizon, model.n_controls, ROLLOUT_CHUNK + 3
+    calls = []
+
+    def counter(belief, stage):
+        calls.append((stage, belief.copy()))
+        return len(calls) % n_controls
+
+    batch = rollouts(model, costs, counter, 31, runs, start=5)
+    assert len(calls) == runs * t
+    assert [stage for stage, _ in calls] == np.repeat(np.arange(t), runs).tolist()
+    seen = np.array([belief for _, belief in calls]).reshape(t, runs, -1)
+    np.testing.assert_array_equal(seen, batch.beliefs[:, :t].swapaxes(0, 1))
+    # call number k * runs + r + 1 decides row r at stage k
+    want = (np.arange(t) * runs + np.arange(runs)[:, None] + 1) % n_controls
+    np.testing.assert_array_equal(batch.controls, want)
+    _assert_matches_reference(batch, model, costs,
+                              [lambda b, k, r=row: want[r, k] for row in range(runs)], 31)
+
+    calls.clear()
+    compare_policies(model, costs, [("counter", counter)], runs, seed=31)
+    assert len(calls) == runs * t
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_callable_controls_are_rejected(grid, bad):
+    # at stage 0, rows with y_0 = 0 choose control 2 and the others `bad`; with bad = -1
+    # both give the same (group, control, observation) code, and at seed 16 a row of
+    # control 2 comes first in each, so only a range check before grouping sees it
+    model, costs = grid
+    after_zero = initial_update(model, 0)
+    rule = lambda b, k: 2 if k or np.array_equal(b, after_zero) else bad
+    with pytest.raises(IndexError, match=rf"^control {bad} out of range \[0, 3\)$"):
+        rollouts(model, costs, rule, 16, 50)
+
+
+def test_compare_policies_does_not_depend_on_the_block_size(grid, grid_policies, monkeypatch):
+    model, costs = grid
+    rng = np.random.default_rng(17)
+    other = oracle.random_model(rng, n_states=3, n_obs=3, n_controls=2, zero_fraction=0.4)
+    other_costs = oracle.random_costs(rng, other, 4)
+    cases = [(model, costs, [("smoother", grid_policies["smoother"]),
+                             ("belief-sum", grid_policies["belief-sum"]),
+                             ("east", "always-east"),
+                             ("callable", lambda b, k: int(np.argmax(b) + k) % 3)]),
+             (other, other_costs, [("rule", oracle.random_rule(rng, other, 4)), ("fixed", 1)])]
+    for chunk_model, chunk_costs, policies in cases:
+        summaries = []
+        for chunk in (1, 7, 1024):
+            monkeypatch.setattr(sim, "ROLLOUT_CHUNK", chunk)
+            summaries.append(compare_policies(chunk_model, chunk_costs, policies, 300, seed=5))
+        assert summaries[0] == summaries[1] == summaries[2]
 
 
 def _tie_policy(model, costs):
