@@ -174,7 +174,7 @@ def _solve(model, costs, args, objective: str, density: int, config):
     """The policy solved on the `density` lattice, and the seconds the solve took."""
     base_points = generate_base_points(model.n_states, density, args.epsilon)
     start = time.perf_counter()
-    policy = solve(model, costs, objective, base_points, args.prune, config)
+    policy = solve(model, costs, objective, base_points, config)
     return policy, time.perf_counter() - start
 
 
@@ -343,7 +343,8 @@ def _add_solver_flags(p: argparse.ArgumentParser, multi_density: bool) -> None:
                        help="base points per belief dimension")
     p.add_argument("--epsilon", type=float, default=1e-4,
                    help="interior projection mixed into each base point")
-    p.add_argument("--prune", choices=["none", "pairwise", "lp"], default="lp")
+    # the one pruning method, recorded in each run's config
+    p.set_defaults(prune="lp")
 
 
 def build_parser() -> argparse.ArgumentParser:

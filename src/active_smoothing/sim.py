@@ -174,6 +174,19 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> No
             raise PolicyModelMismatch(
                 f"policy has horizon {policy_like.horizon}, costs have {cost_model.horizon}"
             )
+        # the fingerprint covers the model and costs, not the policy's own arrays
+        for k, stage_set in enumerate(policy_like.stages):
+            if stage_set.values.ndim != 2 or stage_set.values.shape[1] != model.n_states:
+                raise PolicyModelMismatch(
+                    f"policy stage {k} value rows do not have the model's {model.n_states} states"
+                )
+            actions = stage_set.actions
+            if k < policy_like.horizon and (
+                    actions is None or not ((actions >= 0) & (actions < model.n_controls)).all()):
+                raise PolicyModelMismatch(
+                    f"policy stage {k} has actions outside the model's controls "
+                    f"[0, {model.n_controls})"
+                )
 
 
 def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,27 +3,25 @@
 The value function at each stage is the minimum over a set of linear functions
 (alpha vectors). The backup transforms each next-stage vector per observation,
 cross-sums one choice per observation, cross-sums the stage-cost tangent
-pieces, unions over controls, and prunes. Pruning modes:
+pieces, unions over controls, and prunes after every step, as incremental
+pruning does (Cassandra, Littman & Zhang, UAI 1997).
 
-  none      keep everything (exponential growth; small problems only);
-  pairwise  drop vectors dominated componentwise by a single other vector;
-  lp        keep exactly the vectors that attain the minimum somewhere on the
-            simplex (witness-point semantics).
-
-The lp mode keeps the winners on a fixed seed cloud, then builds the
-lower-envelope polytope of the kept vectors once as an incremental Qhull
-halfspace intersection. Each round batch-evaluates candidate margins at its
-vertices, which is equivalent to solving one witness linear program per
-vector. At every vertex where some candidate beats the kept envelope by more
-than `PRUNE_TOL`, it keeps the minimising vector (lowest index on ties), and
-it adds the halfspaces of all newly kept vectors to the same polytope in one
-update. The rounds stop when no candidate beats the envelope at any vertex,
-so the envelope is exact; which of several merely tied vectors is kept
-depends on the order in which they are found. A direct LP fallback covers
-degenerate geometry. Above `EXACT_PRUNE_CAP` vectors, exact pruning switches
-to winner selection on a fixed witness-point cloud: every kept vector still
-attains the minimum somewhere, so the represented function remains a valid
-upper bound, but rarely-winning vectors may be dropped.
+`prune` keeps exactly the vectors that attain the minimum somewhere on the
+simplex (witness-point semantics). It keeps the winners on a fixed seed cloud,
+then builds the lower-envelope polytope of the kept vectors once as an
+incremental Qhull halfspace intersection. Each round batch-evaluates candidate
+margins at its vertices, which is equivalent to solving one witness linear
+program per vector. At every vertex where some candidate beats the kept
+envelope by more than `PRUNE_TOL`, it keeps the minimising vector (lowest
+index on ties), and it adds the halfspaces of all newly kept vectors to the
+same polytope in one update. The rounds stop when no candidate beats the
+envelope at any vertex, so the envelope is exact; which of several merely tied
+vectors is kept depends on the order in which they are found. A direct LP
+fallback covers degenerate geometry. Above `EXACT_PRUNE_CAP` vectors, the
+solver selects winners on a fixed witness-point cloud instead of calling
+`prune`: every kept vector still attains the minimum somewhere, so the
+represented function remains a valid upper bound, but rarely-winning vectors
+may be dropped.
 """
 from __future__ import annotations
 
@@ -49,11 +47,9 @@ from .pwl import (
 )
 
 OBJECTIVES = ("smoother", "belief-sum", "costs-only")
-PRUNE_MODES = ("none", "pairwise", "lp")
 PRUNE_TOL = 1e-9
 TIE_TOL = 1e-12
 EXACT_PRUNE_CAP = 2000
-CROSS_GUARD = 5_000_000
 CLOUD_CHUNK = 1 << 17  # floats per block @ values.T in _cloud_argmin, about 1 MiB
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 
@@ -96,22 +92,6 @@ def _dedupe_indices(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     keep[1:] = np.abs(np.diff(sorted_vals, axis=0)).max(axis=1) > tol
     return np.sort(order[keep])
-
-
-def _pairwise_indices(values: np.ndarray) -> np.ndarray:
-    """Drop rows dominated componentwise by a single other row (minimisation)."""
-    n = len(values)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        vi = values[i]
-        others = (values <= vi).all(axis=1)
-        others[i] = False
-        if not others.any():
-            continue
-        js = np.flatnonzero(others)
-        if (values[js] < vi).any() or js.min() < i:
-            keep[i] = False
-    return np.flatnonzero(keep)
 
 
 def _witness_lp(vector: np.ndarray, others: np.ndarray) -> tuple[float, np.ndarray]:
@@ -204,8 +184,14 @@ def _witness_rounds(v: np.ndarray, kept: set[int], candidates: np.ndarray) -> No
         candidates = np.array([i for i in candidates if i not in kept])
 
 
-def _lp_indices(values: np.ndarray) -> np.ndarray:
-    """Indices of the vectors that attain the min-envelope somewhere on the simplex."""
+def prune(values: np.ndarray) -> np.ndarray:
+    """Indices of the vectors that attain the min-envelope somewhere on the simplex.
+
+    The min-envelope of the kept rows equals that of all rows within PRUNE_TOL.
+    """
+    values = np.asarray(values, dtype=float)
+    if len(values) == 0:
+        raise ValueError("prune requires a non-empty vector set")
     idx = _dedupe_indices(values)
     v = values[idx]
     n_vec, n = v.shape
@@ -245,20 +231,6 @@ def _lp_indices(values: np.ndarray) -> np.ndarray:
         if hull is not None:
             hull.close()
     return np.sort(idx[np.array(sorted(kept))])
-
-
-def prune(values: np.ndarray, mode: str = "lp") -> np.ndarray:
-    """Indices kept under the given mode; the min-envelope is unchanged within PRUNE_TOL."""
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0:
-        raise ValueError("prune requires a non-empty vector set")
-    if mode == "none":
-        return np.arange(len(values))
-    if mode == "pairwise":
-        return _pairwise_indices(values)
-    if mode == "lp":
-        return _lp_indices(values)
-    raise ValueError(f"prune mode must be one of {PRUNE_MODES}, got {mode!r}")
 
 
 # ------------------------------------------------------- witness clouds --
@@ -301,39 +273,34 @@ def _cloud_argmin(values: np.ndarray, cloud: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce_indices(values: np.ndarray, mode: str) -> np.ndarray:
-    """Kept indices: `prune`, or winners on the witness cloud for lp above the cap."""
-    if mode != "lp" or len(values) <= EXACT_PRUNE_CAP:
-        return prune(values, mode)
+def _reduce_indices(values: np.ndarray) -> np.ndarray:
+    """Kept indices: `prune`, or winners on the witness cloud above the cap."""
+    if len(values) <= EXACT_PRUNE_CAP:
+        return prune(values)
     return np.unique(_cloud_argmin(values, _witness_cloud(values.shape[1])))
 
 
-def _reduce(values: np.ndarray, mode: str) -> np.ndarray:
-    return values[_reduce_indices(values, mode)]
+def _reduce(values: np.ndarray) -> np.ndarray:
+    return values[_reduce_indices(values)]
 
 
-def _cross(first: np.ndarray, second: np.ndarray, mode: str) -> np.ndarray:
+def _cross(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Pruned cross-sum {a + b}; factorised winner selection above the cap."""
     n = first.shape[1]
     size = len(first) * len(second)
-    if mode == "lp" and size > EXACT_PRUNE_CAP:
+    if size > EXACT_PRUNE_CAP:
         cloud = _witness_cloud(n)
         # pair (i, j) as the integer i * len(second) + j: its order is (i, j)'s
         # lexicographic order, and unique on integers avoids a sort of row records
         pairs = np.unique(_cloud_argmin(first, cloud) * len(second)
                           + _cloud_argmin(second, cloud))
         return first[pairs // len(second)] + second[pairs % len(second)]
-    if size > CROSS_GUARD:
-        raise ValueError(
-            f"cross-sum of {len(first)} x {len(second)} vectors exceeds the safety "
-            f"guard under prune mode {mode!r}; use lp pruning"
-        )
     crossed = (first[:, None, :] + second[None, :, :]).reshape(size, n)
-    return _reduce(crossed, mode)
+    return _reduce(crossed)
 
 
-def backup(model: ControlledHMM, next_values: np.ndarray, stage_pieces: list[np.ndarray],
-           mode: str = "lp") -> tuple[np.ndarray, np.ndarray]:
+def backup(model: ControlledHMM, next_values: np.ndarray,
+           stage_pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """One DP stage: per control, observation cross-sums then stage-cost pieces.
 
     next_values: (m, N) alpha vectors of the following stage. stage_pieces[u]:
@@ -343,15 +310,15 @@ def backup(model: ControlledHMM, next_values: np.ndarray, stage_pieces: list[np.
     for u in range(model.n_controls):
         # weight[y, i, j] = B(u)[i, y] A(u)[i, j]; alpha' -> alpha' @ weight[y]
         weight = model.observation[u].T[:, :, None] * model.transition[u][None, :, :]
-        acc = _reduce(next_values @ weight[0], mode)
+        acc = _reduce(next_values @ weight[0])
         for y in range(1, model.n_observations):
-            acc = _cross(acc, _reduce(next_values @ weight[y], mode), mode)
-        acc = _cross(acc, np.asarray(stage_pieces[u], dtype=float), mode)
+            acc = _cross(acc, _reduce(next_values @ weight[y]))
+        acc = _cross(acc, np.asarray(stage_pieces[u], dtype=float))
         out_values.append(acc)
         out_actions.append(np.full(len(acc), u, dtype=int))
     values = np.vstack(out_values)
     actions = np.concatenate(out_actions)
-    kept = _reduce_indices(values, mode)
+    kept = _reduce_indices(values)
     return values[kept], actions[kept]
 
 
@@ -366,8 +333,7 @@ def _belief_sum_stage_alphas(model: ControlledHMM, cost_model: CostModel,
 
 
 def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
-          base_points: BasePointSet, prune_mode: str = "lp",
-          config: EntropyConfig = DEFAULT_CONFIG) -> ValuePolicy:
+          base_points: BasePointSet, config: EntropyConfig = DEFAULT_CONFIG) -> ValuePolicy:
     """Backward induction producing alpha-vector sets for stages 0..T.
 
     Objectives: `smoother` uses tangent pieces of the pairwise conditional
@@ -387,8 +353,6 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    if prune_mode not in PRUNE_MODES:
-        raise ValueError(f"prune mode must be one of {PRUNE_MODES}, got {prune_mode!r}")
     horizon = cost_model.horizon
 
     if objective == "costs-only":
@@ -399,7 +363,7 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
         ]
     else:
         terminal = terminal_tangent_alphas(cost_model, base_points, config)
-        terminal = _reduce(terminal, prune_mode)
+        terminal = _reduce(terminal)
         tangents = stage_tangent_alphas if objective == "smoother" else _belief_sum_stage_alphas
         stage_pieces = [
             [tangents(model, cost_model, base_points, k, u, config)
@@ -410,7 +374,7 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
     stages: list[StageSet] = [StageSet(values=np.asarray(terminal, dtype=float), actions=None)]
     current = stages[0].values
     for k in reversed(range(horizon)):
-        values, actions = backup(model, current, stage_pieces[k], prune_mode)
+        values, actions = backup(model, current, stage_pieces[k])
         stages.insert(0, StageSet(values=values, actions=actions))
         current = values
     return ValuePolicy(

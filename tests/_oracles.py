@@ -269,6 +269,34 @@ def essential_indices(values: np.ndarray, tol: float = 1e-9) -> list[int]:
     return keep
 
 
+def unpruned_backup(model, next_values, stage_pieces):
+    """(values, actions): every vector of one DP stage, unpruned, and its control.
+
+    Per control u, every choice of one next-stage vector per observation y,
+    each mapped to sum over x' of alpha'(x') p(y | x', u) p(x' | x, u), summed
+    over y, plus each stage-cost piece of u.
+    """
+    next_values = np.asarray(next_values, dtype=float)
+    rows, actions = [], []
+    for u in range(model.n_controls):
+        for pick in itertools.product(range(len(next_values)), repeat=model.n_observations):
+            total = np.zeros(model.n_states)
+            for y, i in enumerate(pick):
+                total += (next_values[i] * model.observation[u][:, y]) @ model.transition[u]
+            for piece in np.asarray(stage_pieces[u], dtype=float):
+                rows.append(total + piece)
+                actions.append(u)
+    return np.array(rows), np.array(actions)
+
+
+def unpruned_stages(model, terminal, stage_pieces) -> list[np.ndarray]:
+    """Value sets of stages 0..T by unpruned backups of `terminal`; stage_pieces[k][u]."""
+    stages = [np.asarray(terminal, dtype=float)]
+    for pieces in reversed(stage_pieces):
+        stages.insert(0, unpruned_backup(model, stages[0], pieces)[0])
+    return stages
+
+
 def directional_fd(f, b: np.ndarray, d: np.ndarray, h: float = 1e-6) -> float:
     return (f(b + h * d) - f(b - h * d)) / (2.0 * h)
 

@@ -26,7 +26,6 @@ from active_smoothing import (
     value,
 )
 from active_smoothing.cli import main, read_csv
-from active_smoothing.solver import PRUNE_MODES
 
 # Target values and tolerance bands for the three-policy comparison table.
 TARGETS = {
@@ -318,14 +317,17 @@ def test_criterion_11_monte_carlo_agrees_with_exact(experiment):
             assert diff <= 4.0 * float(mc[se_col]), (name, metric)
 
 
-def test_criterion_11_prune_modes_agree(grid):
+def test_criterion_11_pruned_matches_unpruned(grid):
     model, costs = grid
     rng = np.random.default_rng(11)
-    policies = {mode: solve(model, costs, "smoother", generate_base_points(4, 1),
-                            prune_mode=mode) for mode in PRUNE_MODES}
+    bp = generate_base_points(4, 1)
+    policy = solve(model, costs, "smoother", bp)
+    unpruned = oracle.unpruned_stages(
+        model, terminal_tangent_alphas(costs, bp),
+        [[stage_tangent_alphas(model, costs, bp, k, u) for u in range(model.n_controls)]
+         for k in range(costs.horizon)])
     beliefs = rng.dirichlet(np.ones(4), size=1000)
     for stage in range(4):
-        ref = np.array([value(policies["none"], b, stage) for b in beliefs])
-        for mode in ("pairwise", "lp"):
-            got = np.array([value(policies[mode], b, stage) for b in beliefs])
-            assert np.abs(got - ref).max() <= 1e-8
+        ref = (unpruned[stage] @ beliefs.T).min(axis=0)
+        got = np.array([value(policy, b, stage) for b in beliefs])
+        assert np.abs(got - ref).max() <= 1e-8

@@ -253,6 +253,37 @@ def test_simulate_policy_file_and_mismatch(tmp_path):
                  "--runs", "10", "--seed", "1", "--out", str(out)]) == 1
 
 
+def _actions_out_of_range(d):
+    for entry in d["stages"][0]:
+        entry["action"] = 7
+
+
+def _three_state_rows(d):
+    for entry in d["stages"][1]:
+        entry["values"] = entry["values"][:3]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
+@pytest.mark.parametrize("mutate, message", [
+    (_actions_out_of_range, "error: policy stage 0 has actions outside the model's controls"),
+    (_three_state_rows, "error: policy stage 1 value rows do not have the model's 4 states"),
+], ids=["actions", "width"])
+def test_simulate_rejects_policy_arrays_that_do_not_fit_the_model(tmp_path, capsys,
+                                                                  mutate, message, exact):
+    # the fingerprint matches, so only the policy's own arrays are wrong
+    policy_path = tmp_path / "p.json"
+    assert main(["solve", "--base-points", "1", "--out", str(policy_path)]) == 0
+    d = json.loads(policy_path.read_text())
+    mutate(d)
+    policy_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--policy", str(policy_path), "--runs", "10", "--out", str(out)]
+    assert main(argv + (["--exact"] if exact else [])) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_simulate_unknown_policy_exits_two(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["simulate", "--policy", "always-north", "--runs", "5",
@@ -302,6 +333,23 @@ def test_experiment_refuses_before_writing_anything(tmp_path, monkeypatch, capsy
     assert main(["experiment", "--base-points", "1", "--runs", "10", "--out", str(out)]) == 1
     assert "256 joint terms" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pruning_is_recorded_but_not_a_flag(tmp_path):
+    # "prune": "lp" stays in every run config, in its place, so artifacts keep their bytes
+    policy_path = tmp_path / "p.json"
+    assert main(["solve", "--base-points", "1", "--out", str(policy_path)]) == 0
+    run_config = json.loads(policy_path.read_text())["run_config"]
+    assert list(run_config) == ["model", "horizon", "model_fingerprint", "rng", "objective",
+                                "base_points", "epsilon", "prune", "log_base"]
+    assert run_config["prune"] == "lp"
+    out = tmp_path / "exp"
+    assert main(["experiment", "--base-points", "1", "--runs", "10", "--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["prune"] == "lp"
+    for command in (["solve"], ["sweep"], ["experiment"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--prune", "lp", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
 
 def test_sweep_rejects_bad_densities(tmp_path, capsys):

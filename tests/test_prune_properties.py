@@ -55,7 +55,7 @@ def vector_sets(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(values=vector_sets())
 def test_prune_lp_is_exact(values):
-    kept = prune(values, mode="lp")
+    kept = prune(values)
     n = values.shape[1]
 
     # the kept envelope is the full minimum on the simplex vertices and inside

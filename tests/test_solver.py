@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from scipy.spatial import QhullError
@@ -19,9 +17,11 @@ from active_smoothing import (
     prune,
     save_policy,
     solve,
+    stage_tangent_alphas,
+    terminal_tangent_alphas,
     value,
 )
-from active_smoothing.solver import EXACT_PRUNE_CAP, PRUNE_MODES
+from active_smoothing.solver import EXACT_PRUNE_CAP
 
 # grid agent, smoother objective, density 2: frozen regression values
 GRID_D2_GAMMAS = [245, 66, 15, 4]
@@ -41,36 +41,24 @@ def test_prune_removes_dominated_and_keeps_envelope(rng):
     base = np.array([[1.0, 0.0], [0.0, 1.0]])
     dominated = np.array([[1.5, 1.5]])
     values = np.vstack([base, dominated])
-    for mode in PRUNE_MODES:
-        kept = prune(values, mode=mode)
-        if mode == "none":
-            assert sorted(kept) == [0, 1, 2]
-        else:
-            assert sorted(kept) == [0, 1]
+    assert sorted(prune(values)) == [0, 1]
 
 
 def test_prune_deduplicates_keeping_lowest_index():
     values = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.9]])
-    assert list(prune(values, mode="none")) == [0, 1, 2]
-    for mode in ("pairwise", "lp"):
-        kept = list(prune(values, mode=mode))
-        assert 0 in kept
-        assert 1 not in kept
+    kept = list(prune(values))
+    assert 0 in kept
+    assert 1 not in kept
 
 
 def test_prune_rejects_empty_set():
-    for mode in PRUNE_MODES:
-        with pytest.raises(ValueError):
-            prune(np.empty((0, 3)), mode=mode)
     with pytest.raises(ValueError):
-        prune(np.ones((2, 2)), mode="fancy")
+        prune(np.empty((0, 3)))
 
 
 def test_prune_single_state_keeps_minimum():
     values = np.array([[3.0], [1.0], [2.0]])
-    for mode in ("pairwise", "lp"):
-        kept = prune(values, mode=mode)
-        assert list(kept) == [1]
+    assert list(prune(values)) == [1]
 
 
 def _random_prune_inputs(rng):
@@ -93,21 +81,18 @@ def test_prune_preserves_envelope_on_random_sets(rng):
         n = values.shape[1]
         beliefs = rng.dirichlet(np.ones(n), size=1000)
         full = (values @ beliefs.T).min(axis=0)
-        keep = {mode: prune(values, mode=mode) for mode in PRUNE_MODES}
-        for mode in PRUNE_MODES:
-            reduced = (values[keep[mode]] @ beliefs.T).min(axis=0)
-            np.testing.assert_allclose(reduced, full, atol=1e-8)
-        # lp keeps every strictly essential vector (LP witness oracle)
+        kept = prune(values)
+        reduced = (values[kept] @ beliefs.T).min(axis=0)
+        np.testing.assert_allclose(reduced, full, atol=1e-8)
+        # every strictly essential vector is kept (LP witness oracle)
         essential = oracle.essential_indices(values)
-        assert set(essential) <= set(keep["lp"])
-        assert len(keep["lp"]) <= len(keep["pairwise"]) <= len(keep["none"])
+        assert set(essential) <= set(kept)
 
 
-def test_prune_lp_drops_vectors_pairwise_cannot(rng):
-    # three planes whose middle one is dominated only by the joint envelope
+def test_prune_drops_vectors_dominated_only_by_the_envelope(rng):
+    # three planes whose middle one no single other plane dominates componentwise
     values = np.array([[0.0, 2.0], [1.0, 1.01], [2.0, 0.0]])
-    assert sorted(prune(values, mode="pairwise")) == [0, 1, 2]
-    assert sorted(prune(values, mode="lp")) == [0, 2]
+    assert sorted(prune(values)) == [0, 2]
 
 
 def _clustered_tangents(rng, n, size):
@@ -135,7 +120,7 @@ def test_prune_lp_batches_vertex_rounds(rng, monkeypatch):
 
     monkeypatch.setattr(solver_module, "HalfspaceIntersection", Counting)
     values = _clustered_tangents(rng, 4, 200)
-    assert len(prune(values, mode="lp")) == 200
+    assert len(prune(values)) == 200
     assert calls["build"] <= 1
     assert 2 <= calls["add"] <= 20
 
@@ -164,7 +149,7 @@ def test_prune_lp_falls_back_to_witness_lps(rng, monkeypatch, failure):
     monkeypatch.setattr(solver_module, "linprog", counting_linprog)
     tangents = _clustered_tangents(rng, 4, 40)
     values = np.vstack([tangents, tangents[:10] + 0.5])
-    kept = prune(values, mode="lp")
+    kept = prune(values)
     assert lp_calls
     assert set(oracle.essential_indices(values)) <= set(kept)
     beliefs = rng.dirichlet(np.ones(4), size=1000)
@@ -179,43 +164,30 @@ def test_backup_matches_brute_force_cross_sums(rng):
         model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=2)
         nxt = rng.normal(size=(3, 3))
         pieces = [rng.normal(size=(2, 3)), rng.normal(size=(1, 3))]
-        values, actions = backup(model, nxt, pieces, mode="none")
+        values, actions = backup(model, nxt, pieces)
         assert len(values) == len(actions)
+        brute, brute_actions = oracle.unpruned_backup(model, nxt, pieces)
 
         beliefs = rng.dirichlet(np.ones(3), size=300)
         got = (values @ beliefs.T).min(axis=0)
-        want = np.full(len(beliefs), np.inf)
-        per_control = {}
-        for u in range(2):
-            weight = model.observation[u].T[:, :, None] * model.transition[u][None, :, :]
-            combos = []
-            for pick in itertools.product(range(len(nxt)), repeat=2):
-                s = sum(nxt[pick[y]] @ weight[y] for y in range(2))
-                for piece in pieces[u]:
-                    combos.append(s + piece)
-            per_control[u] = np.array(combos)
-            want = np.minimum(want, (per_control[u] @ beliefs.T).min(axis=0))
+        want = (brute @ beliefs.T).min(axis=0)
         np.testing.assert_allclose(got, want, atol=1e-9)
-        # actions label which control generated each vector
-        for u in range(2):
-            mask = actions == u
-            assert mask.any()
-            sub = (values[mask] @ beliefs.T).min(axis=0)
-            np.testing.assert_allclose(
-                sub, (per_control[u] @ beliefs.T).min(axis=0), atol=1e-9)
+        # actions label which control generated each vector: every kept row of
+        # control u is a cross-sum of u (a whole control may be pruned away)
+        for row, u in zip(values, actions):
+            gaps = np.abs(brute[brute_actions == u] - row).max(axis=1)
+            assert gaps.min() <= 1e-9
 
 
-def test_backup_prune_modes_agree_on_envelope(rng):
+def test_backup_envelope_matches_unpruned(rng):
     model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=2)
     nxt = rng.normal(size=(4, 3))
     pieces = [rng.normal(size=(2, 3)) for _ in range(2)]
     beliefs = rng.dirichlet(np.ones(3), size=500)
-    envelopes = {}
-    for mode in PRUNE_MODES:
-        values, _ = backup(model, nxt, pieces, mode=mode)
-        envelopes[mode] = (values @ beliefs.T).min(axis=0)
-    np.testing.assert_allclose(envelopes["pairwise"], envelopes["none"], atol=1e-8)
-    np.testing.assert_allclose(envelopes["lp"], envelopes["none"], atol=1e-8)
+    values, _ = backup(model, nxt, pieces)
+    unpruned, _ = oracle.unpruned_backup(model, nxt, pieces)
+    np.testing.assert_allclose((values @ beliefs.T).min(axis=0),
+                               (unpruned @ beliefs.T).min(axis=0), atol=1e-8)
 
 
 # ----------------------------------------------------------- cloud winners --
@@ -269,7 +241,7 @@ def test_cross_cap_branch_sums_the_distinct_winner_pairs_in_order(rng, monkeypat
     pairs = sorted(set(zip(_first_argmin(first, cloud).tolist(),
                            _first_argmin(second, cloud).tolist())))
     want = np.array([first[i] + second[j] for i, j in pairs])
-    np.testing.assert_array_equal(solver_module._cross(first, second, "lp"), want)
+    np.testing.assert_array_equal(solver_module._cross(first, second), want)
 
 
 # -------------------------------------------------------------------- solve --
@@ -347,18 +319,21 @@ def test_solve_rejects_unknown_objective(grid):
         solve(model, costs, "variance", generate_base_points(4, 1))
 
 
-def test_smoother_prune_modes_agree_at_density_one(grid, rng):
+def test_smoother_matches_unpruned_at_density_one(grid, rng):
     model, costs = grid
-    policies = {mode: solve(model, costs, "smoother", generate_base_points(4, 1),
-                            prune_mode=mode) for mode in PRUNE_MODES}
-    assert policies["none"].gamma_sizes() == [2187, 27, 3, 1]
-    assert policies["lp"].gamma_sizes() == [1, 1, 1, 1]
+    bp = generate_base_points(4, 1)
+    policy = solve(model, costs, "smoother", bp)
+    unpruned = oracle.unpruned_stages(
+        model, terminal_tangent_alphas(costs, bp),
+        [[stage_tangent_alphas(model, costs, bp, k, u) for u in range(model.n_controls)]
+         for k in range(costs.horizon)])
+    assert [len(s) for s in unpruned] == [2187, 27, 3, 1]
+    assert policy.gamma_sizes() == [1, 1, 1, 1]
     beliefs = rng.dirichlet(np.ones(4), size=1000)
     for stage in range(4):
-        ref = np.array([value(policies["none"], b, stage) for b in beliefs])
-        for mode in ("pairwise", "lp"):
-            got = np.array([value(policies[mode], b, stage) for b in beliefs])
-            np.testing.assert_allclose(got, ref, atol=1e-8)
+        ref = (unpruned[stage] @ beliefs.T).min(axis=0)
+        got = np.array([value(policy, b, stage) for b in beliefs])
+        np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
 def test_preselection_cap_keeps_upper_bound(grid, rng, monkeypatch):
