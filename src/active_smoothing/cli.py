@@ -43,7 +43,7 @@ from .sim import (
     rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
     rollouts,
 )
-from .solver import load_policy, save_policy, solve, value
+from .solver import PolicyFormatError, load_policy, save_policy, solve, value
 
 RESULTS_HEADER = [
     "policy", "runs", "terminal_cost", "terminal_cost_se",
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, PolicyFormatError) as exc:
         print(f"error: unreadable input file ({exc})", file=sys.stderr)
         return 2
     except (PolicyModelMismatch, ImpossibleEvidence, ValueError) as exc:

@@ -22,15 +22,22 @@ solver selects winners on a fixed witness-point cloud instead of calling
 `prune`: every kept vector still attains the minimum somewhere, so the
 represented function remains a valid upper bound, but rarely-winning vectors
 may be dropped.
+
+scipy loads on first use. This module is its only user, and filtering, Monte
+Carlo, exact evaluation, `simulate` and `validate` need numpy alone, so
+importing the package costs none of scipy's import time or memory.
+`scipy.spatial` loads at the first Qhull build, and `scipy.optimize` only when
+the LP fallback runs. `HalfspaceIntersection`, `QhullError` and `linprog` stay
+module attributes (read through the module `__getattr__`), so a value set on
+the module, as a test or a tracer does, is the one the solver calls.
 """
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .costs import (
     DEFAULT_CONFIG,
@@ -52,6 +59,18 @@ TIE_TOL = 1e-12
 EXACT_PRUNE_CAP = 2000
 CLOUD_CHUNK = 1 << 17  # floats per block @ values.T in _cloud_argmin, about 1 MiB
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
+_SCIPY_NAMES = {
+    "HalfspaceIntersection": "scipy.spatial",
+    "QhullError": "scipy.spatial",
+    "linprog": "scipy.optimize",
+}
+
+
+def __getattr__(name: str):
+    """The module's binding of a scipy name, imported and bound on first read."""
+    if name not in _SCIPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(importlib.import_module(_SCIPY_NAMES[name]), name))
 
 
 @dataclass(frozen=True)
@@ -100,7 +119,7 @@ def _witness_lp(vector: np.ndarray, others: np.ndarray) -> tuple[float, np.ndarr
     c = np.zeros(n + 1)
     c[-1] = -1.0
     a_ub = np.hstack([vector[None, :] - others, np.ones((len(others), 1))])
-    res = linprog(
+    res = __getattr__("linprog")(
         c,
         A_ub=a_ub,
         b_ub=np.zeros(len(others)),
@@ -164,24 +183,30 @@ def _envelope_hull(kept: np.ndarray, lower: float) -> HalfspaceIntersection:
     box[m, :m], box[m, m + 1] = 1.0, -1.0          # sum p <= 1
     box[m + 1, m], box[m + 1, m + 1] = -1.0, lower  # z >= lower
     interior = np.concatenate([np.full(m, 1.0 / n), [lower + 1e-3]])
-    return HalfspaceIntersection(np.vstack([box, _envelope_halfspaces(kept)]), interior,
-                                 incremental=True)
+    return __getattr__("HalfspaceIntersection")(
+        np.vstack([box, _envelope_halfspaces(kept)]), interior, incremental=True)
 
 
-def _witness_rounds(v: np.ndarray, kept: set[int], candidates: np.ndarray) -> None:
-    """Direct witness LPs until no candidate beats the kept envelope; grows `kept`."""
+def _witness_rounds(v: np.ndarray, kept: np.ndarray, candidates: np.ndarray) -> None:
+    """Direct witness LPs until no candidate beats the kept envelope; grows the `kept` mask."""
     while len(candidates):
         added = False
         for i in candidates:
-            margin, witness = _witness_lp(v[i], v[sorted(kept)])
+            margin, witness = _witness_lp(v[i], v[kept])
             if margin > PRUNE_TOL:
                 best = int(np.argmin(v @ witness))
-                if best not in kept:
-                    kept.add(best)
-                    added = True
+                if not kept[best]:
+                    kept[best] = added = True
         if not added:
             return
-        candidates = np.array([i for i in candidates if i not in kept])
+        candidates = candidates[~kept[candidates]]
+
+
+def _winners(v: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Mask over the rows of `v`: the minimiser at some point of `cloud`."""
+    won = np.zeros(len(v), dtype=bool)
+    won[_cloud_argmin(v, cloud)] = True
+    return won
 
 
 def prune(values: np.ndarray) -> np.ndarray:
@@ -200,14 +225,14 @@ def prune(values: np.ndarray) -> np.ndarray:
     if n == 1:
         return idx[[int(np.argmin(v[:, 0]))]]
 
-    kept = set(_cloud_argmin(v, _seed_cloud(n)).tolist())
-    candidates = np.array([i for i in range(n_vec) if i not in kept])
+    kept = _winners(v, _seed_cloud(n))
+    candidates = np.flatnonzero(~kept)
     lower = float(v.min()) - 1.0
 
     hull = None
     try:
         if len(candidates):
-            hull = _envelope_hull(v[sorted(kept)], lower)
+            hull = _envelope_hull(v[kept], lower)
         while len(candidates):
             vertices = hull.intersections
             margins, arg_vertex = _vertex_margins(vertices, v[candidates])
@@ -218,19 +243,19 @@ def prune(values: np.ndarray) -> np.ndarray:
             p = vertices[np.unique(arg_vertex[alive]), :n - 1]
             witnesses = np.clip(np.hstack([p, 1.0 - p.sum(axis=1, keepdims=True)]), 0.0, None)
             witnesses /= witnesses.sum(axis=1, keepdims=True)
-            new = np.setdiff1d(_cloud_argmin(v, witnesses), list(kept))
+            new = np.flatnonzero(_winners(v, witnesses) & ~kept)
             if not len(new):  # rounding at the vertices: keep the best candidate instead
                 new = candidates[[int(np.argmax(margins))]]
-            kept.update(new.tolist())
-            candidates = candidates[alive & ~np.isin(candidates, new)]
+            kept[new] = True
+            candidates = candidates[alive & ~kept[candidates]]
             if len(candidates):
                 hull.add_halfspaces(_envelope_halfspaces(v[new]))
-    except QhullError:
+    except __getattr__("QhullError"):
         _witness_rounds(v, kept, candidates)
     finally:
         if hull is not None:
             hull.close()
-    return np.sort(idx[np.array(sorted(kept))])
+    return idx[kept]
 
 
 # ------------------------------------------------------- witness clouds --
@@ -430,12 +455,31 @@ def policy_to_dict(policy: ValuePolicy) -> dict:
     }
 
 
+class PolicyFormatError(ValueError):
+    """A policy dict whose entries are not of the written format."""
+
+
+def _stage_actions(entries: list, k: int, terminal: bool) -> np.ndarray | None:
+    """Stage k's actions: JSON integers at a decision stage, null at the terminal one."""
+    acts = [e["action"] for e in entries]
+    want = type(None) if terminal else int  # exact types: JSON true is a bool, no control
+    bad = [a for a in acts if type(a) is not want]
+    if bad:
+        raise PolicyFormatError(f"policy stage {k} has action {bad[0]!r}, "
+                                f"not {'null' if terminal else 'an integer'}")
+    if terminal:
+        return None
+    try:
+        return np.array(acts, dtype=int)
+    except OverflowError:
+        raise PolicyFormatError(f"policy stage {k} has an action beyond 64 bits") from None
+
+
 def policy_from_dict(d: dict) -> ValuePolicy:
     stages = []
-    for entries in d["stages"]:
+    for k, entries in enumerate(d["stages"]):
         values = np.array([e["values"] for e in entries], dtype=float)
-        acts = [e["action"] for e in entries]
-        actions = None if all(a is None for a in acts) else np.array(acts, dtype=int)
+        actions = _stage_actions(entries, k, terminal=k == len(d["stages"]) - 1)
         stages.append(StageSet(values=values, actions=actions))
     return ValuePolicy(
         stages=tuple(stages),

@@ -284,6 +284,31 @@ def test_simulate_rejects_policy_arrays_that_do_not_fit_the_model(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def grid_d2_policy(tmp_path_factory):
+    path = tmp_path_factory.mktemp("policy") / "p.json"
+    assert main(["solve", "--base-points", "2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
+@pytest.mark.parametrize("stage, action", [
+    (0, None), (0, 1.5), (0, True), (0, "1"), (0, 10**30), (-1, 0),
+], ids=["null", "fraction", "bool", "string", "beyond-int64", "terminal-integer"])
+def test_simulate_rejects_unreadable_policy_actions(
+        tmp_path, capsys, grid_d2_policy, stage, action, exact):
+    d = json.loads(json.dumps(grid_d2_policy))
+    d["stages"][stage][0]["action"] = action
+    policy_path = tmp_path / "p.json"
+    policy_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--policy", str(policy_path), "--runs", "10", "--out", str(out)]
+    assert main(argv + (["--exact"] if exact else [])) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable input file (")
+    assert not out.exists()
+
+
 def test_simulate_unknown_policy_exits_two(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["simulate", "--policy", "always-north", "--runs", "5",
