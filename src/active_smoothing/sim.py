@@ -232,18 +232,6 @@ def _sample(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(index, cumulative.shape[1] - 1)
 
 
-def _regroup(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(code, return_index=True, return_inverse=True)[1:] for codes in [0, size).
-
-    Counting over the bounded code range replaces np.unique's sort: groups are
-    numbered in code order, and `first` holds each group's lowest row.
-    """
-    first = np.full(size, len(code))
-    np.minimum.at(first, code, np.arange(len(code)))
-    present = first < len(code)
-    return first[present], (np.cumsum(present) - 1)[code]
-
-
 def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, start: int,
              uniforms: np.ndarray, config: EntropyConfig) -> RolloutBatch:
     """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms.
@@ -271,7 +259,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
                            uniforms[:, 0])
     observations[:, 0] = _sample(np.cumsum(model.initial_observation, axis=1)[states[:, 0]],
                                  uniforms[:, 1])
-    first, group = _regroup(observations[:, 0], model.n_observations)
+    _, first, group = np.unique(observations[:, 0], return_index=True, return_inverse=True)
     group_beliefs = initial_update(model, observations[first, 0])
     for k in range(t):
         beliefs[:, k] = group_beliefs[group]
@@ -284,7 +272,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
         observations[:, k + 1] = _sample(observation_cdf[u, states[:, k + 1]],
                                          uniforms[:, 3 + 2 * k])
         code = (group * model.n_controls + u) * model.n_observations + observations[:, k + 1]
-        first, child = _regroup(code, len(group_beliefs) * model.n_controls * model.n_observations)
+        _, first, child = np.unique(code, return_index=True, return_inverse=True)
         parent, u = group[first], u[first]
         joint = predict_joint(model, group_beliefs[parent], u)
         kernels.append(backward_kernel(joint))

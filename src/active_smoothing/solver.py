@@ -70,7 +70,9 @@ def __getattr__(name: str):
     """The module's binding of a scipy name, imported and bound on first read."""
     if name not in _SCIPY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, getattr(importlib.import_module(_SCIPY_NAMES[name]), name))
+    if name not in globals():
+        globals()[name] = getattr(importlib.import_module(_SCIPY_NAMES[name]), name)
+    return globals()[name]
 
 
 @dataclass(frozen=True)

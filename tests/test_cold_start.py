@@ -111,3 +111,19 @@ def test_forced_qhull_failure_calls_the_linprog_set_on_the_solver(tmp_path):
     """, tmp_path)
     assert out["kept"] == 40
     assert out["lp_calls"] > 0
+
+
+def test_a_set_name_is_returned_without_importing_its_scipy_module(tmp_path):
+    # the solver reads its scipy names through the module __getattr__ on every call
+    out = fresh(f"""
+        import json, sys
+        from active_smoothing import solver
+
+        def fake_linprog(*args, **kwargs):
+            raise AssertionError("not called here")
+
+        solver.linprog = fake_linprog
+        print(json.dumps({{"same": solver.__getattr__("linprog") is fake_linprog,
+                          "scipy": {SCIPY_MODULES}}}))
+    """, tmp_path)
+    assert out == {"same": True, "scipy": []}

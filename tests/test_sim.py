@@ -349,16 +349,6 @@ def test_value_policies_decide_once_per_distinct_history(grid, grid_policies, mo
         assert 1 <= count <= 2 ** (stage + 1)
 
 
-@pytest.mark.parametrize("size, rows", [(1, 1), (2, 5), (12, 40), (6144, 1024), (6, 1024)])
-def test_regroup_equals_unique_index_and_inverse(rng, size, rows):
-    # the groups keep np.unique's sorted-code numbering and first rows, so every draw lands alike
-    code = rng.integers(0, size, rows)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    got_first, got_inverse = sim._regroup(code, size)
-    np.testing.assert_array_equal(got_first, first)
-    np.testing.assert_array_equal(got_inverse, inverse)
-
-
 def test_stateful_callable_is_called_once_per_row_in_row_order(grid):
     model, costs = grid
     t, n_controls, runs = costs.horizon, model.n_controls, ROLLOUT_CHUNK + 3
