@@ -88,7 +88,8 @@ def read_csv(path) -> tuple[dict, list[dict]]:
 
 
 def _load_model_and_costs(args):
-    """The model and costs the command runs on; invalid ones raise ValueError (exit 1)."""
+    """The model and costs the command runs on; invalid ones, a negative --horizon or
+    --runs below 1 raise ValueError (exit 1) before the command does any work."""
     if getattr(args, "model", None):
         model, costs = load_model(args.model)
     else:
@@ -100,6 +101,9 @@ def _load_model_and_costs(args):
     horizon = getattr(args, "horizon", None)
     if horizon is not None and horizon < 0:
         raise ValueError(f"horizon {horizon} must be nonnegative")
+    runs = getattr(args, "runs", None)
+    if runs is not None and runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     if horizon is not None and horizon != costs.horizon:
         base = costs.stage_cost[0]
         if any(not np.array_equal(costs.stage_cost[k], base) for k in range(costs.horizon)):

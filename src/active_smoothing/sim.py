@@ -5,14 +5,18 @@ Rollouts draw their randomness from the counter-based Philox4x64-10 keyed by
 policy under test: comparisons across policies use common random numbers. A
 block's draws are one array computation over its keys.
 All runs of a block advance together, one stage at a time, as arrays with the
-run on the leading axis (states and observations (R, T+1)); a single rollout
-is a block of one. The filter, the decisions and the realised smoother
-entropy depend on a run's data alone, so they are computed once per distinct
-history: rows that saw the same observations and controls share one group,
-whose (G, N) belief and (G, N, N) backward kernel reach the rows by gathers.
-One filter pass gives both the beliefs and, from the backward kernels, the
-realised smoother entropy. Every group is computed with the operations of a
-single run, so results do not depend on the block it was simulated in.
+row on the leading axis (states and observations (rows, T+1)); a single
+rollout is a block of one. A policy comparison advances every policy in the
+same pass: row p * R + r is policy p's run start + r, and all policies share
+the block's uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats.
+The filter, the decisions and the realised smoother entropy depend on a
+row's policy and data alone, so they are computed once per distinct history:
+rows of one policy that saw the same observations and controls share one
+group, whose (G, N) belief and (G, N, N) backward kernel reach the rows by
+gathers. One filter pass gives both the beliefs and, from the backward
+kernels, the realised smoother entropy. Every group is computed with the
+operations of a single run, so results do not depend on the block it was
+simulated in or on the policies simulated beside it.
 Exact evaluation walks the observation tree breadth-first with the same batched
 filter and decision rules, one level of (L, N) beliefs per stage, and charges
 the smoother entropy in its belief-state form; it refuses above a size guard.
@@ -44,7 +48,7 @@ from .model import ControlledHMM, CostModel, fingerprint
 from .solver import ValuePolicy, best_action
 
 SIZE_GUARD = 10_000_000
-ROLLOUT_CHUNK = 1024
+ROLLOUT_CHUNK = 1 << 20  # floats per compare_policies block, about 8 MiB
 _MASK64 = (1 << 64) - 1
 _LOW32 = (1 << 32) - 1
 _PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -147,12 +151,12 @@ def as_decision_rule(policy_like, n_controls: int):
 def _rows_rule(policy_like, n_controls: int):
     """The decision rule for rows grouped by history: decide(beliefs, group, stage).
 
-    `beliefs` (G, N) holds one belief per group and `group` (R,) the group of
-    each row; the result is one control per row, as an int array. Value
-    policies and fixed controls decide each group once. A user callable
-    (belief, stage) -> control is called once per row, in row order, with that
-    row's belief, so a stochastic or stateful callable sees the same calls as
-    it would with one belief per row.
+    `beliefs` (G, N) holds one belief per group of one policy and `group` (R,)
+    the group of each of its rows; the result is one control per row, as an
+    int array. Value policies and fixed controls decide each group once. A
+    user callable (belief, stage) -> control is called once per row, in row
+    order, with that row's belief, so a stochastic or stateful callable sees
+    the same calls as it would with one belief per row.
     """
     rule = as_decision_rule(policy_like, n_controls)
     if rule is not policy_like:
@@ -232,39 +236,55 @@ def _sample(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(index, cumulative.shape[1] - 1)
 
 
-def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, start: int,
-             uniforms: np.ndarray, config: EntropyConfig) -> RolloutBatch:
+def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: int,
+             start: int, uniforms: np.ndarray, config: EntropyConfig) -> RolloutBatch:
     """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms.
 
-    What the filter computes for a run follows from its data alone, so it runs
-    once per distinct history. `group` (R,) gives each row's history at the
-    current stage, numbered by its sorted code: the first observation at stage
-    0, then (group, control, next observation) after each stage. The beliefs,
-    decisions, backward kernels and entropies are computed per group, each with
-    the operations of a single run, and reach the rows by gathers; states,
-    observations and realised costs are sampled per row from its uniforms.
+    `decides` holds one row rule per policy. Rows are policy-major: row
+    p * R + r is policy p's run start + r and uses that run's uniforms, so the
+    batch has P * R rows and is a plain `rollouts` batch when P = 1.
+
+    What the filter computes for a row follows from its policy and data alone,
+    so it runs once per distinct history. `group` gives each row's history at
+    the current stage, numbered by its sorted code: p * Y + the first
+    observation at stage 0, then (group, control, next observation) after each
+    stage. Codes sort by policy first, so each policy's groups are one
+    contiguous range at every stage, and a rule decides on its range alone.
+    The beliefs, decisions, backward kernels and entropies are computed per
+    group, each with the operations of a single run, and reach the rows by
+    gathers; states, observations and realised costs are sampled per row from
+    its uniforms.
     """
     runs, t = len(uniforms), cost_model.horizon
-    states = np.empty((runs, t + 1), dtype=int)
-    observations = np.empty((runs, t + 1), dtype=int)
-    controls = np.empty((runs, t), dtype=int)
-    beliefs = np.empty((runs, t + 1, model.n_states))
-    belief_entropies = np.empty((runs, t + 1))
-    stage_costs = np.empty((runs, t))
+    uniforms = np.tile(uniforms, (len(decides), 1))
+    rows = len(uniforms)
+    states = np.empty((rows, t + 1), dtype=int)
+    observations = np.empty((rows, t + 1), dtype=int)
+    controls = np.empty((rows, t), dtype=int)
+    beliefs = np.empty((rows, t + 1, model.n_states))
+    belief_entropies = np.empty((rows, t + 1))
+    stage_costs = np.empty((rows, t))
     kernels, parents = [], []  # per stage, indexed by the groups after it
     transition_cdf = np.cumsum(model.transition, axis=1)      # [u, :, x] over next states
     observation_cdf = np.cumsum(model.observation, axis=2)    # [u, x, :] over observations
+    policy_ids = np.arange(len(decides) + 1)
 
-    states[:, 0] = _sample(np.broadcast_to(np.cumsum(model.prior), (runs, model.n_states)),
+    states[:, 0] = _sample(np.broadcast_to(np.cumsum(model.prior), (rows, model.n_states)),
                            uniforms[:, 0])
     observations[:, 0] = _sample(np.cumsum(model.initial_observation, axis=1)[states[:, 0]],
                                  uniforms[:, 1])
-    _, first, group = np.unique(observations[:, 0], return_index=True, return_inverse=True)
+    code = np.repeat(policy_ids[:-1], runs) * model.n_observations + observations[:, 0]
+    code, first, group = np.unique(code, return_index=True, return_inverse=True)
+    group_policy = code // model.n_observations  # sorted: each policy's groups are a range
     group_beliefs = initial_update(model, observations[first, 0])
     for k in range(t):
         beliefs[:, k] = group_beliefs[group]
         belief_entropies[:, k] = belief_entropy(group_beliefs, config)[group]
-        u = controls[:, k] = decide(group_beliefs, group, k)
+        bounds = np.searchsorted(group_policy, policy_ids)
+        for p, decide in enumerate(decides):
+            lo, hi, own = bounds[p], bounds[p + 1], slice(p * runs, (p + 1) * runs)
+            controls[own, k] = decide(group_beliefs[lo:hi], group[own] - lo, k)
+        u = controls[:, k]
         check_controls(model, u)  # an out-of-range control would alias another's code
         x = states[:, k]
         stage_costs[:, k] = cost_model.stage_cost[k][x, u]
@@ -278,7 +298,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decide, seed: int, sta
         kernels.append(backward_kernel(joint))
         parents.append(parent)
         group_beliefs = update(model, joint, u, observations[first, k + 1], stage=k)
-        group = child
+        group, group_policy = child, group_policy[parent]
     beliefs[:, t] = group_beliefs[group]
     belief_entropies[:, t] = belief_entropy(group_beliefs, config)[group]
 
@@ -308,8 +328,8 @@ def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int
     """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r)."""
     _check_runs(runs)
     check_policy(model, cost_model, policy_like)
-    return _advance(model, cost_model, _rows_rule(policy_like, model.n_controls), seed, start,
-                    _uniforms(seed, start, start + runs, cost_model.horizon), config)
+    return _advance(model, cost_model, [_rows_rule(policy_like, model.n_controls)], seed,
+                    start, _uniforms(seed, start, start + runs, cost_model.horizon), config)
 
 
 def rollout(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int,
@@ -423,24 +443,35 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
                      config: EntropyConfig = DEFAULT_CONFIG) -> list[tuple[str, MetricsSummary]]:
     """One summary per named policy, on common random numbers across policies.
 
-    Runs advance in blocks of ROLLOUT_CHUNK, which bounds memory for any run
-    count; each block's uniforms are drawn once and shared by every policy.
+    Every policy advances in the same lockstep pass, one block of runs at a
+    time; each block's uniforms are drawn once and shared by every policy. A
+    block holds as many runs as fit ROLLOUT_CHUNK floats at about (T+1)(N+8)
+    floats per run and policy, which bounds memory for any run count. A
+    callable is called stage by stage within each block, so a stateful one's
+    calls interleave with the other policies' decisions by stage. Any other
+    policy's summary equals its own `monte_carlo`.
     """
     _check_runs(runs)
     rules = []
     for _, policy_like in policies:
         check_policy(model, cost_model, policy_like)
         rules.append(_rows_rule(policy_like, model.n_controls))
+    if not rules:
+        return []
+    t = cost_model.horizon
+    block = max(1, ROLLOUT_CHUNK // (len(rules) * (t + 1) * (model.n_states + 8)))
     per_run = [{key: np.empty(runs) for key in ("terminal", "tbe", "smoother", "total")}
                for _ in policies]
-    for start in range(0, runs, ROLLOUT_CHUNK):
-        stop = min(start + ROLLOUT_CHUNK, runs)
-        uniforms = _uniforms(seed, start, stop, cost_model.horizon)
-        for rule, metrics in zip(rules, per_run):
-            batch = _advance(model, cost_model, rule, seed, start, uniforms, config)
-            metrics["terminal"][start:stop] = batch.terminal_cost
-            metrics["tbe"][start:stop] = batch.belief_entropies.sum(axis=1)
-            metrics["smoother"][start:stop] = batch.smoother_entropy
-            metrics["total"][start:stop] = batch.total_cost
+    for start in range(0, runs, block):
+        stop = min(start + block, runs)
+        batch = _advance(model, cost_model, rules, seed, start,
+                         _uniforms(seed, start, stop, t), config)
+        tbe, total = batch.belief_entropies.sum(axis=1), batch.total_cost
+        for p, metrics in enumerate(per_run):
+            own = slice(p * (stop - start), (p + 1) * (stop - start))
+            metrics["terminal"][start:stop] = batch.terminal_cost[own]
+            metrics["tbe"][start:stop] = tbe[own]
+            metrics["smoother"][start:stop] = batch.smoother_entropy[own]
+            metrics["total"][start:stop] = total[own]
     return [(name, _summarise(metrics, runs, config, seed))
             for (name, _), metrics in zip(policies, per_run)]

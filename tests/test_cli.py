@@ -14,7 +14,7 @@ from active_smoothing import (
     make_cost_model,
     save_model,
 )
-from active_smoothing import sim
+from active_smoothing import cli, sim
 from active_smoothing.cli import (
     RESULTS_HEADER,
     SWEEP_HEADER,
@@ -358,6 +358,19 @@ def test_experiment_refuses_before_writing_anything(tmp_path, monkeypatch, capsy
     assert main(["experiment", "--base-points", "1", "--runs", "10", "--out", str(out)]) == 1
     assert "256 joint terms" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "--base-points", "1,2", "--out", "exp"],
+    ["simulate", "--policy", "always-east", "--trace", "t.csv", "--out", "r.csv"],
+    ["sweep", "--base-points", "1", "--out", "s.csv"],
+], ids=lambda argv: argv[0])
+def test_commands_check_runs_before_writing_anything(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved before checking --runs"))
+    assert main([*command, "--runs", "0"]) == 1
+    assert capsys.readouterr().err == "error: runs must be >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pruning_is_recorded_but_not_a_flag(tmp_path):

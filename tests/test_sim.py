@@ -26,10 +26,22 @@ from active_smoothing import (
     solve,
 )
 from active_smoothing import sim
-from active_smoothing.sim import ROLLOUT_CHUNK
 from active_smoothing.solver import TIE_TOL
 
 _MASK64 = (1 << 64) - 1
+BLOCK_RUNS = 1024  # runs per one-policy block under the `grid_blocks` fixture
+
+
+def _budget(block_runs: int, n_policies: int, model, costs) -> int:
+    """The ROLLOUT_CHUNK at which compare_policies on (model, costs) with `n_policies`
+    policies advances blocks of `block_runs` runs: (T+1)(N+8) floats per run and policy."""
+    return block_runs * n_policies * (costs.horizon + 1) * (model.n_states + 8)
+
+
+@pytest.fixture
+def grid_blocks(grid, monkeypatch):
+    """Monte Carlo of one grid-agent policy advances in blocks of BLOCK_RUNS runs."""
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(BLOCK_RUNS, 1, *grid))
 
 
 # --------------------------------------------------------------- policies --
@@ -280,9 +292,9 @@ def grid_policies(grid):
 
 
 @pytest.mark.parametrize("name", ["smoother", "belief-sum", "always-east", "callable"])
-def test_lockstep_engine_matches_reference_rollouts(grid, grid_policies, name):
+def test_lockstep_engine_matches_reference_rollouts(grid, grid_policies, grid_blocks, name):
     model, costs = grid
-    runs = ROLLOUT_CHUNK + 3
+    runs = BLOCK_RUNS + 3
     if name in grid_policies:
         policy_like = grid_policies[name]
         rule = oracle.alpha_rule(policy_like)
@@ -330,7 +342,8 @@ def test_rollout_is_a_batch_of_one(grid, grid_policies):
             (rec.smoother_entropy, rec.terminal_cost, rec.total_cost)
 
 
-def test_value_policies_decide_once_per_distinct_history(grid, grid_policies, monkeypatch):
+def test_value_policies_decide_once_per_distinct_history(grid, grid_policies, grid_blocks,
+                                                        monkeypatch):
     model, costs = grid
     assert (model.n_observations, costs.horizon) == (2, 3)
     rows = []
@@ -341,17 +354,17 @@ def test_value_policies_decide_once_per_distinct_history(grid, grid_policies, mo
 
     monkeypatch.setattr(sim, "best_action", counting)
     policy = grid_policies["smoother"]
-    rollouts(model, costs, policy, 31, ROLLOUT_CHUNK + 3)
-    monte_carlo(model, costs, policy, ROLLOUT_CHUNK + 3, seed=31)
+    rollouts(model, costs, policy, 31, BLOCK_RUNS + 3)
+    monte_carlo(model, costs, policy, BLOCK_RUNS + 3, seed=31)
     # a deterministic policy's history at stage k is fixed by y_0..y_k: at most 2^(k+1)
     assert sorted({stage for stage, _ in rows}) == [0, 1, 2]
     for stage, count in rows:
         assert 1 <= count <= 2 ** (stage + 1)
 
 
-def test_stateful_callable_is_called_once_per_row_in_row_order(grid):
+def test_stateful_callable_is_called_once_per_row_in_row_order(grid, grid_blocks):
     model, costs = grid
-    t, n_controls, runs = costs.horizon, model.n_controls, ROLLOUT_CHUNK + 3
+    t, n_controls, runs = costs.horizon, model.n_controls, BLOCK_RUNS + 3
     calls = []
 
     def counter(belief, stage):
@@ -386,6 +399,33 @@ def test_out_of_range_callable_controls_are_rejected(grid, bad):
         rollouts(model, costs, rule, 16, 50)
 
 
+def test_stateful_callable_beside_value_policies_is_called_stage_major_per_block(
+        grid, grid_policies, monkeypatch):
+    model, costs = grid
+    t, runs, block = costs.horizon, 50, 12
+    calls = []
+
+    def counter(belief, stage):
+        calls.append((stage, belief.copy()))
+        return len(calls) % model.n_controls
+
+    policies = [("smoother", grid_policies["smoother"]), ("counter", counter),
+                ("east", "always-east"), ("belief-sum", grid_policies["belief-sum"])]
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(block, len(policies), model, costs))
+    summary = compare_policies(model, costs, policies, runs, seed=31)[1][1]
+    joint = calls[:]
+    assert len(joint) == runs * t
+    # the calls of one-policy rollouts of each block in turn: stage by stage within a
+    # block, rows in order within a stage
+    calls.clear()
+    batches = [rollouts(model, costs, counter, 31, min(block, runs - start), start=start)
+               for start in range(0, runs, block)]
+    assert [stage for stage, _ in joint] == [stage for stage, _ in calls] == np.concatenate(
+        [np.repeat(np.arange(t), len(batch)) for batch in batches]).tolist()
+    np.testing.assert_array_equal([b for _, b in joint], [b for _, b in calls])
+    assert summary.total_cost == np.concatenate([b.total_cost for b in batches]).mean()
+
+
 def test_compare_policies_does_not_depend_on_the_block_size(grid, grid_policies, monkeypatch):
     model, costs = grid
     rng = np.random.default_rng(17)
@@ -396,12 +436,62 @@ def test_compare_policies_does_not_depend_on_the_block_size(grid, grid_policies,
                              ("east", "always-east"),
                              ("callable", lambda b, k: int(np.argmax(b) + k) % 3)]),
              (other, other_costs, [("rule", oracle.random_rule(rng, other, 4)), ("fixed", 1)])]
+    blocks, advance = [], sim._advance
+    monkeypatch.setattr(sim, "_advance",
+                        lambda *args: blocks.append(len(args[5])) or advance(*args))
     for chunk_model, chunk_costs, policies in cases:
         summaries = []
-        for chunk in (1, 7, 1024):
-            monkeypatch.setattr(sim, "ROLLOUT_CHUNK", chunk)
+        # a budget below one run still advances one run at a time
+        for budget, block in ((1, 1), (_budget(7, len(policies), chunk_model, chunk_costs), 7),
+                              (_budget(300, len(policies), chunk_model, chunk_costs), 300)):
+            monkeypatch.setattr(sim, "ROLLOUT_CHUNK", budget)
+            blocks.clear()
             summaries.append(compare_policies(chunk_model, chunk_costs, policies, 300, seed=5))
+            assert blocks == [block] * (300 // block) + [300 % block] * (300 % block > 0)
         assert summaries[0] == summaries[1] == summaries[2]
+
+
+def _random_value_policy(rng, model, costs) -> ValuePolicy:
+    """Five random vectors with random controls at each stage, fingerprinted for (model, costs)."""
+    stages = tuple(StageSet(values=rng.normal(size=(5, model.n_states)),
+                            actions=rng.integers(0, model.n_controls, size=5))
+                   for _ in range(costs.horizon))
+    terminal = StageSet(values=np.zeros((1, model.n_states)), actions=None)
+    return ValuePolicy(stages=stages + (terminal,), objective="smoother", density=1,
+                       epsilon_interior=1e-4, log_base="natural",
+                       model_fingerprint=fingerprint(model, costs))
+
+
+@pytest.mark.parametrize("log_base", ["natural", "base-2"])
+@pytest.mark.parametrize("n_states", [None, 3, 9], ids=["grid", "random-3", "random-9"])
+def test_one_pass_equals_per_policy_passes(grid, grid_policies, monkeypatch, n_states, log_base):
+    if n_states is None:
+        model, costs = grid
+        values = [grid_policies["smoother"], grid_policies["belief-sum"]]
+    else:
+        rng = np.random.default_rng(n_states)
+        model = oracle.random_model(rng, n_states=n_states, n_obs=3, n_controls=3,
+                                    zero_fraction=0.4)
+        assert (model.transition == 0.0).any()
+        costs = oracle.random_costs(rng, model, 3)
+        values = [_random_value_policy(rng, model, costs) for _ in range(2)]
+    policies = [("v0", values[0]), ("v1", values[1]), ("east", "always-east"),
+                ("fixed", "fixed:1"), ("callable", lambda b, k: int(np.argmax(b) + k) % 3)]
+    runs, config = 1000, EntropyConfig(log_base)
+    # the joint pass advances four blocks; each policy alone fits in one
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(300, len(policies), model, costs))
+    joint = compare_policies(model, costs, policies, runs, 23, config)
+    assert [name for name, _ in joint] == [name for name, _ in policies]
+    for (_, policy_like), (_, summary) in zip(policies, joint):
+        assert summary == monte_carlo(model, costs, policy_like, runs, 23, config)
+
+
+def test_compare_policies_of_no_policies_draws_nothing(grid, monkeypatch):
+    model, costs = grid
+    monkeypatch.setattr(sim, "_uniforms", lambda *args: pytest.fail("drew uniforms"))
+    assert compare_policies(model, costs, [], 100, seed=1) == []
+    with pytest.raises(ValueError, match="runs must be >= 1, got 0$"):
+        compare_policies(model, costs, [], 0, seed=1)
 
 
 def _tie_policy(model, costs):
@@ -435,16 +525,17 @@ def test_ties_go_to_the_lowest_control_on_every_row(grid, rng):
     assert 1 not in batch.controls
 
 
-def test_fingerprint_runs_once_per_policy_per_call(grid, grid_policies, monkeypatch):
+def test_fingerprint_runs_once_per_policy_per_call(grid, grid_policies, grid_blocks,
+                                                   monkeypatch):
     model, costs = grid
     calls = []
     monkeypatch.setattr(sim, "fingerprint", lambda *a: calls.append(1) or fingerprint(*a))
-    monte_carlo(model, costs, grid_policies["smoother"], ROLLOUT_CHUNK + 3, seed=1)
+    monte_carlo(model, costs, grid_policies["smoother"], BLOCK_RUNS + 3, seed=1)
     assert len(calls) == 1
     calls.clear()
     compare_policies(model, costs, [("a", grid_policies["smoother"]),
                                     ("b", grid_policies["belief-sum"]),
-                                    ("c", "always-east")], ROLLOUT_CHUNK + 3, seed=1)
+                                    ("c", "always-east")], BLOCK_RUNS + 3, seed=1)
     assert len(calls) == 2
 
 
@@ -462,11 +553,12 @@ def test_uniforms_equal_numpy_philox_bit_for_bit(seed, start, horizon):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("runs", [1, ROLLOUT_CHUNK + 3])
-def test_compare_policies_matches_reference_rollouts(runs):
+@pytest.mark.parametrize("runs", [1, BLOCK_RUNS + 3])
+def test_compare_policies_matches_reference_rollouts(monkeypatch, runs):
     rng = np.random.default_rng(runs)
     model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=2, zero_fraction=0.3)
     costs = oracle.random_costs(rng, model, 3)
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(BLOCK_RUNS, 1, model, costs))
     rule = oracle.random_rule(rng, model, 3)
     (_, got), = compare_policies(model, costs, [("rule", rule)], runs, seed=-1)
     cache = {}
