@@ -5,7 +5,7 @@ under the joint predicted belief, whose accumulated expectation (plus the
 terminal belief entropy) equals the expected entropy of the full hidden
 trajectory given all data. Also provides expected costs including the linear
 c-terms, the entropy/mutual-information decomposition, the realised
-(pointwise) trajectory entropy from the filter's backward kernels, and the
+(pointwise) trajectory entropy carried forward with the filter, and the
 expected next-step belief entropy used by the belief-sum baseline. Both
 entropy costs the solver plans with are conditional entropies H(X | Z) of a
 joint linear in the belief: their values share one kernel,
@@ -122,27 +122,23 @@ def expected_next_entropy(model: ControlledHMM, belief: np.ndarray, control: int
     return _conditional_entropy(np.swapaxes(joint, -1, -2), config)
 
 
-def backward_kernel(joint: np.ndarray) -> np.ndarray:
-    """p(x_k | x_{k+1}, data to k): each row of the joint predicted belief over its sum;
-    a row of zero mass stays zero."""
+def past_entropy(joint: np.ndarray, past: np.ndarray) -> np.ndarray:
+    """Entropy in nats of the past given each next state i: sum_j K[i, j] (past[j] -
+    log K[i, j]), where K = p(x_k | x_{k+1}, data to k) is the joint's rows over their
+    sums (a row of zero mass stays zero) and past (zeros at stage 0) is this map's
+    previous output."""
     rows = marginalize_next(joint)[..., None]
-    return joint / np.where(rows > 0, rows, 1.0)
+    kernel = joint / np.where(rows > 0, rows, 1.0)
+    # kernel >= 0, so the log argument 1 at kernel = 0 makes that term an exact 0
+    row_ent = -(kernel * np.log(np.where(kernel > 0, kernel, 1.0))).sum(axis=-1)
+    # a stacked @ runs one dot / gemv per row: the same bits as 1-D operands
+    return (kernel @ past[..., None])[..., 0] + row_ent
 
 
-def backward_entropy(final_belief: np.ndarray, kernels, config: EntropyConfig = DEFAULT_CONFIG):
-    """Entropy of the hidden trajectory from the filter's output along one data sequence.
-
-    H(final belief) plus, backwards over the stages' kernels (each (..., N, N), from
-    `backward_kernel`), the smoothed-marginal-weighted row entropies of each kernel.
-    """
-    total = belief_entropy(final_belief, config)
-    gamma = final_belief[..., None, :]
-    for bk in reversed(kernels):
-        # bk >= 0, so the log argument 1 at bk = 0 makes that term an exact 0
-        row_ent = -(bk * np.log(np.where(bk > 0, bk, 1.0))).sum(axis=-1)
-        # a stacked @ runs one dot / gemv per row: the same bits as 1-D operands
-        total = total + (gamma @ row_ent[..., None])[..., 0, 0] / config.log_scale
-        gamma = gamma @ bk
+def trajectory_entropy(final_belief: np.ndarray, past: np.ndarray, config: EntropyConfig):
+    """H(final belief) + final belief . past: the entropy of the whole trajectory."""
+    total = belief_entropy(final_belief, config) + (
+        final_belief[..., None, :] @ past[..., None])[..., 0, 0] / config.log_scale
     return float(total) if np.ndim(total) == 0 else total
 
 
@@ -150,9 +146,9 @@ def pointwise_smoother_entropy(model: ControlledHMM, observations, controls,
                                config: EntropyConfig = DEFAULT_CONFIG):
     """Entropy of the hidden trajectory given one realised data sequence.
 
-    Runs the filter along (y_0..y_T, u_0..u_{T-1}), keeps the backward kernel of
-    each joint predicted belief and hands them with the final belief to
-    `backward_entropy`. Equals the entropy of p(x_0..x_T | all data).
+    Runs the filter along (y_0..y_T, u_0..u_{T-1}), advancing `past_entropy`
+    with each joint predicted belief, and closes it with the final belief.
+    Equals the entropy of p(x_0..x_T | all data).
 
     Sequences of shape (T+1,) and (T,) give a float; (R, T+1) and (R, T) give
     one entropy per row, computed with the same operations as one sequence.
@@ -165,10 +161,10 @@ def pointwise_smoother_entropy(model: ControlledHMM, observations, controls,
             f"observations and {controls.shape[-1]} controls"
         )
     pi = initial_update(model, observations[..., 0])
-    kernels = []
+    past = np.zeros_like(pi)
     for k in range(controls.shape[-1]):
         u = controls[..., k]
         joint = predict_joint(model, pi, u)
-        kernels.append(backward_kernel(joint))
+        past = past_entropy(joint, past)
         pi = update(model, joint, u, observations[..., k + 1], stage=k)
-    return backward_entropy(pi, kernels, config)
+    return trajectory_entropy(pi, past, config)

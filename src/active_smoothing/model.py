@@ -65,7 +65,7 @@ def make_model(prior, transition, observation, initial_observation=None) -> Cont
     return model
 
 
-def make_cost_model(horizon, stage_cost, terminal_cost, n_states=None, n_controls=None) -> CostModel:
+def make_cost_model(horizon, stage_cost, terminal_cost) -> CostModel:
     """Assemble a CostModel; stage_cost may be (N, U) (stage-independent) or (T, N, U)."""
     terminal_cost = np.asarray(terminal_cost, dtype=float)
     stage_cost = np.asarray(stage_cost, dtype=float)

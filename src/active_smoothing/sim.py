@@ -12,11 +12,11 @@ the block's uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats.
 The filter, the decisions and the realised smoother entropy depend on a
 row's policy and data alone, so they are computed once per distinct history:
 rows of one policy that saw the same observations and controls share one
-group, whose (G, N) belief and (G, N, N) backward kernel reach the rows by
-gathers. One filter pass gives both the beliefs and, from the backward
-kernels, the realised smoother entropy. Every group is computed with the
-operations of a single run, so results do not depend on the block it was
-simulated in or on the policies simulated beside it.
+group, whose (G, N) belief reaches the rows by gathers. One forward filter
+pass gives both the beliefs and the realised smoother entropy, carried per
+group as the entropy of its past given each state. Every group is computed
+with the operations of a single run, so results do not depend on the block
+it was simulated in or on the policies simulated beside it.
 Exact evaluation walks the observation tree breadth-first with the same batched
 filter and decision rules, one level of (L, N) beliefs per stage, and charges
 the smoother entropy in its belief-state form; it refuses above a size guard.
@@ -38,11 +38,11 @@ from .belief import (
 from .costs import (
     DEFAULT_CONFIG,
     EntropyConfig,
-    backward_entropy,
-    backward_kernel,
     belief_entropy,
+    past_entropy,
     pointwise_smoother_entropy,  # noqa: F401  kept importable: the benchmark's tracer wraps sim.pointwise_smoother_entropy by name
     stage_entropy_cost,
+    trajectory_entropy,
 )
 from .model import ControlledHMM, CostModel, fingerprint
 from .solver import ValuePolicy, best_action
@@ -250,10 +250,10 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     observation at stage 0, then (group, control, next observation) after each
     stage. Codes sort by policy first, so each policy's groups are one
     contiguous range at every stage, and a rule decides on its range alone.
-    The beliefs, decisions, backward kernels and entropies are computed per
-    group, each with the operations of a single run, and reach the rows by
-    gathers; states, observations and realised costs are sampled per row from
-    its uniforms.
+    The beliefs, decisions and (G, N) past entropies are computed per group,
+    each with the operations of a single run, and gathered from the parent
+    groups at each regroup; states, observations and realised costs are
+    sampled per row from its uniforms. No (G, N, N) array outlives its stage.
     """
     runs, t = len(uniforms), cost_model.horizon
     uniforms = np.tile(uniforms, (len(decides), 1))
@@ -264,7 +264,6 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     beliefs = np.empty((rows, t + 1, model.n_states))
     belief_entropies = np.empty((rows, t + 1))
     stage_costs = np.empty((rows, t))
-    kernels, parents = [], []  # per stage, indexed by the groups after it
     transition_cdf = np.cumsum(model.transition, axis=1)      # [u, :, x] over next states
     observation_cdf = np.cumsum(model.observation, axis=2)    # [u, x, :] over observations
     policy_ids = np.arange(len(decides) + 1)
@@ -277,6 +276,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     code, first, group = np.unique(code, return_index=True, return_inverse=True)
     group_policy = code // model.n_observations  # sorted: each policy's groups are a range
     group_beliefs = initial_update(model, observations[first, 0])
+    past = np.zeros_like(group_beliefs)
     for k in range(t):
         beliefs[:, k] = group_beliefs[group]
         belief_entropies[:, k] = belief_entropy(group_beliefs, config)[group]
@@ -295,19 +295,12 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
         _, first, child = np.unique(code, return_index=True, return_inverse=True)
         parent, u = group[first], u[first]
         joint = predict_joint(model, group_beliefs[parent], u)
-        kernels.append(backward_kernel(joint))
-        parents.append(parent)
+        past = past_entropy(joint, past[parent])
         group_beliefs = update(model, joint, u, observations[first, k + 1], stage=k)
         group, group_policy = child, group_policy[parent]
     beliefs[:, t] = group_beliefs[group]
     belief_entropies[:, t] = belief_entropy(group_beliefs, config)[group]
-
-    # each final group's kernels: stage k's row is the final group's ancestor after stage k
-    ancestor, final_kernels = np.arange(len(group_beliefs)), []
-    for kernel, parent in zip(reversed(kernels), reversed(parents)):
-        final_kernels.append(kernel[ancestor])
-        ancestor = parent[ancestor]
-    smoother = backward_entropy(group_beliefs, final_kernels[::-1], config)
+    smoother = trajectory_entropy(group_beliefs, past, config)
 
     return RolloutBatch(
         seed=seed,
@@ -446,7 +439,9 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     Every policy advances in the same lockstep pass, one block of runs at a
     time; each block's uniforms are drawn once and shared by every policy. A
     block holds as many runs as fit ROLLOUT_CHUNK floats at about (T+1)(N+8)
-    floats per run and policy, which bounds memory for any run count. A
+    floats per run and policy, which counts the per-run arrays and bounds
+    memory for any run count: the only N^2 arrays are the current stage's
+    (G, N, N) joint and its temporaries. A
     callable is called stage by stage within each block, so a stateful one's
     calls interleave with the other policies' decisions by stage. Any other
     policy's summary equals its own `monte_carlo`.

@@ -217,9 +217,12 @@ def test_expected_next_entropy_matches_manual_average(rng):
 
 
 def test_pointwise_smoother_entropy_matches_brute_force(rng):
-    for _ in range(50):
-        model = oracle.random_model(rng)
-        t = int(rng.integers(1, 4))
+    # horizons 1-5; every other model has zero transition entries, so some next states
+    # are unreachable and their backward-kernel rows have zero mass
+    zero_rows = 0
+    for trial in range(50):
+        model = oracle.random_model(rng, zero_fraction=0.5 * (trial % 2))
+        t = 1 + trial % 5
         b = None
         ys = []
         us = []
@@ -238,6 +241,7 @@ def test_pointwise_smoother_entropy_matches_brute_force(rng):
             if probs[y] <= 0.0:
                 ok = False
                 break
+            zero_rows += int((model.transition[u] @ b == 0.0).sum())
             us.append(u)
             ys.append(y)
             b = step(model, b, u, y)
@@ -246,6 +250,7 @@ def test_pointwise_smoother_entropy_matches_brute_force(rng):
         got = pointwise_smoother_entropy(model, ys, us)
         want, _ = oracle.trajectory_entropy(model, ys, us)
         np.testing.assert_allclose(got, want, atol=1e-10)
+    assert zero_rows > 0
 
 
 def test_pointwise_smoother_entropy_grid_example(grid):

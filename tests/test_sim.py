@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -449,6 +451,22 @@ def test_compare_policies_does_not_depend_on_the_block_size(grid, grid_policies,
             summaries.append(compare_policies(chunk_model, chunk_costs, policies, 300, seed=5))
             assert blocks == [block] * (300 // block) + [300 % block] * (300 % block > 0)
         assert summaries[0] == summaries[1] == summaries[2]
+
+
+def test_block_memory_stays_within_the_rollout_budget(monkeypatch):
+    """A comparison's peak allocation is a small multiple of ROLLOUT_CHUNK floats: the
+    (G, N, N) joint of each stage is freed with the stage, never kept for the block."""
+    rng = np.random.default_rng(3)
+    model = oracle.random_model(rng, n_states=20, n_obs=3, n_controls=3)
+    costs = oracle.random_costs(rng, model, 8)
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", 1 << 16)
+    tracemalloc.start()
+    try:
+        compare_policies(model, costs, [("zero", 0), ("one", 1)], 4000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * sim.ROLLOUT_CHUNK * 8
 
 
 def _random_value_policy(rng, model, costs) -> ValuePolicy:
