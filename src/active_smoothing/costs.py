@@ -129,8 +129,12 @@ def past_entropy(joint: np.ndarray, past: np.ndarray) -> np.ndarray:
     previous output."""
     rows = marginalize_next(joint)[..., None]
     kernel = joint / np.where(rows > 0, rows, 1.0)
-    # kernel >= 0, so the log argument 1 at kernel = 0 makes that term an exact 0
-    row_ent = -(kernel * np.log(np.where(kernel > 0, kernel, 1.0))).sum(axis=-1)
+    # kernel >= 0, so the log argument 1 at kernel = 0 makes that term an exact 0;
+    # the terms are formed in one buffer, so no further (G, N, N) temporaries
+    terms = np.where(kernel > 0, kernel, 1.0)
+    np.log(terms, out=terms)
+    terms *= kernel
+    row_ent = -terms.sum(axis=-1)
     # a stacked @ runs one dot / gemv per row: the same bits as 1-D operands
     return (kernel @ past[..., None])[..., 0] + row_ent
 

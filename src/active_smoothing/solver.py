@@ -6,18 +6,14 @@ cross-sums one choice per observation, cross-sums the stage-cost tangent
 pieces, unions over controls, and prunes after every step, as incremental
 pruning does (Cassandra, Littman & Zhang, UAI 1997).
 
-`prune` keeps exactly the vectors that attain the minimum somewhere on the
-simplex (witness-point semantics). It keeps the winners on a fixed seed cloud,
-then builds the lower-envelope polytope of the kept vectors once as an
-incremental Qhull halfspace intersection. Each round batch-evaluates candidate
-margins at its vertices, which is equivalent to solving one witness linear
-program per vector. At every vertex where some candidate beats the kept
-envelope by more than `PRUNE_TOL`, it keeps the minimising vector (lowest
-index on ties), and it adds the halfspaces of all newly kept vectors to the
-same polytope in one update. The rounds stop when no candidate beats the
-envelope at any vertex, so the envelope is exact; which of several merely tied
-vectors is kept depends on the order in which they are found. A direct LP
-fallback covers degenerate geometry. Above `EXACT_PRUNE_CAP` vectors, the
+`prune` keeps exactly the vectors that attain the minimum on a
+full-dimensional region of the simplex. It builds the envelope polytope
+{(p, z): p on the simplex, z below every vector} once, as one Qhull halfspace
+intersection over all rows, and keeps the vectors whose halfspaces are facets
+of it. A vector that ties the envelope only on a lower-dimensional face is
+dropped, so the kept set does not depend on the order of the rows. Witness
+linear programs, grown from the minimisers at the simplex vertices, cover a
+Qhull failure on degenerate geometry. Above `EXACT_PRUNE_CAP` vectors, the
 solver selects winners on a fixed witness-point cloud instead of calling
 `prune`: every kept vector still attains the minimum somewhere, so the
 represented function remains a valid upper bound, but rarely-winning vectors
@@ -104,7 +100,15 @@ class ValuePolicy:
 # ---------------------------------------------------------------- pruning --
 
 def _dedupe_indices(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Indices with near-duplicate rows removed, keeping the lowest index."""
+    """Sorted indices of the rows left after dropping each row within `tol` of its
+    predecessor in lexicographic order (first column most significant, index
+    breaking ties).
+
+    Exact duplicates collapse to the lowest index. Near-duplicates collapse only
+    when no other row sorts between them, and then to the first in sorted order:
+    rows 1e-15 apart in a leading column, with a third row sorting between them,
+    all survive.
+    """
     n = len(values)
     if n <= 1:
         return np.arange(n)
@@ -135,30 +139,6 @@ def _witness_lp(vector: np.ndarray, others: np.ndarray) -> tuple[float, np.ndarr
     return -res.fun, res.x[:n]
 
 
-def _vertex_margins(vertices: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per candidate: max over vertices of (envelope z - candidate value), argmax vertex."""
-    m = vertices.shape[1] - 1
-    p, z = vertices[:, :m], vertices[:, m]
-    # candidates-major (candidates x vertices), so both reductions run along contiguous rows
-    values = (candidates[:, :m] - candidates[:, m:]) @ p.T + candidates[:, m:]
-    gaps = z - values
-    return gaps.max(axis=1), gaps.argmax(axis=1)
-
-
-_SEED_CLOUDS: dict[int, np.ndarray] = {}
-
-
-def _seed_cloud(n: int) -> np.ndarray:
-    if n not in _SEED_CLOUDS:
-        rng = np.random.Generator(np.random.Philox(key=20240601))
-        _SEED_CLOUDS[n] = np.vstack([
-            np.eye(n),
-            np.full((1, n), 1.0 / n),
-            rng.dirichlet(np.ones(n), size=4096),
-        ])
-    return _SEED_CLOUDS[n]
-
-
 def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
     """Rows of `z <= <p, w>` in Qhull form [A | b] (A x + b <= 0), x = (p_1..p_{N-1}, z).
 
@@ -169,24 +149,27 @@ def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
     return np.hstack([-reduced, np.ones((len(rows), 1)), -rows[:, m:]])
 
 
-def _envelope_hull(kept: np.ndarray, lower: float) -> HalfspaceIntersection:
-    """Incremental polytope {(p, z): p projected simplex, lower <= z <= min over kept rows}.
+def _envelope_hull(v: np.ndarray) -> HalfspaceIntersection:
+    """Polytope {(p, z): p projected simplex, lower <= z <= min over rows of v}.
 
-    A linear objective over this polytope is maximised at one of its vertices,
-    so candidate margins against the kept envelope can be evaluated at the
-    vertices alone. The interior point sits 1e-3 above the floor; callers keep
-    the floor at least one unit below every row, so it stays strictly feasible
-    as envelope rows are added.
+    Its halfspaces are the N+1 box rows (p_i >= 0, sum p <= 1, z >= lower)
+    followed by one per row of `v`. A row's halfspace is a facet of the
+    polytope exactly when the row attains the envelope on a full-dimensional
+    region of the simplex. The floor `lower` sits one unit below the lowest
+    entry of `v`, so below every row, and the interior point sits at the
+    barycentre midway between the two, so it is strictly inside.
     """
-    n = kept.shape[1]
+    n = v.shape[1]
     m = n - 1
+    lowest = float(v.min())
+    lower = lowest - 1.0
     box = np.zeros((m + 2, m + 2))
     box[:m, :m] = -np.eye(m)                       # -p_i <= 0
     box[m, :m], box[m, m + 1] = 1.0, -1.0          # sum p <= 1
     box[m + 1, m], box[m + 1, m + 1] = -1.0, lower  # z >= lower
-    interior = np.concatenate([np.full(m, 1.0 / n), [lower + 1e-3]])
+    interior = np.concatenate([np.full(m, 1.0 / n), [(lower + lowest) / 2]])
     return __getattr__("HalfspaceIntersection")(
-        np.vstack([box, _envelope_halfspaces(kept)]), interior, incremental=True)
+        np.vstack([box, _envelope_halfspaces(v)]), interior)
 
 
 def _witness_rounds(v: np.ndarray, kept: np.ndarray, candidates: np.ndarray) -> None:
@@ -204,17 +187,17 @@ def _witness_rounds(v: np.ndarray, kept: np.ndarray, candidates: np.ndarray) -> 
         candidates = candidates[~kept[candidates]]
 
 
-def _winners(v: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    """Mask over the rows of `v`: the minimiser at some point of `cloud`."""
-    won = np.zeros(len(v), dtype=bool)
-    won[_cloud_argmin(v, cloud)] = True
-    return won
-
-
 def prune(values: np.ndarray) -> np.ndarray:
-    """Indices of the vectors that attain the min-envelope somewhere on the simplex.
+    """Indices of the vectors that attain the min-envelope on a full-dimensional region.
 
-    The min-envelope of the kept rows equals that of all rows within PRUNE_TOL.
+    The kept rows are those whose halfspaces are facets of the envelope
+    polytope (`_envelope_hull`), built once over all deduplicated rows. A row
+    that ties the envelope only on a lower-dimensional face is dropped, so the
+    kept set does not depend on the order of the rows, except through which of
+    some near-duplicates `_dedupe_indices` leaves. If Qhull fails, witness
+    LPs grow the set from the minimisers at the simplex vertices instead. Either
+    way the min-envelope of the kept rows equals that of all rows within
+    PRUNE_TOL.
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
@@ -227,37 +210,16 @@ def prune(values: np.ndarray) -> np.ndarray:
     if n == 1:
         return idx[[int(np.argmin(v[:, 0]))]]
 
-    kept = _winners(v, _seed_cloud(n))
-    candidates = np.flatnonzero(~kept)
-    lower = float(v.min()) - 1.0
-
-    hull = None
     try:
-        if len(candidates):
-            hull = _envelope_hull(v[kept], lower)
-        while len(candidates):
-            vertices = hull.intersections
-            margins, arg_vertex = _vertex_margins(vertices, v[candidates])
-            alive = margins > PRUNE_TOL
-            if not alive.any():
-                break
-            # the minimiser at each vertex where some candidate beats the kept envelope
-            p = vertices[np.unique(arg_vertex[alive]), :n - 1]
-            witnesses = np.clip(np.hstack([p, 1.0 - p.sum(axis=1, keepdims=True)]), 0.0, None)
-            witnesses /= witnesses.sum(axis=1, keepdims=True)
-            new = np.flatnonzero(_winners(v, witnesses) & ~kept)
-            if not len(new):  # rounding at the vertices: keep the best candidate instead
-                new = candidates[[int(np.argmax(margins))]]
-            kept[new] = True
-            candidates = candidates[alive & ~kept[candidates]]
-            if len(candidates):
-                hull.add_halfspaces(_envelope_halfspaces(v[new]))
+        hull = _envelope_hull(v)
     except __getattr__("QhullError"):
-        _witness_rounds(v, kept, candidates)
-    finally:
-        if hull is not None:
-            hull.close()
-    return idx[kept]
+        kept = np.zeros(n_vec, dtype=bool)
+        kept[np.argmin(v, axis=0)] = True  # the minimisers at the simplex vertices
+        _witness_rounds(v, kept, np.flatnonzero(~kept))
+        return idx[kept]
+    # halfspaces 0..n are the box rows; row i of v is halfspace n + 1 + i
+    facets = np.unique(np.concatenate(hull.dual_facets))
+    return idx[facets[facets > n] - (n + 1)]
 
 
 # ------------------------------------------------------- witness clouds --
@@ -421,6 +383,10 @@ def value(policy: ValuePolicy, belief: np.ndarray, stage: int) -> float:
 
 def best_action(policy: ValuePolicy, belief: np.ndarray, stage: int):
     """Action of the minimising alpha vector; ties go to the lowest control index.
+
+    Only kept vectors take part: a vector that `prune` dropped because it ties
+    the envelope only on a face of the simplex (at a vertex, say) does not,
+    even where its control is lower.
 
     A belief of shape (N,) gives an int; a batch of shape (R, N) gives one
     action per row.

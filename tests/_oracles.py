@@ -248,6 +248,8 @@ def witness_margin(vector: np.ndarray, others: np.ndarray) -> float:
         b_eq=np.ones(1),
         bounds=[(0, None)] * n + [(None, None)],
         method="highs",
+        # HiGHS's default tolerances (1e-7) cannot resolve margins at PRUNE_TOL = 1e-9
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     return -res.fun if res.status == 0 else -np.inf
 

@@ -122,10 +122,10 @@ def test_solve_writes_reproducible_policy(tmp_path, capsys):
     assert main(argv + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     printed = capsys.readouterr().out
-    assert "stage 0: 245 vectors" in printed
+    assert "stage 0: 244 vectors" in printed
 
     policy = load_policy(out1)
-    assert policy.gamma_sizes() == [245, 66, 15, 4]
+    assert policy.gamma_sizes() == [244, 66, 15, 4]
     model, costs = build_grid_agent()
     assert policy.model_fingerprint == fingerprint(model, costs)
     metrics = exact_policy_metrics(model, costs, policy)
@@ -329,7 +329,7 @@ def test_sweep_rows_and_exact_column(tmp_path):
                                atol=1e-10)
     np.testing.assert_allclose(float(rows[1]["total_cost"]), GRID_D2_EXACT_TOTAL,
                                atol=1e-10)
-    assert rows[1]["gamma_sizes"] == "245;66;15;4"
+    assert rows[1]["gamma_sizes"] == "244;66;15;4"
     # the reported tangent bound dominates the achieved cost at every density
     for r in rows:
         assert float(r["bound_value"]) >= float(r["total_cost"]) - 1e-9

@@ -13,14 +13,15 @@ MAX_VECTORS = 300
 
 
 @st.composite
-def vector_sets(draw):
+def vector_sets(draw, near_copies=True):
     """1-300 vectors in N = 2-6 with duplicated rows, face ties and near-copies.
 
     The base rows are normal draws, entropy tangents at clustered beliefs
-    (every one essential, most found only in vertex rounds), or small integers
+    (every one essential, most winning only on small regions), or small integers
     (many exact ties). Copies are then appended of random base rows: exact
     duplicates, rows equal to the original in some components and larger or
-    different in the rest, and rows within PRUNE_TOL of the original.
+    different in the rest, and rows within PRUNE_TOL of the original (unless
+    `near_copies` is false).
     """
     n = draw(st.integers(2, 6), label="n")
     size = draw(st.integers(1, MAX_VECTORS), label="base rows")
@@ -35,7 +36,8 @@ def vector_sets(draw):
 
     room = (MAX_VECTORS - size) // 3
     copies = [values]
-    for copy_kind in ("duplicates", "face ties", "near-copies"):
+    kinds = ("duplicates", "face ties") + (("near-copies",) if near_copies else ())
+    for copy_kind in kinds:
         count = draw(st.integers(0, min(size, room)), label=copy_kind)
         rows = values[rng.integers(size, size=count)].copy()
         if copy_kind == "face ties":
@@ -72,3 +74,17 @@ def test_prune_lp_is_exact(values):
         for i in kept:
             others = values[kept[kept != i]]
             assert oracle.witness_margin(values[i], others) >= -PRUNE_TOL
+
+
+def _row_set(values, kept):
+    return {tuple(row) for row in values[kept].tolist()}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(values=vector_sets(near_copies=False), seed=st.integers(0, 2**32 - 1))
+def test_prune_keeps_the_same_rows_in_any_order(values, seed):
+    kept = _row_set(values, prune(values))
+    for order in (np.arange(len(values))[::-1],
+                  np.random.default_rng(seed).permutation(len(values))):
+        assert _row_set(values[order], prune(values[order])) == kept
