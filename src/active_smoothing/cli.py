@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -351,6 +352,7 @@ def _add_solver_flags(p: argparse.ArgumentParser, multi_density: bool) -> None:
     p.set_defaults(prune="lp")
 
 
+@functools.cache  # built once per process; parsing never mutates it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="active-smoothing",

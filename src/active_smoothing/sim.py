@@ -9,14 +9,19 @@ row on the leading axis (states and observations (rows, T+1)); a single
 rollout is a block of one. A policy comparison advances every policy in the
 same pass: row p * R + r is policy p's run start + r, and all policies share
 the block's uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats.
-The filter, the decisions and the realised smoother entropy depend on a
-row's policy and data alone, so they are computed once per distinct history:
-rows of one policy that saw the same observations and controls share one
-group, whose (G, N) belief reaches the rows by gathers. One forward filter
-pass gives both the beliefs and the realised smoother entropy, carried per
-group as the entropy of its past given each state. Every group is computed
-with the operations of a single run, so results do not depend on the block
-it was simulated in or on the policies simulated beside it.
+States and observations are sampled per row from CDF tables laid out as
+(outcome, code), code u * N + x: a row compares its uniform with the K entries
+of its own column. The filter, the decisions and the realised smoother entropy
+depend on a row's policy and data alone, so they are computed once per
+distinct history: rows of one policy that saw the same observations and
+controls share one group. Each stage regroups the rows by np.unique over their
+codes, cast first to the narrowest unsigned dtype that holds them, so codes
+below 2^16 are radix-sorted. A batch keeps each row's group ids and each
+stage's (G, N) beliefs, and gathers per-row beliefs only when they are read.
+One forward filter pass gives both the beliefs and the realised smoother
+entropy, carried per group as the entropy of its past given each state. Every
+group is computed with the operations of a single run, so results do not
+depend on the block it was simulated in or on the policies simulated beside it.
 Exact evaluation walks the observation tree breadth-first with the same batched
 filter and decision rules, one level of (L, N) beliefs per stage, and charges
 the smoother entropy in its belief-state form; it refuses above a size guard.
@@ -79,13 +84,19 @@ class RolloutRecord:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Runs start, start + 1, ... of one seed; row r holds run start + r."""
+    """Runs start, start + 1, ... of one seed; row r holds run start + r.
+
+    Rows that saw the same history share one filtered belief: `groups[r, k]`
+    is row r's group at stage k and `group_beliefs[k]` the (G_k, N) beliefs of
+    that stage's groups. `beliefs` and `record` gather rows from them on read.
+    """
     seed: int
     start: int
     states: np.ndarray            # (R, T+1)
     observations: np.ndarray      # (R, T+1)
     controls: np.ndarray          # (R, T)
-    beliefs: np.ndarray           # (R, T+1, N)
+    groups: np.ndarray            # (R, T+1) history group of each row at each stage
+    group_beliefs: tuple[np.ndarray, ...]  # T+1 arrays (G_k, N), one per group
     stage_costs: np.ndarray       # (R, T)
     terminal_cost: np.ndarray     # (R,)
     smoother_entropy: np.ndarray  # (R,)
@@ -93,6 +104,11 @@ class RolloutBatch:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def beliefs(self) -> np.ndarray:
+        """(R, T+1, N) filtered beliefs after each update."""
+        return np.stack([b[g] for b, g in zip(self.group_beliefs, self.groups.T)], axis=1)
 
     @property
     def total_cost(self) -> np.ndarray:
@@ -105,7 +121,7 @@ class RolloutBatch:
             states=self.states[row],
             observations=self.observations[row],
             controls=self.controls[row],
-            beliefs=self.beliefs[row],
+            beliefs=np.stack([b[g] for b, g in zip(self.group_beliefs, self.groups[row])]),
             stage_costs=self.stage_costs[row],
             terminal_cost=float(self.terminal_cost[row]),
             smoother_entropy=float(self.smoother_entropy[row]),
@@ -193,36 +209,55 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> No
                 )
 
 
-def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of multiplier * x, the high word built from 32-bit halves."""
-    m_hi, m_lo = multiplier >> 32, multiplier & _LOW32
-    x_hi, x_lo = x >> 32, x & _LOW32
-    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    carry = ((lo_lo >> 32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> 32
-    return x_hi * m_hi + (hi_lo >> 32) + (lo_hi >> 32) + carry, x * multiplier
-
-
 def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
     """Row r: the 2 + 2T uniforms of run start + r, numpy's Philox(key=(seed, run)) stream.
 
     Philox4x64-10 (Salmon et al., SC 2011) is counter-based, so the whole block is one
     array computation: key words (seed, run) mod 2^64, counters 1, 2, ... (numpy
     increments before each block of four words), and each double (word >> 11) * 2^-53.
-    All arithmetic is on uint64 arrays, which wrap mod 2^64 without a warning.
+    Words x0, x2 and x1, x3 are held as stacked (2, c, R) lanes, so each round is one
+    64-bit product of a lane pair, its high word built from 32-bit halves (Warren,
+    Hacker's Delight, mulhu). All arithmetic is in place on uint64 arrays, which wrap
+    mod 2^64 without a warning. The result is the transpose of a C-ordered
+    (2 + 2T, R) array, so each draw's column is contiguous.
     """
-    width = 2 + 2 * horizon
-    key0 = np.full((stop - start, 1), seed & _MASK64, dtype=np.uint64)
-    key1 = (np.uint64(start & _MASK64) + np.arange(stop - start, dtype=np.uint64))[:, None]
-    x0 = np.arange(1, (width + 3) // 4 + 1, dtype=np.uint64)[None, :]
-    x1 = x2 = x3 = np.zeros_like(x0)
+    width, rows = 2 + 2 * horizon, stop - start
+    shape = (2, (width + 3) // 4, rows)
+    key = np.empty((2, 1, rows), dtype=np.uint64)
+    key[0] = seed & _MASK64
+    key[1, 0] = np.uint64(start & _MASK64) + np.arange(rows, dtype=np.uint64)
+    weyl = np.array(_PHILOX_WEYL, dtype=np.uint64)[:, None, None]
+    mult = np.array(_PHILOX_MULT, dtype=np.uint64)[:, None, None]
+    m_hi, m_lo = mult >> 32, mult & _LOW32
+    even = np.zeros(shape, dtype=np.uint64)  # x0, x2
+    even[0] = np.arange(1, shape[1] + 1)[:, None]
+    odd = np.zeros(shape, dtype=np.uint64)   # x1, x3
+    x_hi, x_lo, w, t = (np.empty(shape, dtype=np.uint64) for _ in range(4))
     for rnd in range(10):
         if rnd:
-            key0, key1 = key0 + _PHILOX_WEYL[0], key1 + _PHILOX_WEYL[1]
-        hi0, lo0 = _mulhilo(_PHILOX_MULT[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_MULT[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
-    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1).reshape(len(key0), -1)
-    return (words[:, :width] >> 11) * 2.0 ** -53
+            key += weyl
+        np.right_shift(even, 32, out=x_hi)
+        np.bitwise_and(even, _LOW32, out=x_lo)
+        np.multiply(x_lo, m_lo, out=w)
+        w >>= 32
+        np.multiply(x_hi, m_lo, out=t)
+        t += w                                  # below 2^64: no carry is lost
+        np.bitwise_and(t, _LOW32, out=w)
+        t >>= 32
+        x_lo *= m_hi
+        w += x_lo
+        w >>= 32
+        x_hi *= m_hi
+        x_hi += t
+        x_hi += w                               # the high words of even * mult
+        even *= mult                            # the low words
+        np.bitwise_xor(x_hi[::-1], odd, out=odd)
+        odd ^= key
+        even, odd = odd, even[::-1]
+    # word 4j + i of a run is x_i of counter block j
+    words = np.stack((even, odd), axis=2).swapaxes(0, 1).reshape(-1, rows)[:width]
+    words >>= 11
+    return (words * 2.0 ** -53).T
 
 
 def _check_runs(runs: int) -> None:
@@ -230,10 +265,27 @@ def _check_runs(runs: int) -> None:
         raise ValueError(f"runs must be >= 1, got {runs}")
 
 
-def _sample(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Per row, searchsorted(cumulative, u, side="right") clipped to the last index."""
-    index = (cumulative <= uniforms[:, None]).sum(axis=1)
-    return np.minimum(index, cumulative.shape[1] - 1)
+def _sample(table: np.ndarray, code: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row, searchsorted(table[:, code], u, side="right") clipped to the last index.
+
+    `table` (K, C) holds one CDF per column, outcomes on the leading axis, and
+    row r samples from column code[r]. Every column is compared, so the count
+    does not rely on the CDF being monotone.
+    """
+    index = np.zeros(len(code), dtype=int)
+    for column in table:
+        index += column[code] <= uniforms
+    return np.minimum(index, len(table) - 1, out=index)
+
+
+def _regroup(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(code) with first rows and inverse, on codes cast to their narrowest dtype.
+
+    The stable argsort inside np.unique radix-sorts integers of 16 bits or fewer;
+    narrowing changes no value, so the groups, first rows and inverse are the same.
+    """
+    code = code.astype(np.min_scalar_type(code.max()), copy=False)
+    return np.unique(code, return_index=True, return_inverse=True)
 
 
 def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: int,
@@ -256,29 +308,33 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     sampled per row from its uniforms. No (G, N, N) array outlives its stage.
     """
     runs, t = len(uniforms), cost_model.horizon
-    uniforms = np.tile(uniforms, (len(decides), 1))
-    rows = len(uniforms)
+    uniforms = np.tile(uniforms.T, len(decides))  # (2 + 2T, rows): one draw per row
+    rows = uniforms.shape[1]
     states = np.empty((rows, t + 1), dtype=int)
     observations = np.empty((rows, t + 1), dtype=int)
     controls = np.empty((rows, t), dtype=int)
-    beliefs = np.empty((rows, t + 1, model.n_states))
+    groups = np.empty((rows, t + 1), dtype=np.intp)
+    stage_beliefs = []
     belief_entropies = np.empty((rows, t + 1))
     stage_costs = np.empty((rows, t))
-    transition_cdf = np.cumsum(model.transition, axis=1)      # [u, :, x] over next states
-    observation_cdf = np.cumsum(model.observation, axis=2)    # [u, x, :] over observations
+    n, y = model.n_states, model.n_observations
+    # CDF tables (outcome, code), code u * N + x: next states, then observations
+    transition_cdf = np.cumsum(model.transition, axis=1).transpose(1, 0, 2).reshape(n, -1)
+    observation_cdf = np.cumsum(model.observation, axis=2).transpose(2, 0, 1).reshape(y, -1)
     policy_ids = np.arange(len(decides) + 1)
 
-    states[:, 0] = _sample(np.broadcast_to(np.cumsum(model.prior), (rows, model.n_states)),
-                           uniforms[:, 0])
-    observations[:, 0] = _sample(np.cumsum(model.initial_observation, axis=1)[states[:, 0]],
-                                 uniforms[:, 1])
-    code = np.repeat(policy_ids[:-1], runs) * model.n_observations + observations[:, 0]
-    code, first, group = np.unique(code, return_index=True, return_inverse=True)
-    group_policy = code // model.n_observations  # sorted: each policy's groups are a range
+    states[:, 0] = _sample(np.cumsum(model.prior)[:, None], np.zeros(rows, dtype=int),
+                           uniforms[0])
+    observations[:, 0] = _sample(np.cumsum(model.initial_observation, axis=1).T, states[:, 0],
+                                 uniforms[1])
+    code = np.repeat(policy_ids[:-1], runs) * y + observations[:, 0]
+    code, first, group = _regroup(code)
+    group_policy = code // y  # sorted: each policy's groups are a range
     group_beliefs = initial_update(model, observations[first, 0])
     past = np.zeros_like(group_beliefs)
     for k in range(t):
-        beliefs[:, k] = group_beliefs[group]
+        groups[:, k] = group
+        stage_beliefs.append(group_beliefs)
         belief_entropies[:, k] = belief_entropy(group_beliefs, config)[group]
         bounds = np.searchsorted(group_policy, policy_ids)
         for p, decide in enumerate(decides):
@@ -286,19 +342,20 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
             controls[own, k] = decide(group_beliefs[lo:hi], group[own] - lo, k)
         u = controls[:, k]
         check_controls(model, u)  # an out-of-range control would alias another's code
-        x = states[:, k]
-        stage_costs[:, k] = cost_model.stage_cost[k][x, u]
-        states[:, k + 1] = _sample(transition_cdf[u, :, x], uniforms[:, 2 + 2 * k])
-        observations[:, k + 1] = _sample(observation_cdf[u, states[:, k + 1]],
-                                         uniforms[:, 3 + 2 * k])
-        code = (group * model.n_controls + u) * model.n_observations + observations[:, k + 1]
-        _, first, child = np.unique(code, return_index=True, return_inverse=True)
+        ux = u * n + states[:, k]
+        stage_costs[:, k] = cost_model.stage_cost[k].T.ravel()[ux]
+        states[:, k + 1] = _sample(transition_cdf, ux, uniforms[2 + 2 * k])
+        observations[:, k + 1] = _sample(observation_cdf, u * n + states[:, k + 1],
+                                         uniforms[3 + 2 * k])
+        code = (group * model.n_controls + u) * y + observations[:, k + 1]
+        _, first, child = _regroup(code)
         parent, u = group[first], u[first]
         joint = predict_joint(model, group_beliefs[parent], u)
         past = past_entropy(joint, past[parent])
         group_beliefs = update(model, joint, u, observations[first, k + 1], stage=k)
         group, group_policy = child, group_policy[parent]
-    beliefs[:, t] = group_beliefs[group]
+    groups[:, t] = group
+    stage_beliefs.append(group_beliefs)
     belief_entropies[:, t] = belief_entropy(group_beliefs, config)[group]
     smoother = trajectory_entropy(group_beliefs, past, config)
 
@@ -308,7 +365,8 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
         states=states,
         observations=observations,
         controls=controls,
-        beliefs=beliefs,
+        groups=groups,
+        group_beliefs=tuple(stage_beliefs),
         stage_costs=stage_costs,
         terminal_cost=cost_model.terminal_cost[states[:, t]],
         smoother_entropy=smoother[group],
@@ -439,9 +497,11 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     Every policy advances in the same lockstep pass, one block of runs at a
     time; each block's uniforms are drawn once and shared by every policy. A
     block holds as many runs as fit ROLLOUT_CHUNK floats at about (T+1)(N+8)
-    floats per run and policy, which counts the per-run arrays and bounds
-    memory for any run count: the only N^2 arrays are the current stage's
-    (G, N, N) joint and its temporaries. A
+    floats per run and policy. That budget counts only the per-run arrays
+    (with the stored group beliefs at most one per row) and bounds them for
+    any run count. The current stage's (G, N, N) joint and its temporaries
+    come on top, freed with the stage: at N=20, T=8 the peak is about 7x the
+    budget. A
     callable is called stage by stage within each block, so a stateful one's
     calls interleave with the other policies' decisions by stage. Any other
     policy's summary equals its own `monte_carlo`.

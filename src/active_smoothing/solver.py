@@ -30,6 +30,7 @@ the module, as a test or a tracer does, is the one the solver calls.
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -218,8 +219,9 @@ def prune(values: np.ndarray) -> np.ndarray:
         _witness_rounds(v, kept, np.flatnonzero(~kept))
         return idx[kept]
     # halfspaces 0..n are the box rows; row i of v is halfspace n + 1 + i
-    facets = np.unique(np.concatenate(hull.dual_facets))
-    return idx[facets[facets > n] - (n + 1)]
+    facet = np.zeros(n + 1 + n_vec, dtype=bool)
+    facet[np.fromiter(itertools.chain.from_iterable(hull.dual_facets), dtype=np.intp)] = True
+    return idx[np.flatnonzero(facet[n + 1:])]
 
 
 # ------------------------------------------------------- witness clouds --

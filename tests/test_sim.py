@@ -571,6 +571,52 @@ def test_uniforms_equal_numpy_philox_bit_for_bit(seed, start, horizon):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_sample_equals_searchsorted_clipped_to_the_last_outcome():
+    columns = [
+        np.cumsum(np.full(10, 0.1)),                             # last entry rounds below 1
+        np.array([0.5, 0.5, 0.5, 0.75, 0.75, 0.75, 0.75, 0.9, 1.0, 1.0]),  # flat segments
+        np.cumsum([0.0, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0]),  # leading zeros
+    ]
+    assert columns[0][-1] < 1.0
+    entries = np.concatenate(columns)
+    draws = np.concatenate([[0.0, 1.0 - 2.0 ** -53], entries, np.nextafter(entries, 0.0),
+                            np.nextafter(entries, 1.0), np.random.default_rng(3).random(200)])
+    table = np.stack(columns, axis=1)  # (outcome, code)
+    for code, cdf in enumerate(columns):
+        got = sim._sample(table, np.full(len(draws), code), draws)
+        want = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
+        np.testing.assert_array_equal(got, want)
+    mixed = np.arange(len(draws)) % len(columns)
+    want = [min(np.searchsorted(columns[c], d, side="right"), 9) for c, d in zip(mixed, draws)]
+    np.testing.assert_array_equal(sim._sample(table, mixed, draws), want)
+
+
+@pytest.mark.parametrize("top, itemsize", [(200, 1), (60_000, 2), (2**16, 4), (2**20, 4),
+                                           (2**40, 8)])
+def test_regroup_on_narrowed_codes_equals_int64_grouping(top, itemsize):
+    rng = np.random.default_rng(top)
+    code = np.concatenate([rng.integers(0, top, 3000), rng.integers(0, 40, 3000), [top]])
+    code = rng.permutation(code).astype(np.int64)
+    values, first, inverse = sim._regroup(code)
+    assert values.dtype.itemsize == itemsize
+    want = np.unique(code, return_index=True, return_inverse=True)
+    np.testing.assert_array_equal(values, want[0])
+    np.testing.assert_array_equal(first, want[1])
+    np.testing.assert_array_equal(inverse, want[2])
+
+
+def test_batch_beliefs_gather_the_records_beliefs(grid, grid_policies):
+    model, costs = grid
+    for policy in (grid_policies["belief-sum"], "always-east"):
+        batch = rollouts(model, costs, policy, 5, 40, start=3)
+        beliefs = batch.beliefs
+        assert beliefs.shape == (40, costs.horizon + 1, model.n_states)
+        for row in (0, 17, 39):
+            assert beliefs[row].tobytes() == batch.record(row).beliefs.tobytes()
+            one = rollout(model, costs, policy, 5, run_index=3 + row)
+            assert beliefs[row].tobytes() == one.beliefs.tobytes()
+
+
 @pytest.mark.parametrize("runs", [1, BLOCK_RUNS + 3])
 def test_compare_policies_matches_reference_rollouts(monkeypatch, runs):
     rng = np.random.default_rng(runs)
