@@ -11,9 +11,11 @@ full-dimensional region of the simplex. It builds the envelope polytope
 {(p, z): p on the simplex, z below every vector} once, as one Qhull halfspace
 intersection over all rows, and keeps the vectors whose halfspaces are facets
 of it. A vector that ties the envelope only on a lower-dimensional face is
-dropped, so the kept set does not depend on the order of the rows. Witness
-linear programs, grown from the minimisers at the simplex vertices, cover a
-Qhull failure on degenerate geometry. Above `EXACT_PRUNE_CAP` vectors, the
+dropped, so the kept set does not depend on the order of the rows. The build
+runs on the rows minus their column minima. That subtracts one linear
+function of p from every row, which leaves the facets as they are, and keeps
+large or uneven costs from costing Qhull its precision. A Qhull failure is an
+error; there is no second prune path. Above `EXACT_PRUNE_CAP` vectors, the
 solver selects winners on a fixed witness-point cloud instead of calling
 `prune`: every kept vector still attains the minimum somewhere, so the
 represented function remains a valid upper bound, but rarely-winning vectors
@@ -22,10 +24,10 @@ may be dropped.
 scipy loads on first use. This module is its only user, and filtering, Monte
 Carlo, exact evaluation, `simulate` and `validate` need numpy alone, so
 importing the package costs none of scipy's import time or memory.
-`scipy.spatial` loads at the first Qhull build, and `scipy.optimize` only when
-the LP fallback runs. `HalfspaceIntersection`, `QhullError` and `linprog` stay
-module attributes (read through the module `__getattr__`), so a value set on
-the module, as a test or a tracer does, is the one the solver calls.
+`scipy.spatial` loads at the first Qhull build, and no other scipy module
+loads. `HalfspaceIntersection` and `QhullError` stay module attributes (read
+through the module `__getattr__`), so a value set on the module, as a test or
+a tracer does, is the one the solver calls.
 """
 from __future__ import annotations
 
@@ -51,7 +53,6 @@ from .pwl import (
 )
 
 OBJECTIVES = ("smoother", "belief-sum", "costs-only")
-PRUNE_TOL = 1e-9
 TIE_TOL = 1e-12
 EXACT_PRUNE_CAP = 2000
 CLOUD_CHUNK = 1 << 17  # floats per block @ values.T in _cloud_argmin, about 1 MiB
@@ -59,8 +60,9 @@ _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a ti
 _SCIPY_NAMES = {
     "HalfspaceIntersection": "scipy.spatial",
     "QhullError": "scipy.spatial",
-    "linprog": "scipy.optimize",
 }
+# bench/tracer.py patches this name for its "solver.witness_lp" span; nothing calls it
+linprog = None
 
 
 def __getattr__(name: str):
@@ -120,26 +122,6 @@ def _dedupe_indices(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.sort(order[keep])
 
 
-def _witness_lp(vector: np.ndarray, others: np.ndarray) -> tuple[float, np.ndarray]:
-    """max delta s.t. <pi, w - vector> >= delta for all rows w, pi on the simplex."""
-    n = len(vector)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([vector[None, :] - others, np.ones((len(others), 1))])
-    res = __getattr__("linprog")(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(len(others)),
-        A_eq=np.hstack([np.ones((1, n)), [[0.0]]]),
-        b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"witness linear program failed: {res.message}")
-    return -res.fun, res.x[:n]
-
-
 def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
     """Rows of `z <= <p, w>` in Qhull form [A | b] (A x + b <= 0), x = (p_1..p_{N-1}, z).
 
@@ -151,41 +133,27 @@ def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
 
 
 def _envelope_hull(v: np.ndarray) -> HalfspaceIntersection:
-    """Polytope {(p, z): p projected simplex, lower <= z <= min over rows of v}.
+    """Polytope {(p, z): p projected simplex, -1 <= z <= min over rows of the shifted v}.
 
-    Its halfspaces are the N+1 box rows (p_i >= 0, sum p <= 1, z >= lower)
-    followed by one per row of `v`. A row's halfspace is a facet of the
-    polytope exactly when the row attains the envelope on a full-dimensional
-    region of the simplex. The floor `lower` sits one unit below the lowest
-    entry of `v`, so below every row, and the interior point sits at the
-    barycentre midway between the two, so it is strictly inside.
+    Subtracting the column minima subtracts the same linear function of p from
+    every row, so the facets are those of the rows as given, while Qhull sees
+    entries that start at 0 in every column, however large or uneven the rows'
+    offsets. Its halfspaces are the N+1 box rows (p_i >= 0, sum p <= 1,
+    z >= -1) followed by one per row of `v`. A row's halfspace is a facet of
+    the polytope exactly when the row attains the envelope on a
+    full-dimensional region of the simplex. The floor sits one unit below
+    every shifted row, and the interior point at the barycentre midway
+    between the floor and 0, so it is strictly inside.
     """
     n = v.shape[1]
     m = n - 1
-    lowest = float(v.min())
-    lower = lowest - 1.0
     box = np.zeros((m + 2, m + 2))
     box[:m, :m] = -np.eye(m)                       # -p_i <= 0
     box[m, :m], box[m, m + 1] = 1.0, -1.0          # sum p <= 1
-    box[m + 1, m], box[m + 1, m + 1] = -1.0, lower  # z >= lower
-    interior = np.concatenate([np.full(m, 1.0 / n), [(lower + lowest) / 2]])
+    box[m + 1, m], box[m + 1, m + 1] = -1.0, -1.0  # z >= -1
+    interior = np.concatenate([np.full(m, 1.0 / n), [-0.5]])
     return __getattr__("HalfspaceIntersection")(
-        np.vstack([box, _envelope_halfspaces(v)]), interior)
-
-
-def _witness_rounds(v: np.ndarray, kept: np.ndarray, candidates: np.ndarray) -> None:
-    """Direct witness LPs until no candidate beats the kept envelope; grows the `kept` mask."""
-    while len(candidates):
-        added = False
-        for i in candidates:
-            margin, witness = _witness_lp(v[i], v[kept])
-            if margin > PRUNE_TOL:
-                best = int(np.argmin(v @ witness))
-                if not kept[best]:
-                    kept[best] = added = True
-        if not added:
-            return
-        candidates = candidates[~kept[candidates]]
+        np.vstack([box, _envelope_halfspaces(v - v.min(axis=0))]), interior)
 
 
 def prune(values: np.ndarray) -> np.ndarray:
@@ -195,10 +163,10 @@ def prune(values: np.ndarray) -> np.ndarray:
     polytope (`_envelope_hull`), built once over all deduplicated rows. A row
     that ties the envelope only on a lower-dimensional face is dropped, so the
     kept set does not depend on the order of the rows, except through which of
-    some near-duplicates `_dedupe_indices` leaves. If Qhull fails, witness
-    LPs grow the set from the minimisers at the simplex vertices instead. Either
-    way the min-envelope of the kept rows equals that of all rows within
-    PRUNE_TOL.
+    some near-duplicates `_dedupe_indices` leaves. The min-envelope of the kept
+    rows equals that of all rows. The build runs on the rows minus their column
+    minima, which keeps the same facets; a Qhull failure raises ValueError
+    (exit 1 at the command line).
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
@@ -213,11 +181,9 @@ def prune(values: np.ndarray) -> np.ndarray:
 
     try:
         hull = _envelope_hull(v)
-    except __getattr__("QhullError"):
-        kept = np.zeros(n_vec, dtype=bool)
-        kept[np.argmin(v, axis=0)] = True  # the minimisers at the simplex vertices
-        _witness_rounds(v, kept, np.flatnonzero(~kept))
-        return idx[kept]
+    except __getattr__("QhullError") as exc:
+        raise ValueError(f"Qhull could not build the envelope of {n_vec} vectors "
+                         f"in N={n}") from exc
     # halfspaces 0..n are the box rows; row i of v is halfspace n + 1 + i
     facet = np.zeros(n + 1 + n_vec, dtype=bool)
     facet[np.fromiter(itertools.chain.from_iterable(hull.dual_facets), dtype=np.intp)] = True

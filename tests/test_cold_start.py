@@ -86,31 +86,26 @@ def test_qhull_build_set_before_the_first_solve_is_the_one_called(tmp_path):
     assert out == {"code": 0, "real": True}
 
 
-def test_forced_qhull_failure_calls_the_linprog_set_on_the_solver(tmp_path):
+def test_forced_qhull_failure_exits_1_without_scipy_optimize(tmp_path):
     # QhullError is first read by prune's except clause, after the set Qhull build raises it
     out = fresh("""
-        import json
-        import numpy as np
+        import contextlib, io, json, sys
         from scipy.spatial import QhullError
-        from active_smoothing import solver
-        real = solver.linprog
-        lp_calls = []
+        from active_smoothing import cli, solver
 
         def failing_build(*args, **kwargs):
             raise QhullError("forced failure")
 
-        def counting(*args, **kwargs):
-            lp_calls.append(1)
-            return real(*args, **kwargs)
-
         solver.HalfspaceIntersection = failing_build
-        solver.linprog = counting
-        rng = np.random.default_rng(20240601)
-        values = -np.log(rng.dirichlet(np.full(4, 400.0), size=40))
-        print(json.dumps({"kept": len(solver.prune(values)), "lp_calls": len(lp_calls)}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["solve", "--base-points", "2", "--out", "p.json"])
+        print(json.dumps({"code": code, "stderr": err.getvalue(),
+                          "optimize": "scipy.optimize" in sys.modules}))
     """, tmp_path)
-    assert out["kept"] == 40
-    assert out["lp_calls"] > 0
+    assert out.pop("stderr").startswith("error: Qhull could not build the envelope of ")
+    assert out == {"code": 1, "optimize": False}
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_a_set_name_is_returned_without_importing_its_scipy_module(tmp_path):
@@ -119,11 +114,11 @@ def test_a_set_name_is_returned_without_importing_its_scipy_module(tmp_path):
         import json, sys
         from active_smoothing import solver
 
-        def fake_linprog(*args, **kwargs):
+        def fake_build(*args, **kwargs):
             raise AssertionError("not called here")
 
-        solver.linprog = fake_linprog
-        print(json.dumps({{"same": solver.__getattr__("linprog") is fake_linprog,
+        solver.HalfspaceIntersection = fake_build
+        print(json.dumps({{"same": solver.__getattr__("HalfspaceIntersection") is fake_build,
                           "scipy": {SCIPY_MODULES}}}))
     """, tmp_path)
     assert out == {"same": True, "scipy": []}

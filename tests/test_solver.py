@@ -127,24 +127,14 @@ def _raise_qhull(*args, **kwargs):
     raise QhullError("forced failure")
 
 
-def test_prune_lp_falls_back_to_witness_lps(rng, monkeypatch):
-    real_linprog = solver_module.linprog
-    lp_calls = []
-
-    def counting_linprog(*args, **kwargs):
-        lp_calls.append(1)
-        return real_linprog(*args, **kwargs)
-
+def test_prune_raises_a_named_error_when_qhull_fails(rng, monkeypatch):
+    # there is no second prune path: the set's size and N go into the error
     monkeypatch.setattr(solver_module, "HalfspaceIntersection", _raise_qhull)
-    monkeypatch.setattr(solver_module, "linprog", counting_linprog)
     tangents = _clustered_tangents(rng, 4, 40)
     values = np.vstack([tangents, tangents[:10] + 0.5])
-    kept = prune(values)
-    assert lp_calls
-    assert set(oracle.essential_indices(values)) <= set(kept)
-    beliefs = rng.dirichlet(np.ones(4), size=1000)
-    np.testing.assert_allclose((values[kept] @ beliefs.T).min(axis=0),
-                               (values @ beliefs.T).min(axis=0), atol=1e-8)
+    with pytest.raises(ValueError, match=r"envelope of 50 vectors in N=4") as info:
+        prune(values)
+    assert isinstance(info.value.__cause__, QhullError)
 
 
 # ------------------------------------------------------------------- backup --
@@ -281,6 +271,23 @@ def test_grid_smoother_solve_frozen_regression(grid):
     assert policy.objective == "smoother"
     assert policy.density == 2
     assert policy.horizon == 3
+
+
+def test_grid_solve_moves_by_a_constant_added_to_the_terminal_cost(grid, rng):
+    # a constant c on every terminal cost adds c to every stage's value function,
+    # however large c is next to the entropy tangents
+    model, costs = grid
+    offset = 1e6
+    shifted = make_cost_model(costs.horizon, costs.stage_cost, costs.terminal_cost + offset)
+    base_points = generate_base_points(4, 2)
+    plain = solve(model, costs, "smoother", base_points)
+    moved = solve(model, shifted, "smoother", base_points)
+    beliefs = rng.dirichlet(np.ones(4), size=5000)
+    for k in range(costs.horizon + 1):
+        np.testing.assert_allclose(
+            (moved.stages[k].values @ beliefs.T).min(axis=0) - offset,
+            (plain.stages[k].values @ beliefs.T).min(axis=0), rtol=0, atol=1e-8,
+            err_msg=f"stage {k}")
 
 
 def test_grid_smoother_policy_attains_exact_optimum(grid):
