@@ -243,7 +243,9 @@ def model_from_dict(d: dict) -> tuple[ControlledHMM, CostModel]:
         observation=d["observation"],
         initial_observation=d.get("initial_observation"),
     )
-    horizon = int(d["horizon"])
+    horizon = d["horizon"]
+    if type(horizon) is not int:  # exact type: int() would run true as T=1 and 2.7 as T=2
+        raise ValueError(f"model field 'horizon' must be an integer, got {horizon!r}")
     stage = np.asarray(d.get("stage_cost", np.zeros((model.n_states, model.n_controls))), dtype=float)
     costs = make_cost_model(
         horizon=horizon,

@@ -11,15 +11,16 @@ full-dimensional region of the simplex. It builds the envelope polytope
 {(p, z): p on the simplex, z below every vector} once, as one Qhull halfspace
 intersection over all rows, and keeps the vectors whose halfspaces are facets
 of it. A vector that ties the envelope only on a lower-dimensional face is
-dropped, so the kept set does not depend on the order of the rows. The build
-runs on the rows minus their column minima. That subtracts one linear
-function of p from every row, which leaves the facets as they are, and keeps
-large or uneven costs from costing Qhull its precision. A Qhull failure is an
-error; there is no second prune path. Above `EXACT_PRUNE_CAP` vectors, the
-solver selects winners on a fixed witness-point cloud instead of calling
-`prune`: every kept vector still attains the minimum somewhere, so the
-represented function remains a valid upper bound, but rarely-winning vectors
-may be dropped.
+dropped. Qhull gets the distinct rows sorted by value, so it sees the same
+input however the rows are ordered, and the kept set is a function of the set
+of rows, near-copies included. The build runs on the rows minus their column
+minima. That subtracts one linear function of p from every row, which leaves
+the facets as they are, and keeps large or uneven costs from costing Qhull its
+precision. A Qhull failure is an error; there is no second prune path. Above
+`EXACT_PRUNE_CAP` vectors, the solver selects winners on a fixed witness-point
+cloud instead of calling `prune`: every kept vector still attains the minimum
+somewhere, so the represented function remains a valid upper bound, but
+rarely-winning vectors may be dropped.
 
 scipy loads on first use. This module is its only user, and filtering, Monte
 Carlo, exact evaluation, `simulate` and `validate` need numpy alone, so
@@ -102,26 +103,6 @@ class ValuePolicy:
 
 # ---------------------------------------------------------------- pruning --
 
-def _dedupe_indices(values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Sorted indices of the rows left after dropping each row within `tol` of its
-    predecessor in lexicographic order (first column most significant, index
-    breaking ties).
-
-    Exact duplicates collapse to the lowest index. Near-duplicates collapse only
-    when no other row sorts between them, and then to the first in sorted order:
-    rows 1e-15 apart in a leading column, with a third row sorting between them,
-    all survive.
-    """
-    n = len(values)
-    if n <= 1:
-        return np.arange(n)
-    order = np.lexsort((np.arange(n),) + tuple(values.T[::-1]))
-    sorted_vals = values[order]
-    keep = np.ones(n, dtype=bool)
-    keep[1:] = np.abs(np.diff(sorted_vals, axis=0)).max(axis=1) > tol
-    return np.sort(order[keep])
-
-
 def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
     """Rows of `z <= <p, w>` in Qhull form [A | b] (A x + b <= 0), x = (p_1..p_{N-1}, z).
 
@@ -159,25 +140,26 @@ def _envelope_hull(v: np.ndarray) -> HalfspaceIntersection:
 def prune(values: np.ndarray) -> np.ndarray:
     """Indices of the vectors that attain the min-envelope on a full-dimensional region.
 
-    The kept rows are those whose halfspaces are facets of the envelope
-    polytope (`_envelope_hull`), built once over all deduplicated rows. A row
-    that ties the envelope only on a lower-dimensional face is dropped, so the
-    kept set does not depend on the order of the rows, except through which of
-    some near-duplicates `_dedupe_indices` leaves. The min-envelope of the kept
-    rows equals that of all rows. The build runs on the rows minus their column
-    minima, which keeps the same facets; a Qhull failure raises ValueError
-    (exit 1 at the command line).
+    The rows are sorted by value and only exact copies are dropped (the lowest
+    index survives). Qhull builds the envelope polytope (`_envelope_hull`) once
+    over the distinct rows in that order, the same input for every order of the
+    rows, and the kept rows are those whose halfspaces are facets of it. A row
+    that ties the envelope only on a lower-dimensional face is dropped. The
+    min-envelope of the kept rows equals that of all rows. The build runs on
+    the rows minus their column minima, which keeps the same facets; a Qhull
+    failure raises ValueError (exit 1 at the command line).
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("prune requires a non-empty vector set")
-    idx = _dedupe_indices(values)
-    v = values[idx]
+    order = np.lexsort(values.T[::-1])  # stable: equal rows keep their index order
+    v = values[order]
+    distinct = np.ones(len(v), dtype=bool)
+    distinct[1:] = (v[1:] != v[:-1]).any(axis=1)
+    idx, v = order[distinct], v[distinct]
     n_vec, n = v.shape
-    if n_vec <= 1:
-        return idx
-    if n == 1:
-        return idx[[int(np.argmin(v[:, 0]))]]
+    if n_vec == 1 or n == 1:
+        return idx[:1]
 
     try:
         hull = _envelope_hull(v)
@@ -187,7 +169,7 @@ def prune(values: np.ndarray) -> np.ndarray:
     # halfspaces 0..n are the box rows; row i of v is halfspace n + 1 + i
     facet = np.zeros(n + 1 + n_vec, dtype=bool)
     facet[np.fromiter(itertools.chain.from_iterable(hull.dual_facets), dtype=np.intp)] = True
-    return idx[np.flatnonzero(facet[n + 1:])]
+    return np.sort(idx[facet[n + 1:]])
 
 
 # ------------------------------------------------------- witness clouds --
@@ -411,10 +393,25 @@ def _stage_actions(entries: list, k: int, terminal: bool) -> np.ndarray | None:
         raise PolicyFormatError(f"policy stage {k} has an action beyond 64 bits") from None
 
 
+def _stage_values(entries: list, k: int) -> np.ndarray:
+    """Stage k's value rows: lists of finite JSON numbers, all of one length."""
+    rows = [e["values"] for e in entries]
+    # exact types: JSON true is a bool and "1" a string, no number
+    numeric = all(type(r) is list and all(type(x) in (int, float) for x in r) for r in rows)
+    try:
+        values = np.array(rows, dtype=float) if numeric else None
+    except (ValueError, OverflowError):  # rows of unequal length, an integer beyond float
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise PolicyFormatError(f"policy stage {k} values are not rows of finite numbers "
+                                f"of one length")
+    return values
+
+
 def policy_from_dict(d: dict) -> ValuePolicy:
     stages = []
     for k, entries in enumerate(d["stages"]):
-        values = np.array([e["values"] for e in entries], dtype=float)
+        values = _stage_values(entries, k)
         actions = _stage_actions(entries, k, terminal=k == len(d["stages"]) - 1)
         stages.append(StageSet(values=values, actions=actions))
     return ValuePolicy(

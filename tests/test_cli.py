@@ -54,6 +54,16 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "violation" in out
 
 
+@pytest.mark.parametrize("horizon", [2.7, 3.0, True, "3", None],
+                         ids=["fraction", "float", "bool", "string", "null"])
+def test_validate_rejects_a_non_integer_horizon(tmp_path, capsys, horizon):
+    def set_horizon(d):
+        d["horizon"] = horizon
+    path = write_grid(tmp_path, set_horizon)
+    assert main(["validate", "--model", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: model field 'horizon' must be an integer")
+
+
 def test_validate_missing_file_exits_two(tmp_path, capsys):
     assert main(["validate", "--model", str(tmp_path / "absent.json")]) == 2
     assert "error" in capsys.readouterr().err
@@ -292,13 +302,21 @@ def grid_d2_policy(tmp_path_factory):
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
-@pytest.mark.parametrize("stage, action", [
-    (0, None), (0, 1.5), (0, True), (0, "1"), (0, 10**30), (-1, 0),
-], ids=["null", "fraction", "bool", "string", "beyond-int64", "terminal-integer"])
+@pytest.mark.parametrize("stage, field, entry", [
+    (0, "action", None), (0, "action", 1.5), (0, "action", True), (0, "action", "1"),
+    (0, "action", 10**30), (-1, "action", 0),
+    # the value rows of the first entry: every other row has the model's 4 states
+    (0, "values", [0.0, float("nan"), 0.0, 0.0]), (0, "values", [float("inf"), 0.0, 0.0, 0.0]),
+    (0, "values", [0.0, 0.0, 0.0]), (0, "values", [0.0, "1", 0.0, 0.0]),
+    (0, "values", [0.0, True, 0.0, 0.0]), (0, "values", [10**400, 0.0, 0.0, 0.0]),
+    (-1, "values", None),
+], ids=["null", "fraction", "bool", "string", "beyond-int64", "terminal-integer",
+        "nan-value", "infinite-value", "short-row", "string-value", "bool-value",
+        "beyond-float-value", "null-row"])
 def test_simulate_rejects_unreadable_policy_actions(
-        tmp_path, capsys, grid_d2_policy, stage, action, exact):
+        tmp_path, capsys, grid_d2_policy, stage, field, entry, exact):
     d = json.loads(json.dumps(grid_d2_policy))
-    d["stages"][stage][0]["action"] = action
+    d["stages"][stage][0][field] = entry
     policy_path = tmp_path / "p.json"
     policy_path.write_text(json.dumps(d))
     capsys.readouterr()

@@ -3,7 +3,7 @@ Monte Carlo against it."""
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles as oracle
@@ -76,8 +76,6 @@ def instances(draw):
     return model, costs, config, rule, rule
 
 
-@settings(max_examples=40, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(instance=instances())
 def test_exact_policy_metrics_matches_the_oracle(instance):
     model, costs, config, policy, rule = instance
@@ -90,8 +88,6 @@ def test_exact_policy_metrics_matches_the_oracle(instance):
     assert got.log_base == config.log_base
 
 
-@settings(max_examples=40, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(instance=instances())
 def test_monte_carlo_agrees_with_exact_evaluation(instance):
     """Each Monte Carlo mean lies within MC_SIGMAS standard errors of the exact one.

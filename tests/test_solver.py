@@ -14,6 +14,7 @@ from active_smoothing import (
     generate_base_points,
     load_policy,
     make_cost_model,
+    make_model,
     prune,
     save_policy,
     solve,
@@ -271,6 +272,26 @@ def test_grid_smoother_solve_frozen_regression(grid):
     assert policy.objective == "smoother"
     assert policy.density == 2
     assert policy.horizon == 3
+
+
+@pytest.mark.parametrize("density, gammas", [(2, GRID_D2_GAMMAS), (3, [383, 183, 48, 10])])
+def test_a_duplicated_control_never_appears_in_the_policy(grid, density, gammas):
+    # control 3 copies stay (control 1): its vectors equal stay's bit for bit, and of
+    # equal rows the lowest index survives, so the copy adds no vector and no action
+    model, costs = grid
+    copied = make_model(
+        prior=model.prior,
+        transition=np.concatenate([model.transition, model.transition[1:2]]),
+        observation=np.concatenate([model.observation, model.observation[1:2]]),
+        initial_observation=model.initial_observation,
+    )
+    copied_costs = make_cost_model(
+        costs.horizon, np.concatenate([costs.stage_cost, costs.stage_cost[..., 1:2]], axis=2),
+        costs.terminal_cost)
+    policy = solve(copied, copied_costs, "smoother", generate_base_points(4, density))
+    assert policy.gamma_sizes() == gammas
+    for stage in policy.stages[:-1]:
+        assert not (stage.actions == 3).any()
 
 
 def test_grid_solve_moves_by_a_constant_added_to_the_terminal_cost(grid, rng):
