@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -35,6 +36,7 @@ from .model import (
 )
 from .pwl import generate_base_points
 from .sim import (
+    MetricsSummary,
     PolicyModelMismatch,
     check_policy,
     compare_policies,
@@ -44,13 +46,9 @@ from .sim import (
     rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
     rollouts,
 )
-from .solver import PolicyFormatError, load_policy, save_policy, solve, value
+from .solver import OBJECTIVES, PolicyFormatError, load_policy, save_policy, solve, value
 
-RESULTS_HEADER = [
-    "policy", "runs", "terminal_cost", "terminal_cost_se",
-    "total_belief_entropy", "tbe_se", "smoother_entropy", "se_se",
-    "total_cost", "tc_se", "log_base", "seed",
-]
+RESULTS_HEADER = ["policy"] + [field.name for field in dataclasses.fields(MetricsSummary)]
 TRACE_HEADER = ["policy", "run", "stage", "state", "control", "observation"]
 SWEEP_HEADER = ["density", "total_cost", "bound_value", "gamma_sizes", "exact"]
 MAX_TRACE_RUNS = 10
@@ -126,10 +124,8 @@ def _config_dict(args, model, costs, **extra) -> dict:
     return d
 
 
-def _summary_row(name: str, s) -> list:
-    return [name, s.runs, s.terminal_cost, s.terminal_cost_se,
-            s.total_belief_entropy, s.tbe_se, s.smoother_entropy, s.se_se,
-            s.total_cost, s.tc_se, s.log_base, s.seed]
+def _summary_row(name: str, s: MetricsSummary) -> list:
+    return [name, *dataclasses.astuple(s)]
 
 
 def _resolve_policy(ref: str, model, costs):
@@ -367,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a policy and write it as JSON")
     _add_common(p, model_required=False)
     _add_solver_flags(p, multi_density=False)
-    p.add_argument("--objective", choices=["smoother", "belief-sum", "costs-only"],
-                   default="smoother")
+    p.add_argument("--objective", choices=OBJECTIVES, default="smoother")
     p.add_argument("--out", required=True, help="policy JSON output path")
     p.set_defaults(func=cmd_solve)
 
@@ -388,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="solve at several base-point densities, evaluate each")
     _add_common(p, model_required=False)
     _add_solver_flags(p, multi_density=True)
-    p.add_argument("--objective", choices=["smoother", "belief-sum", "costs-only"],
-                   default="smoother")
+    p.add_argument("--objective", choices=OBJECTIVES, default="smoother")
     p.add_argument("--runs", type=int, default=10000,
                    help="Monte Carlo runs when exact evaluation is infeasible")
     p.add_argument("--seed", type=int, default=12345)

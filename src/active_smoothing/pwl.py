@@ -14,6 +14,7 @@ a base point is its gradient, and one kernel serves every cost.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,17 @@ class BasePointSet:
 
 
 def simplex_lattice(n: int, levels: int) -> np.ndarray:
-    """Beliefs whose coordinates lie in {0, 1/(levels-1), ..., 1}, in lexicographic order."""
-    return np.array([combo for combo in itertools.product(range(levels), repeat=n)
-                     if sum(combo) == levels - 1], dtype=float) / (levels - 1)
+    """Beliefs whose coordinates lie in {0, 1/(levels-1), ..., 1}, in lexicographic order.
+
+    The C(levels + n - 2, n - 1) points are enumerated directly by stars and
+    bars: each choice of n - 1 bar positions among levels + n - 2 slots, in
+    lexicographic order, cuts the levels - 1 units into n coordinates.
+    """
+    slots, count = levels + n - 2, math.comb(levels + n - 2, n - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(slots), n - 1)),
+                       dtype=int, count=count * (n - 1)).reshape(count, n - 1)
+    cuts = np.column_stack((np.full(count, -1), bars, np.full(count, slots)))
+    return (np.diff(cuts, axis=1) - 1) / (levels - 1)
 
 
 def generate_base_points(n_states: int, density: int,
@@ -46,7 +55,8 @@ def generate_base_points(n_states: int, density: int,
 
     density=1 yields the single barycentre. Each point is then mixed with the
     uniform belief, point <- (1 - N eps) point + eps; as 1 - N eps > 1/2, distinct
-    lattice points stay distinct.
+    lattice points stay distinct. A lattice of more than MAX_LATTICE points,
+    C(density + N - 2, N - 1) of them, is refused.
     """
     if density < 1:
         raise ValueError(f"density must be >= 1, got {density}")
@@ -58,10 +68,9 @@ def generate_base_points(n_states: int, density: int,
     if density == 1:
         points = np.full((1, n_states), 1.0 / n_states)
     else:
-        if density ** n_states > MAX_LATTICE:
-            raise ValueError(
-                f"lattice of {density}^{n_states} candidate points is too large"
-            )
+        count = math.comb(density + n_states - 2, n_states - 1)
+        if count > MAX_LATTICE:
+            raise ValueError(f"lattice of {count} points is over the {MAX_LATTICE} limit")
         points = simplex_lattice(n_states, density)
     points = (1.0 - n_states * epsilon_interior) * points + epsilon_interior
     points.setflags(write=False)

@@ -131,6 +131,11 @@ class RolloutBatch:
 
 @dataclass(frozen=True)
 class MetricsSummary:
+    """One evaluated policy's record: a results CSV row is its name, then these fields.
+
+    The field order is the CSV's column order, and each metric is followed by
+    its standard error over the runs (0 for exact evaluation and for one run).
+    """
     runs: int                    # 0 marks exact evaluation
     terminal_cost: float
     terminal_cost_se: float
@@ -394,30 +399,11 @@ def rollout(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int,
     return rollouts(model, cost_model, policy_like, seed, 1, config, start=run_index).record(0)
 
 
-def _summarise(per_run: dict[str, np.ndarray], runs: int, config: EntropyConfig,
-               seed: int) -> MetricsSummary:
-    def mean_se(x: np.ndarray) -> tuple[float, float]:
-        if runs <= 1:
-            return float(x.mean()), 0.0
-        return float(x.mean()), float(x.std(ddof=1) / np.sqrt(runs))
-
-    terminal, terminal_se = mean_se(per_run["terminal"])
-    tbe, tbe_se = mean_se(per_run["tbe"])
-    smoother, smoother_se = mean_se(per_run["smoother"])
-    total, total_se = mean_se(per_run["total"])
-    return MetricsSummary(
-        runs=runs,
-        terminal_cost=terminal,
-        terminal_cost_se=terminal_se,
-        total_belief_entropy=tbe,
-        tbe_se=tbe_se,
-        smoother_entropy=smoother,
-        se_se=smoother_se,
-        total_cost=total,
-        tc_se=total_se,
-        log_base=config.log_base,
-        seed=seed,
-    )
+def _summary(runs: int, means, ses, config: EntropyConfig, seed: int) -> MetricsSummary:
+    """The record of (terminal cost, total belief entropy, smoother entropy, total cost)
+    means and their standard errors, each metric followed by its SE."""
+    metrics = [float(x) for pair in zip(means, ses) for x in pair]
+    return MetricsSummary(runs, *metrics, config.log_base, seed)
 
 
 def monte_carlo(model: ControlledHMM, cost_model: CostModel, policy_like, runs: int,
@@ -474,19 +460,8 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
     terminal = prob @ (beliefs @ cost_model.terminal_cost)
     smoother += final_entropy
 
-    return MetricsSummary(
-        runs=0,
-        terminal_cost=float(terminal),
-        terminal_cost_se=0.0,
-        total_belief_entropy=float(tbe + final_entropy),
-        tbe_se=0.0,
-        smoother_entropy=float(smoother),
-        se_se=0.0,
-        total_cost=float(smoother + stage_c + terminal),
-        tc_se=0.0,
-        log_base=config.log_base,
-        seed=seed,
-    )
+    return _summary(0, (terminal, tbe + final_entropy, smoother, smoother + stage_c + terminal),
+                    (0.0,) * 4, config, seed)
 
 
 def compare_policies(model: ControlledHMM, cost_model: CostModel,
@@ -515,18 +490,15 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
         return []
     t = cost_model.horizon
     block = max(1, ROLLOUT_CHUNK // (len(rules) * (t + 1) * (model.n_states + 8)))
-    per_run = [{key: np.empty(runs) for key in ("terminal", "tbe", "smoother", "total")}
-               for _ in policies]
+    per_run = np.empty((len(rules), 4, runs))  # terminal, belief entropies, smoother, total
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         batch = _advance(model, cost_model, rules, seed, start,
                          _uniforms(seed, start, stop, t), config)
-        tbe, total = batch.belief_entropies.sum(axis=1), batch.total_cost
-        for p, metrics in enumerate(per_run):
-            own = slice(p * (stop - start), (p + 1) * (stop - start))
-            metrics["terminal"][start:stop] = batch.terminal_cost[own]
-            metrics["tbe"][start:stop] = tbe[own]
-            metrics["smoother"][start:stop] = batch.smoother_entropy[own]
-            metrics["total"][start:stop] = total[own]
-    return [(name, _summarise(metrics, runs, config, seed))
-            for (name, _), metrics in zip(policies, per_run)]
+        metrics = np.stack((batch.terminal_cost, batch.belief_entropies.sum(axis=1),
+                            batch.smoother_entropy, batch.total_cost))
+        per_run[:, :, start:stop] = metrics.reshape(4, len(rules), -1).swapaxes(0, 1)
+    means = per_run.mean(axis=2)
+    ses = per_run.std(axis=2, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros_like(means)
+    return [(name, _summary(runs, m, e, config, seed))
+            for (name, _), m, e in zip(policies, means, ses)]

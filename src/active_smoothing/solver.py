@@ -35,6 +35,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,7 +409,31 @@ def _stage_values(entries: list, k: int) -> np.ndarray:
     return values
 
 
+def _finite_number(x) -> bool:
+    """A JSON number that is a finite float: not a bool, NaN, an infinity or beyond float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def policy_from_dict(d: dict) -> ValuePolicy:
+    """The policy of a dict in the format `policy_to_dict` writes; PolicyFormatError if
+    it is not one (KeyError for a missing field)."""
+    if type(d) is not dict:
+        raise PolicyFormatError("policy is not an object")
+    # exact types, as for the stage entries: JSON true is a bool, no density
+    for key, valid, want in (
+            ("objective", lambda x: x in OBJECTIVES, f"one of {OBJECTIVES}"),
+            ("log_base", lambda x: x in ("natural", "base-2"), "natural or base-2"),
+            ("base_point_density", lambda x: type(x) is int and x >= 1, "an integer >= 1"),
+            ("epsilon_interior", _finite_number, "a finite number"),
+            ("model_fingerprint", lambda x: type(x) is str, "a string")):
+        if not valid(d[key]):
+            raise PolicyFormatError(f"policy {key} is {d[key]!r}, not {want}")
+    if not (type(d["stages"]) is list and d["stages"]
+            and all(type(s) is list and all(type(e) is dict for e in s) for s in d["stages"])):
+        raise PolicyFormatError("policy stages are not a non-empty list of lists of objects")
     stages = []
     for k, entries in enumerate(d["stages"]):
         values = _stage_values(entries, k)
@@ -417,7 +442,7 @@ def policy_from_dict(d: dict) -> ValuePolicy:
     return ValuePolicy(
         stages=tuple(stages),
         objective=d["objective"],
-        density=int(d["base_point_density"]),
+        density=d["base_point_density"],
         epsilon_interior=float(d["epsilon_interior"]),
         log_base=d["log_base"],
         model_fingerprint=d["model_fingerprint"],

@@ -16,7 +16,6 @@ from active_smoothing import (
 )
 from active_smoothing import cli, sim
 from active_smoothing.cli import (
-    RESULTS_HEADER,
     SWEEP_HEADER,
     TRACE_HEADER,
     main,
@@ -178,7 +177,12 @@ def test_simulate_csv_is_byte_identical_across_reruns(tmp_path):
     assert metadata["seed"] == 7
     assert metadata["model_fingerprint"] == fingerprint(*build_grid_agent())
     assert "rng" in metadata
-    assert list(rows[0].keys()) == RESULTS_HEADER
+    # the results file format: src derives these columns from MetricsSummary's fields
+    assert list(rows[0].keys()) == [
+        "policy", "runs", "terminal_cost", "terminal_cost_se",
+        "total_belief_entropy", "tbe_se", "smoother_entropy", "se_se",
+        "total_cost", "tc_se", "log_base", "seed",
+    ]
     assert rows[0]["policy"] == "always-east"
     assert int(rows[0]["runs"]) == 64
 
@@ -310,13 +314,32 @@ def grid_d2_policy(tmp_path_factory):
     (0, "values", [0.0, 0.0, 0.0]), (0, "values", [0.0, "1", 0.0, 0.0]),
     (0, "values", [0.0, True, 0.0, 0.0]), (0, "values", [10**400, 0.0, 0.0, 0.0]),
     (-1, "values", None),
+    # stage None: a top-level field; field None: the stage's first entry; both: the
+    # policy wrapped in a list
+    (None, "base_point_density", 2.7), (None, "base_point_density", True),
+    (None, "base_point_density", 0), (None, "objective", 5), (None, "objective", "bogus"),
+    (None, "epsilon_interior", float("nan")), (None, "epsilon_interior", "abc"),
+    (None, "epsilon_interior", 10**400), (None, "log_base", "7"),
+    (None, "model_fingerprint", 3), (None, "stages", 5), (None, "stages", []),
+    (0, None, 5), (None, None, None),
 ], ids=["null", "fraction", "bool", "string", "beyond-int64", "terminal-integer",
         "nan-value", "infinite-value", "short-row", "string-value", "bool-value",
-        "beyond-float-value", "null-row"])
+        "beyond-float-value", "null-row",
+        "fractional-density", "bool-density", "zero-density", "number-objective",
+        "unknown-objective", "nan-epsilon", "string-epsilon", "beyond-float-epsilon",
+        "unknown-log-base", "number-fingerprint", "number-stages", "no-stages",
+        "number-entry", "top-level-list"])
 def test_simulate_rejects_unreadable_policy_actions(
         tmp_path, capsys, grid_d2_policy, stage, field, entry, exact):
     d = json.loads(json.dumps(grid_d2_policy))
-    d["stages"][stage][0][field] = entry
+    if stage is None and field is None:
+        d = [d]
+    elif stage is None:
+        d[field] = entry
+    elif field is None:
+        d["stages"][stage][0] = entry
+    else:
+        d["stages"][stage][0][field] = entry
     policy_path = tmp_path / "p.json"
     policy_path.write_text(json.dumps(d))
     capsys.readouterr()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from active_smoothing import (
     stage_tangent_alphas,
     terminal_tangent_alphas,
 )
+from active_smoothing.pwl import simplex_lattice
 from active_smoothing.solver import _belief_sum_stage_alphas
 
 CONFIGS = (EntropyConfig(), EntropyConfig("2"))
@@ -27,7 +29,8 @@ def lattice_count(n: int, d: int) -> int:
 
 
 def test_generate_base_points_counts_and_interior():
-    for n, d in [(2, 1), (2, 4), (3, 3), (4, 5), (4, 2)]:
+    # (21, 2) is the 21 vertices and (10, 5) 715 points, though 2^21 and 5^10 are large
+    for n, d in [(2, 1), (2, 4), (3, 3), (4, 5), (4, 2), (21, 2), (10, 5)]:
         bp = generate_base_points(n, d)
         assert len(bp) == lattice_count(n, d)
         assert bp.points.shape == (len(bp), n)
@@ -60,6 +63,17 @@ def test_generate_base_points_rejects_bad_arguments():
         generate_base_points(4, 2, epsilon_interior=0.0)
     with pytest.raises(ValueError):
         generate_base_points(12, 100)
+    with pytest.raises(ValueError, match="lattice of 2001460 points"):
+        generate_base_points(4, 228)
+
+
+def test_simplex_lattice_equals_the_filtered_product():
+    for n in range(1, 7):
+        for levels in range(2, 9):
+            want = np.array([combo for combo in itertools.product(range(levels), repeat=n)
+                             if sum(combo) == levels - 1], dtype=float) / (levels - 1)
+            got = simplex_lattice(n, levels)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, levels)
 
 
 def test_entropy_tangent_alphas_bound_and_tangency(rng):

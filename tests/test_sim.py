@@ -622,20 +622,31 @@ def test_compare_policies_matches_reference_rollouts(monkeypatch, runs):
     rng = np.random.default_rng(runs)
     model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=2, zero_fraction=0.3)
     costs = oracle.random_costs(rng, model, 3)
-    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(BLOCK_RUNS, 1, model, costs))
+    # blocks of BLOCK_RUNS runs per policy: the last block of BLOCK_RUNS + 3 runs is partial
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(BLOCK_RUNS, 2, model, costs))
     rule = oracle.random_rule(rng, model, 3)
-    (_, got), = compare_policies(model, costs, [("rule", rule)], runs, seed=-1)
+    got = compare_policies(model, costs, [("rule", rule), ("fixed", 1)], runs, seed=-1)
+    assert [name for name, _ in got] == ["rule", "fixed"]
     cache = {}
-    want = [oracle.reference_rollout(model, costs, rule, -1, run, smoother_cache=cache)
-            for run in range(runs)]
-    terminal = np.array([w["terminal_cost"] for w in want])
-    tbe = np.array([w["belief_entropies"].sum() for w in want])
-    smoother = np.array([w["smoother_entropy"] for w in want])
-    total = smoother + np.array([w["stage_costs"].sum() for w in want]) + terminal
-    for field, values in (("terminal_cost", terminal), ("total_belief_entropy", tbe),
-                          ("smoother_entropy", smoother), ("total_cost", total)):
-        np.testing.assert_allclose(getattr(got, field), values.mean(), rtol=0, atol=1e-12,
-                                   err_msg=field)
+    for (_, summary), reference_rule in zip(got, (rule, lambda belief, stage: 1)):
+        want = [oracle.reference_rollout(model, costs, reference_rule, -1, run,
+                                         smoother_cache=cache)
+                for run in range(runs)]
+        terminal = np.array([w["terminal_cost"] for w in want])
+        tbe = np.array([w["belief_entropies"].sum() for w in want])
+        smoother = np.array([w["smoother_entropy"] for w in want])
+        total = smoother + np.array([w["stage_costs"].sum() for w in want]) + terminal
+        assert summary.runs == runs
+        for field, se_field, values in (
+                ("terminal_cost", "terminal_cost_se", terminal),
+                ("total_belief_entropy", "tbe_se", tbe),
+                ("smoother_entropy", "se_se", smoother),
+                ("total_cost", "tc_se", total)):
+            se = values.std(ddof=1) / np.sqrt(runs) if runs > 1 else 0.0
+            np.testing.assert_allclose(getattr(summary, field), values.mean(), rtol=0,
+                                       atol=1e-12, err_msg=field)
+            np.testing.assert_allclose(getattr(summary, se_field), se, rtol=0, atol=1e-12,
+                                       err_msg=se_field)
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 4])
