@@ -38,6 +38,7 @@ from .pwl import generate_base_points
 from .sim import (
     MetricsSummary,
     PolicyModelMismatch,
+    _builtin_control,
     check_policy,
     compare_policies,
     exact_policy_metrics,
@@ -129,9 +130,13 @@ def _summary_row(name: str, s: MetricsSummary) -> list:
 
 
 def _resolve_policy(ref: str, model, costs):
-    """A --policy value is a builtin name or a policy JSON path; returns (name, policy)."""
-    if ref == "always-east" or ref.startswith("fixed:"):
-        return ref, ref
+    """A --policy value is a builtin reference, which wins over a file of the same name and
+    is a usage error if malformed, or a policy JSON path; returns (name, policy)."""
+    try:
+        if _builtin_control(ref) is not None:
+            return ref, ref
+    except ValueError as exc:
+        raise UsageError(f"--policy: {exc}") from None
     path = Path(ref)
     if not path.exists():
         raise UsageError(
@@ -406,10 +411,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, PolicyFormatError) as exc:

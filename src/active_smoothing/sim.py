@@ -22,9 +22,10 @@ One forward filter pass gives both the beliefs and the realised smoother
 entropy, carried per group as the entropy of its past given each state. Every
 group is computed with the operations of a single run, so results do not
 depend on the block it was simulated in or on the policies simulated beside it.
+Each entry point checks a policy and builds its rule in one `_rows_rule` call.
 Exact evaluation walks the observation tree breadth-first with the same batched
-filter and decision rules, one level of (L, N) beliefs per stage, and charges
-the smoother entropy in its belief-state form; it refuses above a size guard.
+filter and rules, one level of (L, N) beliefs per stage, and charges the
+smoother entropy in its belief-state form; it refuses above a size guard.
 """
 from __future__ import annotations
 
@@ -149,42 +150,48 @@ class MetricsSummary:
     seed: int
 
 
-def as_decision_rule(policy_like, n_controls: int):
-    """Normalise a policy-like input to a callable (belief, stage) -> control."""
-    if isinstance(policy_like, ValuePolicy):
-        return lambda belief, stage: best_action(policy_like, belief, stage)
-    if isinstance(policy_like, (int, np.integer)):
-        u = int(policy_like)
-        if not 0 <= u < n_controls:
-            raise ValueError(f"fixed control {u} out of range [0, {n_controls})")
-        return lambda belief, stage: u
-    if isinstance(policy_like, str):
-        if policy_like == "always-east":
-            return as_decision_rule(2, n_controls)
-        if policy_like.startswith("fixed:"):
-            return as_decision_rule(int(policy_like.split(":", 1)[1]), n_controls)
-        raise ValueError(f"unknown builtin policy {policy_like!r}")
-    if callable(policy_like):
-        return policy_like
-    raise TypeError(f"cannot interpret {type(policy_like).__name__} as a policy")
+def _builtin_control(ref: str) -> int | None:
+    """The control of a builtin reference, None for any other text: `always-east` is 2 and
+    `fixed:<k>` is k, k ASCII digits; other text after `fixed:` raises ValueError."""
+    if ref == "always-east":
+        return 2
+    if not ref.startswith("fixed:"):
+        return None
+    digits = ref[len("fixed:"):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed builtin policy {ref!r}: want fixed:<k>, k ASCII digits")
+    return int(digits)
 
 
-def _rows_rule(policy_like, n_controls: int):
-    """The decision rule for rows grouped by history: decide(beliefs, group, stage).
+def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like):
+    """Check `policy_like` and build its rule decide(beliefs, group, stage) for grouped rows.
 
-    `beliefs` (G, N) holds one belief per group of one policy and `group` (R,)
-    the group of each of its rows; the result is one control per row, as an
-    int array. Value policies and fixed controls decide each group once. A
-    user callable (belief, stage) -> control is called once per row, in row
-    order, with that row's belief, so a stochastic or stateful callable sees
-    the same calls as it would with one belief per row.
+    `beliefs` (G, N) holds one belief per history group of one policy and
+    `group` (R,) each row's group; the result is one control per row, as an int
+    array. A value policy decides each group once by `best_action`; an integer
+    or a builtin reference is one fixed control. A user callable
+    (belief, stage) -> control is called once per row, in row order, with that
+    row's belief, so a stochastic or stateful one sees the calls it would with
+    one belief per row.
     """
-    rule = as_decision_rule(policy_like, n_controls)
-    if rule is not policy_like:
-        return lambda beliefs, group, stage: np.broadcast_to(
-            np.asarray(rule(beliefs, stage), dtype=int), len(beliefs))[group]
-    return lambda beliefs, group, stage: np.array(
-        [int(rule(beliefs[g], stage)) for g in group], dtype=int)
+    check_policy(model, cost_model, policy_like)
+    if isinstance(policy_like, ValuePolicy):
+        return lambda beliefs, group, stage: best_action(policy_like, beliefs, stage)[group]
+    if callable(policy_like):
+        return lambda beliefs, group, stage: np.array(
+            [int(policy_like(beliefs[g], stage)) for g in group], dtype=int)
+    if isinstance(policy_like, str):
+        control = _builtin_control(policy_like)
+        if control is None:
+            raise ValueError(f"unknown builtin policy {policy_like!r}")
+    elif isinstance(policy_like, (int, np.integer)):
+        control = int(policy_like)
+    else:
+        raise TypeError(f"cannot interpret {type(policy_like).__name__} as a policy")
+    if not 0 <= control < model.n_controls:
+        raise ValueError(f"policy {policy_like!r}: control {control} out of range "
+                         f"[0, {model.n_controls})")
+    return lambda beliefs, group, stage: np.full(len(group), control)
 
 
 def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> None:
@@ -297,7 +304,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
              start: int, uniforms: np.ndarray, config: EntropyConfig) -> RolloutBatch:
     """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms.
 
-    `decides` holds one row rule per policy. Rows are policy-major: row
+    `decides` holds one `_rows_rule` per policy. Rows are policy-major: row
     p * R + r is policy p's run start + r and uses that run's uniforms, so the
     batch has P * R rows and is a plain `rollouts` batch when P = 1.
 
@@ -383,8 +390,7 @@ def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int
              config: EntropyConfig = DEFAULT_CONFIG, start: int = 0) -> RolloutBatch:
     """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r)."""
     _check_runs(runs)
-    check_policy(model, cost_model, policy_like)
-    return _advance(model, cost_model, [_rows_rule(policy_like, model.n_controls)], seed,
+    return _advance(model, cost_model, [_rows_rule(model, cost_model, policy_like)], seed,
                     start, _uniforms(seed, start, start + runs, cost_model.horizon), config)
 
 
@@ -437,11 +443,10 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
     E[sum_k H(x_k | x_{k+1}, data to k) + H(b_T)]: prob * stage_entropy_cost
     at each node and prob * H(b_T) at each leaf.
     """
-    check_policy(model, cost_model, policy_like)
+    decide = _rows_rule(model, cost_model, policy_like)
     refusal = exact_refusal(model, cost_model.horizon)
     if refusal:
         raise ValueError(refusal)
-    decide = _rows_rule(policy_like, model.n_controls)
 
     p0 = model.prior @ model.initial_observation
     observations = np.flatnonzero(p0 > 0.0)
@@ -476,16 +481,13 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     (with the stored group beliefs at most one per row) and bounds them for
     any run count. The current stage's (G, N, N) joint and its temporaries
     come on top, freed with the stage: at N=20, T=8 the peak is about 7x the
-    budget. A
+    budget. Each policy is checked and its rule built by one `_rows_rule`. A
     callable is called stage by stage within each block, so a stateful one's
     calls interleave with the other policies' decisions by stage. Any other
     policy's summary equals its own `monte_carlo`.
     """
     _check_runs(runs)
-    rules = []
-    for _, policy_like in policies:
-        check_policy(model, cost_model, policy_like)
-        rules.append(_rows_rule(policy_like, model.n_controls))
+    rules = [_rows_rule(model, cost_model, policy_like) for _, policy_like in policies]
     if not rules:
         return []
     t = cost_model.horizon

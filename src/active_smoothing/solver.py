@@ -32,6 +32,7 @@ a tracer does, is the one the solver calls.
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import json
@@ -175,23 +176,19 @@ def prune(values: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- witness clouds --
 
-_WITNESS_CLOUDS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _witness_cloud(n: int) -> np.ndarray:
     """Fixed belief cloud used to pick winning vectors when sets exceed the cap."""
-    if n not in _WITNESS_CLOUDS:
-        rng = np.random.Generator(np.random.Philox(key=714203))
-        parts = [
-            np.eye(n),
-            np.full((1, n), 1.0 / n),
-            rng.dirichlet(np.ones(n), size=8192),
-            rng.dirichlet(np.full(n, 0.3), size=4096),
-        ]
-        if 9 ** n <= 100_000:
-            parts.append(simplex_lattice(n, 9))
-        _WITNESS_CLOUDS[n] = np.vstack(parts)
-    return _WITNESS_CLOUDS[n]
+    rng = np.random.Generator(np.random.Philox(key=714203))
+    parts = [
+        np.eye(n),
+        np.full((1, n), 1.0 / n),
+        rng.dirichlet(np.ones(n), size=8192),
+        rng.dirichlet(np.full(n, 0.3), size=4096),
+    ]
+    if 9 ** n <= 100_000:
+        parts.append(simplex_lattice(n, 9))
+    return np.vstack(parts)
 
 
 # ----------------------------------------------------------------- solve --

@@ -350,11 +350,42 @@ def test_simulate_rejects_unreadable_policy_actions(
     assert not out.exists()
 
 
-def test_simulate_unknown_policy_exits_two(tmp_path, capsys):
-    out = tmp_path / "r.csv"
-    assert main(["simulate", "--policy", "always-north", "--runs", "5",
-                 "--seed", "1", "--out", str(out)]) == 2
-    assert "error" in capsys.readouterr().err
+def test_simulate_unknown_policy_exits_two(tmp_path, monkeypatch, capsys):
+    # neither a builtin nor a file, or a malformed builtin: refused before any evaluation
+    monkeypatch.chdir(tmp_path)
+    for name in ("compare_policies", "exact_policy_metrics"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("evaluated"))
+    for ref in ("always-north", "fixed:abc", "fixed:", "fixed: 1", "fixed:1_0"):
+        for exact in ([], ["--exact"]):
+            assert main(["simulate", "--policy", "always-east", "--policy", ref, "--runs", "5",
+                         "--out", "r.csv", "--trace", "t.csv", *exact]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"policy {ref!r}" in err
+            assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
+@pytest.mark.parametrize("ref, n_controls", [("fixed:9", 3), ("always-east", 2)])
+def test_simulate_out_of_range_builtin_exits_one_naming_it(tmp_path, capsys, ref, n_controls,
+                                                           exact):
+    rng = np.random.default_rng(n_controls)
+    model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=n_controls)
+    model_path, out = tmp_path / "model.json", tmp_path / "r.csv"
+    save_model(model_path, model, oracle.random_costs(rng, model, 2))
+    argv = ["simulate", "--model", str(model_path), "--policy", ref, "--runs", "5",
+            "--out", str(out)]
+    assert main(argv + (["--exact"] if exact else [])) == 1
+    control = ref.rpartition(":")[2] if ref.startswith("fixed:") else "2"
+    assert capsys.readouterr().err == (f"error: policy {ref!r}: control {control} out of range "
+                                       f"[0, {n_controls})\n")
+    assert not out.exists()
+
+
+def test_builtin_wins_over_a_file_of_the_same_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fixed:1").write_text("not a policy")
+    assert main(["simulate", "--policy", "fixed:1", "--runs", "5", "--out", "r.csv"]) == 0
+    assert read_csv(tmp_path / "r.csv")[1][0]["policy"] == "fixed:1"
 
 
 # ------------------------------------------------------------------- sweep --

@@ -11,7 +11,6 @@ from active_smoothing import (
     PolicyModelMismatch,
     StageSet,
     ValuePolicy,
-    as_decision_rule,
     best_action,
     check_policy,
     compare_policies,
@@ -48,22 +47,22 @@ def grid_blocks(grid, monkeypatch):
 
 # --------------------------------------------------------------- policies --
 
-def test_as_decision_rule_forms(grid):
+@pytest.mark.parametrize("policy_like, error, message", [
+    (3, ValueError, r"^policy 3: control 3 out of range \[0, 3\)$"),
+    ("always-north", ValueError, r"^unknown builtin policy 'always-north'$"),
+    ("fixed:abc", ValueError, r"^malformed builtin policy 'fixed:abc': "),
+    (2.5, TypeError, r"^cannot interpret float as a policy$"),
+], ids=["control-3", "always-north", "fixed-abc", "float"])
+def test_policies_that_name_no_control_are_refused_before_any_draw(
+        grid, monkeypatch, policy_like, error, message):
     model, costs = grid
-    assert as_decision_rule(0, 3)(np.full(4, 0.25), 0) == 0
-    assert as_decision_rule("always-east", 3)(np.full(4, 0.25), 1) == 2
-    assert as_decision_rule("fixed:1", 3)(np.full(4, 0.25), 2) == 1
-    fn = lambda b, k: int(k % 3)
-    assert as_decision_rule(fn, 3) is fn
-    policy = solve(model, costs, "smoother", generate_base_points(4, 1))
-    rule = as_decision_rule(policy, 3)
-    assert rule(np.full(4, 0.25), 0) in range(3)
-    with pytest.raises(ValueError):
-        as_decision_rule(3, 3)
-    with pytest.raises(ValueError):
-        as_decision_rule("always-north", 3)
-    with pytest.raises(TypeError):
-        as_decision_rule(2.5, 3)
+    monkeypatch.setattr(sim, "_uniforms", lambda *args: pytest.fail("drew uniforms"))
+    with pytest.raises(error, match=message):
+        rollout(model, costs, policy_like, seed=1)
+    with pytest.raises(error, match=message):
+        exact_policy_metrics(model, costs, policy_like)
+    with pytest.raises(error, match=message):
+        compare_policies(model, costs, [("east", "always-east"), ("bad", policy_like)], 10, 1)
 
 
 def test_check_policy_detects_mismatch(grid):
@@ -293,15 +292,17 @@ def grid_policies(grid):
     }
 
 
-@pytest.mark.parametrize("name", ["smoother", "belief-sum", "always-east", "callable"])
+@pytest.mark.parametrize("name", ["smoother", "belief-sum", "always-east", "fixed:1", 0,
+                                  "callable"])
 def test_lockstep_engine_matches_reference_rollouts(grid, grid_policies, grid_blocks, name):
     model, costs = grid
     runs = BLOCK_RUNS + 3
+    fixed = {"always-east": 2, "fixed:1": 1, 0: 0}
     if name in grid_policies:
         policy_like = grid_policies[name]
         rule = oracle.alpha_rule(policy_like)
-    elif name == "always-east":
-        policy_like, rule = name, (lambda b, k: 2)
+    elif name in fixed:
+        policy_like, rule = name, (lambda b, k: fixed[name])
     else:
         policy_like = rule = lambda b, k: int(np.argmax(b) + k) % 3
     batch = rollouts(model, costs, policy_like, 31, runs, start=5)
