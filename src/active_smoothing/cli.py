@@ -39,6 +39,7 @@ from .sim import (
     MetricsSummary,
     PolicyModelMismatch,
     _builtin_control,
+    _fixed_control,
     check_policy,
     compare_policies,
     exact_policy_metrics,
@@ -282,6 +283,7 @@ def cmd_experiment(args) -> int:
     refusal = exact_refusal(model, costs.horizon)
     if refusal:
         raise ValueError(refusal)
+    _fixed_control(model, "always-east")  # the fixed baseline must be a control of the model
     d_main = max(densities)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -180,6 +180,13 @@ def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like):
     if callable(policy_like):
         return lambda beliefs, group, stage: np.array(
             [int(policy_like(beliefs[g], stage)) for g in group], dtype=int)
+    control = _fixed_control(model, policy_like)
+    return lambda beliefs, group, stage: np.full(len(group), control)
+
+
+def _fixed_control(model: ControlledHMM, policy_like) -> int:
+    """The control of an integer or builtin reference; ValueError if it is not one of the
+    model's controls, naming the reference as given."""
     if isinstance(policy_like, str):
         control = _builtin_control(policy_like)
         if control is None:
@@ -191,7 +198,7 @@ def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like):
     if not 0 <= control < model.n_controls:
         raise ValueError(f"policy {policy_like!r}: control {control} out of range "
                          f"[0, {model.n_controls})")
-    return lambda beliefs, group, stage: np.full(len(group), control)
+    return control
 
 
 def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> None:

@@ -1,10 +1,22 @@
 """Finite-horizon alpha-vector value iteration over the belief-state MDP.
 
 The value function at each stage is the minimum over a set of linear functions
-(alpha vectors). The backup transforms each next-stage vector per observation,
-cross-sums one choice per observation, cross-sums the stage-cost tangent
-pieces, unions over controls, and prunes after every step, as incremental
-pruning does (Cassandra, Littman & Zhang, UAI 1997).
+(alpha vectors). A policy is only ever read at the beliefs it can reach from
+the initial updates, so the shallow stages back up only there, as point-based
+value iteration does (Pineau, Gordon & Thrun, IJCAI 2003). `_reachable_levels`
+enumerates those beliefs forward with the filter, under every control, until
+the first level of more than TREE_LEVEL_CAP beliefs. A tree stage keeps, per
+reachable belief, the backed-up vector that is minimal there (`_tree_backup`).
+Each such vector belongs to the unpruned backup, so the stored function is an
+upper bound everywhere, and at every reachable belief it equals the backup of
+the next stage there: the value function of the tangent lattice, unless a
+deeper global stage went over EXACT_PRUNE_CAP. When every decision stage is on
+the tree, the terminal set keeps the tangents the last stage uses, and no
+prune runs. The stages past the tree back up globally: `backup` transforms each
+next-stage vector per observation, cross-sums one choice per observation,
+cross-sums the stage-cost tangent pieces, unions over controls, and prunes
+after every step, as incremental pruning does (Cassandra, Littman & Zhang,
+UAI 1997).
 
 `prune` keeps exactly the vectors that attain the minimum on a
 full-dimensional region of the simplex. It builds the envelope polytope
@@ -23,12 +35,12 @@ somewhere, so the represented function remains a valid upper bound, but
 rarely-winning vectors may be dropped.
 
 scipy loads on first use. This module is its only user, and filtering, Monte
-Carlo, exact evaluation, `simulate` and `validate` need numpy alone, so
-importing the package costs none of scipy's import time or memory.
-`scipy.spatial` loads at the first Qhull build, and no other scipy module
-loads. `HalfspaceIntersection` and `QhullError` stay module attributes (read
-through the module `__getattr__`), so a value set on the module, as a test or
-a tracer does, is the one the solver calls.
+Carlo, exact evaluation, `simulate`, `validate` and a solve whose stages are
+all on the tree need numpy alone, so importing the package costs none of
+scipy's import time or memory. `scipy.spatial` loads at the first Qhull build,
+and no other scipy module loads. `HalfspaceIntersection` and `QhullError` stay
+module attributes (read through the module `__getattr__`), so a value set on
+the module, as a test or a tracer does, is the one the solver calls.
 """
 from __future__ import annotations
 
@@ -41,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .belief import initial_update, observation_marginal, step
 from .costs import (
     DEFAULT_CONFIG,
     EntropyConfig,
@@ -58,6 +71,7 @@ from .pwl import (
 OBJECTIVES = ("smoother", "belief-sum", "costs-only")
 TIE_TOL = 1e-12
 EXACT_PRUNE_CAP = 2000
+TREE_LEVEL_CAP = 500  # beliefs in a level of the reachable tree; deeper stages back up globally
 CLOUD_CHUNK = 1 << 17  # floats per block @ values.T in _cloud_argmin, about 1 MiB
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 _SCIPY_NAMES = {
@@ -236,6 +250,11 @@ def _cross(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return _reduce(crossed)
 
 
+def _projections(model: ControlledHMM, control: int) -> np.ndarray:
+    """weight[y, i, j] = B(u)[i, y] A(u)[i, j]: next-stage alpha projects to alpha @ weight[y]."""
+    return model.observation[control].T[:, :, None] * model.transition[control][None, :, :]
+
+
 def backup(model: ControlledHMM, next_values: np.ndarray,
            stage_pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """One DP stage: per control, observation cross-sums then stage-cost pieces.
@@ -245,8 +264,7 @@ def backup(model: ControlledHMM, next_values: np.ndarray,
     """
     out_values, out_actions = [], []
     for u in range(model.n_controls):
-        # weight[y, i, j] = B(u)[i, y] A(u)[i, j]; alpha' -> alpha' @ weight[y]
-        weight = model.observation[u].T[:, :, None] * model.transition[u][None, :, :]
+        weight = _projections(model, u)
         acc = _reduce(next_values @ weight[0])
         for y in range(1, model.n_observations):
             acc = _cross(acc, _reduce(next_values @ weight[y]))
@@ -257,6 +275,69 @@ def backup(model: ControlledHMM, next_values: np.ndarray,
     actions = np.concatenate(out_actions)
     kept = _reduce_indices(values)
     return values[kept], actions[kept]
+
+
+def _reachable_levels(model: ControlledHMM, horizon: int) -> list[np.ndarray]:
+    """(L_k, N) beliefs of decision stages 0, 1, ... reachable from the initial updates.
+
+    Level 0 holds the updates on each initial observation of positive
+    probability; level k + 1 the filter images of level k under every control
+    and every observation of positive probability, as the filter computes them
+    (`step`, row by row) and not deduplicated. The levels stop before the first
+    one of more than TREE_LEVEL_CAP beliefs, and at stage horizon - 1.
+    """
+    p0 = model.prior @ model.initial_observation
+    beliefs = initial_update(model, np.flatnonzero(p0 > 0.0))
+    levels = []
+    while len(levels) < horizon and len(beliefs) <= TREE_LEVEL_CAP:
+        levels.append(beliefs)
+        # each belief has an observation of positive probability under every control
+        if len(levels) == horizon or len(beliefs) * model.n_controls > TREE_LEVEL_CAP:
+            break
+        parents = np.tile(np.arange(len(beliefs)), model.n_controls)
+        controls = np.repeat(np.arange(model.n_controls), len(beliefs))
+        rows, observations = np.nonzero(
+            observation_marginal(model, beliefs[parents], controls) > 0.0)
+        if len(rows) > TREE_LEVEL_CAP:
+            break
+        beliefs = step(model, beliefs[parents[rows]], controls[rows], observations,
+                       stage=len(levels) - 1)
+    return levels
+
+
+def _tree_backup(model: ControlledHMM, beliefs: np.ndarray, next_values: np.ndarray,
+                 stage_pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One DP stage backed up only at `beliefs` (L, N): the minimal backed-up vector at each.
+
+    Per belief and control, the candidate sums the projected next-stage vector
+    `alpha @ weight[y]` that is minimal at the belief, per observation, in the
+    order `backup` sums them, then the minimal stage piece: it is the cross-sum
+    of `backup` that is minimal there, so it belongs to the unpruned backup.
+    The control is the lowest one whose candidate's own product with the belief
+    is within TIE_TOL of the least, as `best_action` decides. Returns the
+    distinct chosen (vector, control) pairs in order of first choice, and a
+    mask of the next-stage rows that some candidate uses.
+    """
+    n_beliefs = len(beliefs)
+    candidates = np.zeros((model.n_controls, n_beliefs, model.n_states))
+    used = np.zeros(len(next_values), dtype=bool)
+    for u in range(model.n_controls):
+        for weight in _projections(model, u):
+            projected = next_values @ weight
+            pick = np.argmin(beliefs @ projected.T, axis=1)
+            used[pick] = True
+            candidates[u] += projected[pick]  # 0 + x is x: the first term adds no rounding
+        pieces = np.asarray(stage_pieces[u], dtype=float)
+        candidates[u] += pieces[np.argmin(beliefs @ pieces.T, axis=1)]
+    scores = (candidates[:, :, None, :] @ beliefs[:, :, None])[..., 0, 0]  # (U, L)
+    chosen = np.argmax(scores <= scores.min(axis=0) + TIE_TOL, axis=0)  # lowest tied control
+    values = candidates[chosen, np.arange(n_beliefs)]
+    rows = np.column_stack([values, chosen])
+    order = np.lexsort(rows.T[::-1])  # stable: of equal rows the first choice leads
+    distinct = np.ones(n_beliefs, dtype=bool)
+    distinct[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    keep = np.sort(order[distinct])
+    return values[keep], chosen[keep], used
 
 
 def _belief_sum_stage_alphas(model: ControlledHMM, cost_model: CostModel,
@@ -272,6 +353,9 @@ def _belief_sum_stage_alphas(model: ControlledHMM, cost_model: CostModel,
 def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
           base_points: BasePointSet, config: EntropyConfig = DEFAULT_CONFIG) -> ValuePolicy:
     """Backward induction producing alpha-vector sets for stages 0..T.
+
+    A stage whose reachable level (`_reachable_levels`) is within the cap backs
+    up at those beliefs alone (`_tree_backup`), a deeper one globally (`backup`).
 
     Objectives: `smoother` uses tangent pieces of the pairwise conditional
     entropy stage cost and an entropy-plus-c_T terminal set; `belief-sum`
@@ -292,6 +376,8 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     horizon = cost_model.horizon
 
+    levels = _reachable_levels(model, horizon)
+    tree_only = 0 < len(levels) == horizon
     if objective == "costs-only":
         terminal = cost_model.terminal_cost[None, :].copy()
         stage_pieces = [
@@ -300,7 +386,8 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
         ]
     else:
         terminal = terminal_tangent_alphas(cost_model, base_points, config)
-        terminal = _reduce(terminal)
+        if not tree_only:
+            terminal = _reduce(terminal)
         tangents = stage_tangent_alphas if objective == "smoother" else _belief_sum_stage_alphas
         stage_pieces = [
             [tangents(model, cost_model, base_points, k, u, config)
@@ -309,11 +396,15 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
         ]
 
     stages: list[StageSet] = [StageSet(values=np.asarray(terminal, dtype=float), actions=None)]
-    current = stages[0].values
     for k in reversed(range(horizon)):
-        values, actions = backup(model, current, stage_pieces[k])
+        current = stages[0].values
+        if k < len(levels):
+            values, actions, used = _tree_backup(model, levels[k], current, stage_pieces[k])
+            if k == horizon - 1:  # the terminal set keeps the tangents the last stage uses
+                stages[0] = StageSet(values=current[used], actions=None)
+        else:
+            values, actions = backup(model, current, stage_pieces[k])
         stages.insert(0, StageSet(values=values, actions=actions))
-        current = values
     return ValuePolicy(
         stages=tuple(stages),
         objective=objective,

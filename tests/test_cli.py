@@ -131,10 +131,10 @@ def test_solve_writes_reproducible_policy(tmp_path, capsys):
     assert main(argv + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     printed = capsys.readouterr().out
-    assert "stage 0: 244 vectors" in printed
+    assert "stage 0: 2 vectors" in printed
 
     policy = load_policy(out1)
-    assert policy.gamma_sizes() == [244, 66, 15, 4]
+    assert policy.gamma_sizes() == [2, 10, 10, 4]  # the reachable tree's backup
     model, costs = build_grid_agent()
     assert policy.model_fingerprint == fingerprint(model, costs)
     metrics = exact_policy_metrics(model, costs, policy)
@@ -401,7 +401,7 @@ def test_sweep_rows_and_exact_column(tmp_path):
                                atol=1e-10)
     np.testing.assert_allclose(float(rows[1]["total_cost"]), GRID_D2_EXACT_TOTAL,
                                atol=1e-10)
-    assert rows[1]["gamma_sizes"] == "244;66;15;4"
+    assert rows[1]["gamma_sizes"] == "2;10;10;4"
     # the reported tangent bound dominates the achieved cost at every density
     for r in rows:
         assert float(r["bound_value"]) >= float(r["total_cost"]) - 1e-9
@@ -430,6 +430,20 @@ def test_experiment_refuses_before_writing_anything(tmp_path, monkeypatch, capsy
     assert main(["experiment", "--base-points", "1", "--runs", "10", "--out", str(out)]) == 1
     assert "256 joint terms" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_experiment_checks_always_east_before_writing_anything(tmp_path, monkeypatch, capsys):
+    # the fixed baseline is control 2, which a two-control model does not have
+    model = oracle.random_model(np.random.default_rng(3), n_states=3, n_obs=2, n_controls=2)
+    save_model(tmp_path / "model.json", model, oracle.random_costs(np.random.default_rng(4),
+                                                                     model, horizon=2))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved before checking"))
+    assert main(["experiment", "--model", "model.json", "--base-points", "1", "--runs", "10",
+                 "--out", "exp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: policy 'always-east': control 2 out of range [0, 2)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 @pytest.mark.parametrize("command", [

@@ -53,11 +53,25 @@ def test_validate_and_simulate_load_no_scipy(tmp_path):
     assert out == {"codes": [0, 0, 0], "scipy": []}
 
 
+def test_default_solve_and_experiment_load_no_scipy(tmp_path):
+    # at the default T=3 every stage backs up on the reachable tree: no prune runs
+    out = fresh(f"""
+        import json, sys
+        from active_smoothing.cli import main
+        codes = [main(["solve", "--out", "p.json"]),
+                 main(["experiment", "--runs", "10", "--out", "exp"])]
+        print(json.dumps({{"codes": codes, "scipy": {SCIPY_MODULES}}}))
+    """, tmp_path)
+    assert out == {"codes": [0, 0], "scipy": []}
+
+
+# At T=6 the stages past the reachable tree's cap back up globally, with Qhull.
+
 def test_solve_loads_qhull_but_not_linprog(tmp_path):
     out = fresh("""
         import json, sys
         from active_smoothing.cli import main
-        code = main(["solve", "--base-points", "2", "--out", "p.json"])
+        code = main(["solve", "--horizon", "6", "--base-points", "2", "--out", "p.json"])
         print(json.dumps({"code": code, "spatial": "scipy.spatial" in sys.modules,
                           "optimize": "scipy.optimize" in sys.modules}))
     """, tmp_path)
@@ -77,7 +91,7 @@ def test_qhull_build_set_before_the_first_solve_is_the_one_called(tmp_path):
             return real(*args, **kwargs)
 
         solver.HalfspaceIntersection = counting
-        code = cli.main(["solve", "--base-points", "2", "--out", "p.json"])
+        code = cli.main(["solve", "--horizon", "6", "--base-points", "2", "--out", "p.json"])
         import scipy.spatial
         print(json.dumps({"code": code, "builds": len(builds),
                           "real": real is scipy.spatial.HalfspaceIntersection}))
@@ -99,7 +113,7 @@ def test_forced_qhull_failure_exits_1_without_scipy_optimize(tmp_path):
         solver.HalfspaceIntersection = failing_build
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli.main(["solve", "--base-points", "2", "--out", "p.json"])
+            code = cli.main(["solve", "--horizon", "6", "--base-points", "2", "--out", "p.json"])
         print(json.dumps({"code": code, "stderr": err.getvalue(),
                           "optimize": "scipy.optimize" in sys.modules}))
     """, tmp_path)

@@ -24,8 +24,10 @@ from active_smoothing import (
 )
 from active_smoothing.solver import EXACT_PRUNE_CAP
 
-# grid agent, smoother objective, density 2: frozen regression values
+# grid agent, smoother objective, density 2: frozen regression values of the global
+# backup (every stage forced off the reachable tree) and of the default tree backup
 GRID_D2_GAMMAS = [244, 66, 15, 4]
+GRID_D2_TREE_GAMMAS = [2, 10, 10, 4]
 GRID_D2_EXACT_TOTAL = 1.8523955343318514
 # exact optimum of the smoother objective on the grid agent (tree DP)
 GRID_SMOOTHER_OPTIMUM = 1.6223923632239847
@@ -263,8 +265,14 @@ def test_costs_only_matches_exact_dp_on_random_models(rng):
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
-def test_grid_smoother_solve_frozen_regression(grid):
+def force_global(monkeypatch):
+    """Every stage backs up globally: no level of the reachable tree is within the cap."""
+    monkeypatch.setattr(solver_module, "TREE_LEVEL_CAP", 0)
+
+
+def test_grid_smoother_solve_frozen_regression(grid, monkeypatch):
     model, costs = grid
+    force_global(monkeypatch)
     policy = solve(model, costs, "smoother", generate_base_points(4, 2))
     assert policy.gamma_sizes() == GRID_D2_GAMMAS
     metrics = exact_policy_metrics(model, costs, policy)
@@ -274,10 +282,16 @@ def test_grid_smoother_solve_frozen_regression(grid):
     assert policy.horizon == 3
 
 
-@pytest.mark.parametrize("density, gammas", [(2, GRID_D2_GAMMAS), (3, [383, 183, 48, 10])])
-def test_a_duplicated_control_never_appears_in_the_policy(grid, density, gammas):
-    # control 3 copies stay (control 1): its vectors equal stay's bit for bit, and of
-    # equal rows the lowest index survives, so the copy adds no vector and no action
+def test_grid_smoother_tree_solve_frozen_regression(grid):
+    model, costs = grid
+    policy = solve(model, costs, "smoother", generate_base_points(4, 2))
+    assert policy.gamma_sizes() == GRID_D2_TREE_GAMMAS
+    metrics = exact_policy_metrics(model, costs, policy)
+    np.testing.assert_allclose(metrics.total_cost, GRID_D2_EXACT_TOTAL, atol=1e-10)
+
+
+def solve_with_a_duplicated_control(grid, density):
+    """The grid agent's smoother policy with control 3 a copy of stay (control 1)."""
     model, costs = grid
     copied = make_model(
         prior=model.prior,
@@ -288,7 +302,24 @@ def test_a_duplicated_control_never_appears_in_the_policy(grid, density, gammas)
     copied_costs = make_cost_model(
         costs.horizon, np.concatenate([costs.stage_cost, costs.stage_cost[..., 1:2]], axis=2),
         costs.terminal_cost)
-    policy = solve(copied, copied_costs, "smoother", generate_base_points(4, density))
+    return solve(copied, copied_costs, "smoother", generate_base_points(4, density))
+
+
+@pytest.mark.parametrize("density, gammas", [(2, GRID_D2_GAMMAS), (3, [383, 183, 48, 10])])
+def test_a_duplicated_control_never_appears_in_the_policy(grid, monkeypatch, density, gammas):
+    # the copy's vectors equal stay's bit for bit, and of equal rows the lowest index
+    # survives a prune, so the copy adds no vector and no action
+    force_global(monkeypatch)
+    policy = solve_with_a_duplicated_control(grid, density)
+    assert policy.gamma_sizes() == gammas
+    for stage in policy.stages[:-1]:
+        assert not (stage.actions == 3).any()
+
+
+@pytest.mark.parametrize("density, gammas", [(2, GRID_D2_TREE_GAMMAS), (3, [2, 11, 17, 7])])
+def test_a_duplicated_control_never_appears_in_the_tree_policy(grid, density, gammas):
+    # the copy's candidates tie stay's, and the tree backup chooses the lowest tied control
+    policy = solve_with_a_duplicated_control(grid, density)
     assert policy.gamma_sizes() == gammas
     for stage in policy.stages[:-1]:
         assert not (stage.actions == 3).any()
@@ -357,9 +388,11 @@ def test_smoother_matches_unpruned_at_density_one(grid, rng):
 
 
 def test_preselection_cap_keeps_upper_bound(grid, rng, monkeypatch):
-    # forcing the winner-cloud path still yields a valid (possibly looser) bound
+    # forcing the winner-cloud path still yields a valid (possibly looser) bound; the
+    # cap applies only to global stages, so every stage is forced global
     model, costs = grid
     bp = generate_base_points(4, 2)
+    force_global(monkeypatch)
     exact = solve(model, costs, "smoother", bp)
     monkeypatch.setattr(solver_module, "EXACT_PRUNE_CAP", 0)
     capped = solve(model, costs, "smoother", bp)
@@ -368,6 +401,111 @@ def test_preselection_cap_keeps_upper_bound(grid, rng, monkeypatch):
         lo = value(exact, b, 0)
         hi = value(capped, b, 0)
         assert hi >= lo - 1e-9
+
+
+# -------------------------------------------------------- reachable tree --
+
+def oracle_levels(model, horizon):
+    """Per stage 0..horizon, the beliefs reachable under any controls, by the oracle filter."""
+    levels = [[oracle.initial_filter(model, y) for y in range(model.n_observations)
+               if model.initial_observation[:, y] @ model.prior > 0.0]]
+    for _ in range(horizon):
+        levels.append([oracle.filter_step(model, b, u, y) for b in levels[-1]
+                       for u in range(model.n_controls) for y in range(model.n_observations)
+                       if oracle.obs_prob(model, b, u, y) > 0.0])
+    return levels
+
+
+def lower_envelope(values, beliefs):
+    """Per belief, the least row of `values` there, a block of rows at a time."""
+    blocks = np.array_split(values, -(-len(values) // 4096))
+    return np.min([(block @ beliefs.T).min(axis=0) for block in blocks], axis=0)
+
+
+def test_reachable_levels_stop_before_the_first_level_over_the_cap(grid, monkeypatch):
+    model, _ = grid
+    assert [len(b) for b in solver_module._reachable_levels(model, 6)] == [2, 12, 72, 432]
+    assert [len(b) for b in solver_module._reachable_levels(model, 3)] == [2, 12, 72]
+    assert solver_module._reachable_levels(model, 0) == []
+    monkeypatch.setattr(solver_module, "TREE_LEVEL_CAP", 431)
+    assert [len(b) for b in solver_module._reachable_levels(model, 6)] == [2, 12, 72]
+    monkeypatch.setattr(solver_module, "TREE_LEVEL_CAP", 1)
+    assert solver_module._reachable_levels(model, 6) == []
+    # the levels are the oracle's reachable beliefs, in the filter's own arithmetic
+    for got, want in zip(solver_module._reachable_levels(model, 3), oracle_levels(model, 2)):
+        np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("density, horizon", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_tree_solve_is_the_unpruned_value_at_reachable_beliefs(grid, rng, density, horizon):
+    # exact at every belief the policy can reach, an upper bound everywhere else
+    model, costs = grid
+    costs = make_cost_model(horizon, costs.stage_cost[0], costs.terminal_cost)
+    bp = generate_base_points(4, density)
+    policy = solve(model, costs, "smoother", bp)
+    unpruned = oracle.unpruned_stages(
+        model, terminal_tangent_alphas(costs, bp),
+        [[stage_tangent_alphas(model, costs, bp, k, u) for u in range(model.n_controls)]
+         for k in range(horizon)])
+    anywhere = rng.dirichlet(np.ones(4), size=200)
+    for k, reachable in enumerate(oracle_levels(model, horizon)):
+        reachable = np.array(reachable)
+        np.testing.assert_allclose((policy.stages[k].values @ reachable.T).min(axis=0),
+                                   lower_envelope(unpruned[k], reachable),
+                                   rtol=0, atol=1e-9, err_msg=f"stage {k}")
+        above = (policy.stages[k].values @ anywhere.T).min(axis=0)
+        assert (above >= lower_envelope(unpruned[k], anywhere) - 1e-9).all(), f"stage {k}"
+
+
+def test_tree_solve_keeps_used_terminal_tangents_without_pruning(grid, monkeypatch):
+    # every stage is on the tree: no prune runs, and the terminal set is a subset of
+    # the tangents
+    model, costs = grid
+    bp = generate_base_points(4, 3)
+    monkeypatch.setattr(solver_module, "prune", lambda values: pytest.fail("pruned"))
+    policy = solve(model, costs, "smoother", bp)
+    tangents = terminal_tangent_alphas(costs, bp)
+    terminal = policy.stages[-1].values
+    assert len(terminal) < len(tangents)
+    assert all((tangents == row).all(axis=1).any() for row in terminal)
+
+
+def assert_tree_decides_as_global(monkeypatch, model, costs, objective, base_points):
+    tree = solve(model, costs, objective, base_points)
+    with monkeypatch.context() as patch:
+        force_global(patch)
+        forced = solve(model, costs, objective, base_points)
+    assert exact_policy_metrics(model, costs, tree) == exact_policy_metrics(model, costs, forced)
+
+
+@pytest.mark.parametrize("objective", ["smoother", "belief-sum", "costs-only"])
+def test_tree_solve_evaluates_as_the_global_solve_on_the_grid(grid, monkeypatch, objective):
+    model, costs = grid
+    for density in range(1, 6):
+        assert_tree_decides_as_global(monkeypatch, model, costs, objective,
+                                      generate_base_points(4, density))
+
+
+@pytest.mark.parametrize("objective", ["smoother", "belief-sum"])
+def test_tree_and_global_stages_together_evaluate_as_the_global_solve(grid, monkeypatch,
+                                                                      objective):
+    # at T=6 the tree holds stages 0-3 and stages 4-5 back up globally
+    model, costs = grid
+    costs = make_cost_model(6, costs.stage_cost[0], costs.terminal_cost)
+    assert_tree_decides_as_global(monkeypatch, model, costs, objective,
+                                  generate_base_points(4, 1))
+
+
+def test_tree_solve_evaluates_as_the_global_solve_on_random_models(rng, monkeypatch):
+    for i in range(40):
+        model = oracle.random_model(rng, zero_fraction=0.3 if i % 3 == 0 else 0.0)
+        costs = oracle.random_costs(rng, model, horizon=int(rng.integers(1, 4)))
+        objective = ("smoother", "belief-sum", "costs-only")[i % 3]
+        bp = generate_base_points(model.n_states, int(rng.integers(1, 4)))
+        assert_tree_decides_as_global(monkeypatch, model, costs, objective, bp)
+        with monkeypatch.context() as patch:  # the shallow stages only on the tree
+            patch.setattr(solver_module, "TREE_LEVEL_CAP", 2 * model.n_observations)
+            assert_tree_decides_as_global(monkeypatch, model, costs, objective, bp)
 
 
 def test_belief_sum_solve_evaluates_correctly(grid):
