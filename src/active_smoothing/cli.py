@@ -46,7 +46,6 @@ from .sim import (
     exact_refusal,
     monte_carlo,
     rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
-    rollouts,
 )
 from .solver import OBJECTIVES, PolicyFormatError, load_policy, save_policy, solve, value
 
@@ -63,8 +62,9 @@ class UsageError(Exception):
 # ------------------------------------------------------------- plumbing --
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    """A CSV cell: floats, numpy's included, as repr(float(x)); anything else as str(x)."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
@@ -185,12 +185,23 @@ def _solve(model, costs, args, objective: str, density: int, config):
     return policy, time.perf_counter() - start
 
 
-def _evaluate(model, costs, pairs, exact: bool, args, config) -> list:
-    """(name, summary) per (name, policy) pair: exact, or Monte Carlo on common random numbers."""
-    if exact:
-        return [(name, exact_policy_metrics(model, costs, policy_like, config, seed=args.seed))
-                for name, policy_like in pairs]
-    return compare_policies(model, costs, pairs, args.runs, args.seed, config)
+def _evaluate(model, costs, pairs, exact: bool, args, config, trace_runs: int = 0):
+    """(name, summary) per (name, policy) pair, exact or by Monte Carlo on common random
+    numbers, and the `compare_policies` head of each policy's first `trace_runs` runs.
+
+    The Monte Carlo head comes out of the evaluating pass itself. Exact evaluation
+    simulates nothing, so its head, None without `trace_runs`, is one lockstep pass of
+    `trace_runs` runs over every policy.
+    """
+    if not exact:
+        return compare_policies(model, costs, pairs, args.runs, args.seed, config,
+                                trace_runs=trace_runs)
+    results = [(name, exact_policy_metrics(model, costs, policy_like, config, seed=args.seed))
+               for name, policy_like in pairs]
+    if not trace_runs:
+        return results, None
+    return results, compare_policies(model, costs, pairs, trace_runs, args.seed, config,
+                                     trace_runs=trace_runs)[1]
 
 
 def _summary_line(name: str, s) -> str:
@@ -198,25 +209,21 @@ def _summary_line(name: str, s) -> str:
             f"smoother={s.smoother_entropy:.4f} total={s.total_cost:.4f}")
 
 
-def _sweep_row(model, costs, args, density: int, policy, exact: bool, config) -> list:
-    if exact:
-        summary = exact_policy_metrics(model, costs, policy, config, seed=args.seed)
-    else:
-        summary = monte_carlo(model, costs, policy, args.runs, args.seed, config)
+def _sweep_row(model, costs, density: int, policy, summary: MetricsSummary, exact: bool,
+               config) -> list:
     return [density, summary.total_cost, _reported_bound(model, costs, policy, config),
             ";".join(str(x) for x in policy.gamma_sizes()), int(exact)]
 
 
-def _trace_rows(model, costs, pairs, runs: int, seed: int, config) -> list[list]:
-    """One row per stage of the first min(runs, MAX_TRACE_RUNS) rollouts of each policy."""
-    t = costs.horizon
+def _trace_rows(pairs, head) -> list[list]:
+    """One row per stage of each policy's head runs, the (states, controls, observations)
+    that `compare_policies` copied out of the leading runs of its pass: no run is
+    simulated again for its trace."""
     rows = []
-    for name, policy_like in pairs:
-        batch = rollouts(model, costs, policy_like, seed, min(runs, MAX_TRACE_RUNS), config)
-        for i in range(len(batch)):
-            for k in range(t + 1):
-                control = batch.controls[i, k] if k < t else ""
-                rows.append([name, i, k, batch.states[i, k], control, batch.observations[i, k]])
+    for (name, _), *runs in zip(pairs, *(a.tolist() for a in head)):
+        for i, (states, controls, observations) in enumerate(zip(*runs)):
+            stages = zip(states, controls + [""], observations)  # no control at stage T
+            rows += ([name, i, k, *cells] for k, cells in enumerate(stages))
     return rows
 
 
@@ -249,15 +256,15 @@ def cmd_simulate(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     pairs = [_resolve_policy(ref, model, costs) for ref in args.policy]
-    results = _evaluate(model, costs, pairs, args.exact, args, config)
+    trace_runs = (1 if args.exact else MAX_TRACE_RUNS) if args.trace else 0
+    results, head = _evaluate(model, costs, pairs, args.exact, args, config, trace_runs)
     metadata = _config_dict(args, model, costs, **({"exact": True} if args.exact else {}))
     _write_csv(args.out, metadata, RESULTS_HEADER, [_summary_row(name, s) for name, s in results])
     for name, s in results:
         print(f"{name}: total_cost={s.total_cost!r} (exact)" if args.exact
               else _summary_line(name, s))
     if args.trace:
-        trace = _trace_rows(model, costs, pairs, 1 if args.exact else args.runs, args.seed, config)
-        _write_csv(args.trace, metadata, TRACE_HEADER, trace)
+        _write_csv(args.trace, metadata, TRACE_HEADER, _trace_rows(pairs, head))
     return 0
 
 
@@ -269,7 +276,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for density in densities:
         policy, elapsed = _solve(model, costs, args, args.objective, density, config)
-        rows.append(_sweep_row(model, costs, args, density, policy, exact, config))
+        summary = (exact_policy_metrics(model, costs, policy, config, seed=args.seed) if exact
+                   else monte_carlo(model, costs, policy, args.runs, args.seed, config))
+        rows.append(_sweep_row(model, costs, density, policy, summary, exact, config))
         print(f"d={density}: total_cost={rows[-1][1]!r} bound={rows[-1][2]!r} "
               f"gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
     _write_csv(args.out, _config_dict(args, model, costs), SWEEP_HEADER, rows)
@@ -306,9 +315,9 @@ def cmd_experiment(args) -> int:
 
     policies = [("active-smoothing", active), ("belief-sum", baseline), ("always-east", "always-east")]
     print(f"simulating {args.runs} runs per policy ...")
-    results = _evaluate(model, costs, policies, False, args, config)
-    rows = [_summary_row(name, s)
-            for name, s in results + _evaluate(model, costs, policies, True, args, config)]
+    results, head = _evaluate(model, costs, policies, False, args, config, trace_runs=1)
+    exact_results, _ = _evaluate(model, costs, policies, True, args, config)
+    rows = [_summary_row(name, s) for name, s in results + exact_results]
     _write_csv(out_dir / "table1.csv", metadata, RESULTS_HEADER, rows)
     for name, s in results:
         print("  " + _summary_line(name, s))
@@ -316,14 +325,16 @@ def cmd_experiment(args) -> int:
     print(f"density sweep over {densities} ...")
     sweep_rows = []
     for density in densities:
-        policy = (active if density == d_main
-                  else _solve(model, costs, args, "smoother", density, config)[0])
-        sweep_rows.append(_sweep_row(model, costs, args, density, policy, True, config))
+        if density == d_main:  # table1.csv's exact record of the active policy
+            policy, summary = active, exact_results[0][1]
+        else:
+            policy = _solve(model, costs, args, "smoother", density, config)[0]
+            summary = exact_policy_metrics(model, costs, policy, config, seed=args.seed)
+        sweep_rows.append(_sweep_row(model, costs, density, policy, summary, True, config))
         print(f"  d={density}: total_cost={sweep_rows[-1][1]!r}")
     _write_csv(out_dir / "sweep.csv", metadata, SWEEP_HEADER, sweep_rows)
 
-    _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER,
-               _trace_rows(model, costs, policies, 1, args.seed, config))
+    _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER, _trace_rows(policies, head))
 
     with open(out_dir / "metadata.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)

@@ -478,8 +478,8 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
 
 def compare_policies(model: ControlledHMM, cost_model: CostModel,
                      policies: list[tuple[str, object]], runs: int, seed: int,
-                     config: EntropyConfig = DEFAULT_CONFIG) -> list[tuple[str, MetricsSummary]]:
-    """One summary per named policy, on common random numbers across policies.
+                     config: EntropyConfig = DEFAULT_CONFIG, *, trace_runs: int | None = None):
+    """One (name, summary) per named policy, on common random numbers across policies.
 
     Every policy advances in the same lockstep pass, one block of runs at a
     time; each block's uniforms are drawn once and shared by every policy. A
@@ -492,12 +492,19 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     callable is called stage by stage within each block, so a stateful one's
     calls interleave with the other policies' decisions by stage. Any other
     policy's summary equals its own `monte_carlo`.
+
+    Given `trace_runs`, the result is (summaries, head): head holds the states
+    (P, n, T+1), controls (P, n, T) and observations (P, n, T+1) of runs
+    0 .. n - 1 of each of the P policies, n = min(trace_runs, runs). They are
+    copied out of the leading block(s) of this pass, so they equal each run's
+    `rollout` and no run is simulated twice.
     """
     _check_runs(runs)
     rules = [_rows_rule(model, cost_model, policy_like) for _, policy_like in policies]
+    t, n_head = cost_model.horizon, min(trace_runs or 0, runs)
+    head = tuple(np.empty((len(rules), n_head, width), dtype=int) for width in (t + 1, t, t + 1))
     if not rules:
-        return []
-    t = cost_model.horizon
+        return [] if trace_runs is None else ([], head)
     block = max(1, ROLLOUT_CHUNK // (len(rules) * (t + 1) * (model.n_states + 8)))
     per_run = np.empty((len(rules), 4, runs))  # terminal, belief entropies, smoother, total
     for start in range(0, runs, block):
@@ -507,7 +514,13 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
         metrics = np.stack((batch.terminal_cost, batch.belief_entropies.sum(axis=1),
                             batch.smoother_entropy, batch.total_cost))
         per_run[:, :, start:stop] = metrics.reshape(4, len(rules), -1).swapaxes(0, 1)
+        if start < n_head:  # copy only the head rows: batch row p * R + r is run start + r
+            end = min(n_head, stop)
+            for kept, rows in zip(head, (batch.states, batch.controls, batch.observations)):
+                by_policy = rows.reshape(len(rules), stop - start, rows.shape[1])
+                kept[:, start:end] = by_policy[:, :end - start]
     means = per_run.mean(axis=2)
     ses = per_run.std(axis=2, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros_like(means)
-    return [(name, _summary(runs, m, e, config, seed))
-            for (name, _), m, e in zip(policies, means, ses)]
+    summaries = [(name, _summary(runs, m, e, config, seed))
+                 for (name, _), m, e in zip(policies, means, ses)]
+    return summaries if trace_runs is None else (summaries, head)

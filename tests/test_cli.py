@@ -234,22 +234,85 @@ def test_simulate_trace_format(tmp_path):
             assert r["observation"] in {"0", "1"}
 
 
-def test_trace_rows_are_the_first_runs_of_the_batch(tmp_path):
+def _grid_block_budget(block_runs: int, n_policies: int) -> int:
+    """The sim.ROLLOUT_CHUNK at which Monte Carlo of `n_policies` policies on the grid agent
+    advances blocks of `block_runs` runs: (T+1)(N+8) floats per run and policy."""
+    return block_runs * n_policies * (3 + 1) * (4 + 8)
+
+
+def test_trace_rows_are_the_first_runs_of_the_batch(tmp_path, monkeypatch):
     from active_smoothing import rollout
 
-    out, trace = tmp_path / "r.csv", tmp_path / "t.csv"
-    assert main(["simulate", "--policy", "fixed:1", "--policy", "always-east", "--runs", "12",
-                 "--seed", "5", "--out", str(out), "--trace", str(trace)]) == 0
-    _, rows = read_csv(trace)
+    policy_path = tmp_path / "p.json"
+    assert main(["solve", "--base-points", "1", "--out", str(policy_path)]) == 0
+    refs = [(str(policy_path), "p", load_policy(policy_path)), ("fixed:1", "fixed:1", 1),
+            ("always-east", "always-east", 2)]
     model, costs = build_grid_agent()
     want = []
-    for name, policy in (("fixed:1", 1), ("always-east", 2)):
+    for _, name, policy in refs:
         for i in range(10):
             rec = rollout(model, costs, policy, 5, run_index=i)
             want += [[name, str(i), str(k), str(rec.states[k]),
                       str(rec.controls[k]) if k < 3 else "", str(rec.observations[k])]
                      for k in range(4)]
+    out, trace = tmp_path / "r.csv", tmp_path / "t.csv"
+    # one block of 12 runs, then blocks of 3: the ten traced runs span four, the last partial
+    for chunk in (sim.ROLLOUT_CHUNK, _grid_block_budget(3, len(refs))):
+        monkeypatch.setattr(sim, "ROLLOUT_CHUNK", chunk)
+        assert main(["simulate", *(arg for ref, _, _ in refs for arg in ("--policy", ref)),
+                     "--runs", "12", "--seed", "5", "--out", str(out),
+                     "--trace", str(trace)]) == 0
+        _, rows = read_csv(trace)
+        assert [list(r.values()) for r in rows] == want
+
+
+@pytest.mark.parametrize("block, starts", [(None, [(0, 10)]), (4, [(0, 4), (4, 8), (8, 10)])],
+                         ids=["one-block", "blocks-of-4"])
+def test_traced_commands_draw_each_monte_carlo_block_once(tmp_path, monkeypatch, block, starts):
+    # the trace rows come out of the Monte Carlo pass: no traced run is drawn a second time
+    drawn, uniforms = [], sim._uniforms
+    monkeypatch.setattr(sim, "_uniforms",
+                        lambda *args: drawn.append(args[1:3]) or uniforms(*args))
+    if block is not None:
+        monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _grid_block_budget(block, 3))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--policy", "always-east", "--policy", "fixed:0", "--policy",
+                 "fixed:1", "--runs", "10", "--out", "r.csv", "--trace", "t.csv"]) == 0
+    assert drawn == starts
+    drawn.clear()
+    assert main(["experiment", "--base-points", "1", "--runs", "10", "--out", "exp"]) == 0
+    assert drawn == starts
+
+
+def test_simulate_exact_trace_is_one_lockstep_pass_of_every_policy(tmp_path, monkeypatch):
+    from active_smoothing import rollout
+
+    passes, advance = [], sim._advance
+    monkeypatch.setattr(sim, "_advance",
+                        lambda *args: passes.append((len(args[2]), len(args[5])))
+                        or advance(*args))
+    trace = tmp_path / "t.csv"
+    assert main(["simulate", "--exact", "--policy", "fixed:1", "--policy", "always-east",
+                 "--seed", "8", "--out", str(tmp_path / "r.csv"), "--trace", str(trace)]) == 0
+    assert passes == [(2, 1)]  # both policies' rules, one run
+    metadata, rows = read_csv(trace)
+    assert metadata["exact"] is True
+    model, costs = build_grid_agent()
+    want = []
+    for name, policy in (("fixed:1", 1), ("always-east", 2)):
+        rec = rollout(model, costs, policy, 8)
+        want += [[name, "0", str(k), str(rec.states[k]),
+                  str(rec.controls[k]) if k < 3 else "", str(rec.observations[k])]
+                 for k in range(4)]
     assert [list(r.values()) for r in rows] == want
+
+
+def test_csv_cells_write_numpy_scalars_as_python_values(tmp_path):
+    cells = [np.float64(0.5), np.int64(-3), 0.1, np.float32(0.25), 1 / 3, "x"]
+    assert [cli._fmt(x) for x in cells] == ["0.5", "-3", "0.1", "0.25", repr(1 / 3), "x"]
+    path = tmp_path / "c.csv"
+    cli._write_csv(path, {}, ["a", "b", "c"], [[np.float64(0.1), np.int64(2), 0.1]])
+    assert read_csv(path)[1] == [{"a": "0.1", "b": "2", "c": "0.1"}]
 
 
 def test_simulate_policy_file_and_mismatch(tmp_path):
@@ -422,6 +485,23 @@ def test_size_guard_sets_exact_evaluation_and_the_sweep_together(tmp_path, monke
     assert main(["sweep", "--base-points", "1", "--runs", "50", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert int(rows[0]["exact"]) == exact
+
+
+def test_experiment_evaluates_each_policy_exactly_once(tmp_path, monkeypatch):
+    # sweep.csv's row at the main density reuses table1.csv's exact record of the policy
+    evaluated, exact = [], cli.exact_policy_metrics
+    monkeypatch.setattr(cli, "exact_policy_metrics",
+                        lambda *args, **kwargs: evaluated.append(args[2])
+                        or exact(*args, **kwargs))
+    densities = [1, 2, 3]
+    out = tmp_path / "exp"
+    assert main(["experiment", "--base-points", ",".join(map(str, densities)), "--runs", "10",
+                 "--out", str(out)]) == 0
+    assert len(evaluated) == 3 + (len(densities) - 1)
+    _, table = read_csv(out / "table1.csv")
+    _, sweep = read_csv(out / "sweep.csv")
+    active = next(r for r in table if r["policy"] == "active-smoothing" and r["runs"] == "0")
+    assert sweep[-1]["total_cost"] == active["total_cost"]
 
 
 def test_experiment_refuses_before_writing_anything(tmp_path, monkeypatch, capsys):

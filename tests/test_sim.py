@@ -454,6 +454,42 @@ def test_compare_policies_does_not_depend_on_the_block_size(grid, grid_policies,
         assert summaries[0] == summaries[1] == summaries[2]
 
 
+@pytest.mark.parametrize("horizon", [0, 3])
+@pytest.mark.parametrize("block, runs", [(1, 12), (3, 12), (300, 12), (300, 4)],
+                         ids=["block-1", "block-3", "one-block", "fewer-runs-than-head"])
+def test_compare_policies_head_is_each_policys_leading_rollouts(
+        grid, grid_policies, monkeypatch, horizon, block, runs):
+    model, costs = grid
+    costs = make_cost_model(horizon, costs.stage_cost[0], costs.terminal_cost)
+    policies = [("east", "always-east"), ("fixed", 1),
+                ("callable", lambda b, k: int(np.argmax(b) + k) % 3)]
+    if horizon == 3:
+        policies.insert(0, ("smoother", grid_policies["smoother"]))
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(block, len(policies), model, costs))
+    summaries, (states, controls, observations) = compare_policies(
+        model, costs, policies, runs, 9, trace_runs=10)
+    assert summaries == compare_policies(model, costs, policies, runs, 9)
+    n = min(10, runs)
+    assert states.shape == observations.shape == (len(policies), n, horizon + 1)
+    assert controls.shape == (len(policies), n, horizon)
+    for p, (_, policy_like) in enumerate(policies):
+        for i in range(n):
+            record = rollout(model, costs, policy_like, 9, run_index=i)
+            assert states[p, i].tolist() == record.states.tolist()
+            assert controls[p, i].tolist() == record.controls.tolist()
+            assert observations[p, i].tolist() == record.observations.tolist()
+
+
+def test_compare_policies_head_of_no_runs_or_no_policies_is_empty(grid):
+    model, costs = grid
+    summaries, head = compare_policies(model, costs, [("east", "always-east")], 5, 1,
+                                       trace_runs=0)
+    assert summaries == compare_policies(model, costs, [("east", "always-east")], 5, 1)
+    assert [h.shape for h in head] == [(1, 0, 4), (1, 0, 3), (1, 0, 4)]
+    summaries, head = compare_policies(model, costs, [], 5, 1, trace_runs=3)
+    assert summaries == [] and [h.shape for h in head] == [(0, 3, 4), (0, 3, 3), (0, 3, 4)]
+
+
 def test_block_memory_stays_within_the_rollout_budget(monkeypatch):
     """A comparison's peak allocation is a small multiple of ROLLOUT_CHUNK floats: the
     (G, N, N) joint of each stage is freed with the stage, never kept for the block."""
