@@ -9,14 +9,14 @@ the first level of more than TREE_LEVEL_CAP beliefs. A tree stage keeps, per
 reachable belief, the backed-up vector that is minimal there (`_tree_backup`).
 Each such vector belongs to the unpruned backup, so the stored function is an
 upper bound everywhere, and at every reachable belief it equals the backup of
-the next stage there: the value function of the tangent lattice, unless a
-deeper global stage went over EXACT_PRUNE_CAP. When every decision stage is on
-the tree, the terminal set keeps the tangents the last stage uses, and no
-prune runs. The stages past the tree back up globally: `backup` transforms each
-next-stage vector per observation, cross-sums one choice per observation,
-cross-sums the stage-cost tangent pieces, unions over controls, and prunes
-after every step, as incremental pruning does (Cassandra, Littman & Zhang,
-UAI 1997).
+the next stage there: the value function of the tangent lattice. When every
+decision stage is on the tree, the terminal set keeps the tangents the last
+stage uses, and no prune runs. The stages past the tree back up globally:
+`backup` transforms each next-stage vector per observation, cross-sums one
+choice per observation, cross-sums the stage-cost tangent pieces, unions over
+controls, and prunes after every step, as incremental pruning does (Cassandra,
+Littman & Zhang, UAI 1997). A global stage is always the exact pruned backup,
+however many vectors its cross-sums hold: no step approximates.
 
 `prune` keeps exactly the vectors that attain the minimum on a
 full-dimensional region of the simplex. It builds the envelope polytope
@@ -28,11 +28,7 @@ input however the rows are ordered, and the kept set is a function of the set
 of rows, near-copies included. The build runs on the rows minus their column
 minima. That subtracts one linear function of p from every row, which leaves
 the facets as they are, and keeps large or uneven costs from costing Qhull its
-precision. A Qhull failure is an error; there is no second prune path. Above
-`EXACT_PRUNE_CAP` vectors, the solver selects winners on a fixed witness-point
-cloud instead of calling `prune`: every kept vector still attains the minimum
-somewhere, so the represented function remains a valid upper bound, but
-rarely-winning vectors may be dropped.
+precision. A Qhull failure is an error; there is no second prune path.
 
 scipy loads on first use. This module is its only user, and filtering, Monte
 Carlo, exact evaluation, `simulate`, `validate` and a solve whose stages are
@@ -44,7 +40,6 @@ the module, as a test or a tracer does, is the one the solver calls.
 """
 from __future__ import annotations
 
-import functools
 import importlib
 import itertools
 import json
@@ -63,23 +58,23 @@ from .model import ControlledHMM, CostModel, fingerprint
 from .pwl import (
     BasePointSet,
     conditional_entropy_tangents,
-    simplex_lattice,
     stage_tangent_alphas,
     terminal_tangent_alphas,
 )
 
 OBJECTIVES = ("smoother", "belief-sum", "costs-only")
 TIE_TOL = 1e-12
-EXACT_PRUNE_CAP = 2000
 TREE_LEVEL_CAP = 500  # beliefs in a level of the reachable tree; deeper stages back up globally
-CLOUD_CHUNK = 1 << 17  # floats per block @ values.T in _cloud_argmin, about 1 MiB
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 _SCIPY_NAMES = {
     "HalfspaceIntersection": "scipy.spatial",
     "QhullError": "scipy.spatial",
 }
-# bench/tracer.py patches this name for its "solver.witness_lp" span; nothing calls it
+# only bench/ reads these names: its tracer patches linprog and _witness_cloud, and
+# its machine_info records EXACT_PRUNE_CAP; nothing in the package uses them
 linprog = None
+_witness_cloud = None
+EXACT_PRUNE_CAP = None
 
 
 def __getattr__(name: str):
@@ -188,66 +183,15 @@ def prune(values: np.ndarray) -> np.ndarray:
     return np.sort(idx[facet[n + 1:]])
 
 
-# ------------------------------------------------------- witness clouds --
-
-@functools.cache
-def _witness_cloud(n: int) -> np.ndarray:
-    """Fixed belief cloud used to pick winning vectors when sets exceed the cap."""
-    rng = np.random.Generator(np.random.Philox(key=714203))
-    parts = [
-        np.eye(n),
-        np.full((1, n), 1.0 / n),
-        rng.dirichlet(np.ones(n), size=8192),
-        rng.dirichlet(np.full(n, 0.3), size=4096),
-    ]
-    if 9 ** n <= 100_000:
-        parts.append(simplex_lattice(n, 9))
-    return np.vstack(parts)
-
-
 # ----------------------------------------------------------------- solve --
 
-def _cloud_argmin(values: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    """Per cloud point, the index of the minimising row of `values` (first on ties).
-
-    Evaluated over blocks of cloud points sized so that each `block @ values.T`
-    holds about CLOUD_CHUNK floats: it stays in cache, and memory stays bounded
-    whatever the cloud size. Blocks are point-major (points x vectors), so each
-    point's argmin runs along one contiguous row; an argmin down the columns of
-    the vector-major product would copy the block first.
-    """
-    step = max(1, CLOUD_CHUNK // len(values))
-    out = np.empty(len(cloud), dtype=np.intp)
-    for start in range(0, len(cloud), step):
-        block = cloud[start:start + step]
-        out[start:start + len(block)] = np.argmin(block @ values.T, axis=1)
-    return out
-
-
-def _reduce_indices(values: np.ndarray) -> np.ndarray:
-    """Kept indices: `prune`, or winners on the witness cloud above the cap."""
-    if len(values) <= EXACT_PRUNE_CAP:
-        return prune(values)
-    return np.unique(_cloud_argmin(values, _witness_cloud(values.shape[1])))
-
-
 def _reduce(values: np.ndarray) -> np.ndarray:
-    return values[_reduce_indices(values)]
+    return values[prune(values)]
 
 
 def _cross(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Pruned cross-sum {a + b}; factorised winner selection above the cap."""
-    n = first.shape[1]
-    size = len(first) * len(second)
-    if size > EXACT_PRUNE_CAP:
-        cloud = _witness_cloud(n)
-        # pair (i, j) as the integer i * len(second) + j: its order is (i, j)'s
-        # lexicographic order, and unique on integers avoids a sort of row records
-        pairs = np.unique(_cloud_argmin(first, cloud) * len(second)
-                          + _cloud_argmin(second, cloud))
-        return first[pairs // len(second)] + second[pairs % len(second)]
-    crossed = (first[:, None, :] + second[None, :, :]).reshape(size, n)
-    return _reduce(crossed)
+    """Pruned cross-sum {a + b}, a over the rows of `first` and b over those of `second`."""
+    return _reduce((first[:, None, :] + second[None, :, :]).reshape(-1, first.shape[1]))
 
 
 def _projections(model: ControlledHMM, control: int) -> np.ndarray:
@@ -273,7 +217,7 @@ def backup(model: ControlledHMM, next_values: np.ndarray,
         out_actions.append(np.full(len(acc), u, dtype=int))
     values = np.vstack(out_values)
     actions = np.concatenate(out_actions)
-    kept = _reduce_indices(values)
+    kept = prune(values)
     return values[kept], actions[kept]
 
 
@@ -354,8 +298,9 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
           base_points: BasePointSet, config: EntropyConfig = DEFAULT_CONFIG) -> ValuePolicy:
     """Backward induction producing alpha-vector sets for stages 0..T.
 
-    A stage whose reachable level (`_reachable_levels`) is within the cap backs
-    up at those beliefs alone (`_tree_backup`), a deeper one globally (`backup`).
+    A stage whose reachable level (`_reachable_levels`) is within TREE_LEVEL_CAP
+    backs up at those beliefs alone (`_tree_backup`), a deeper one globally
+    (`backup`), which prunes every cross-sum exactly whatever its size.
 
     Objectives: `smoother` uses tangent pieces of the pairwise conditional
     entropy stage cost and an entropy-plus-c_T terminal set; `belief-sum`

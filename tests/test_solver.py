@@ -22,11 +22,10 @@ from active_smoothing import (
     terminal_tangent_alphas,
     value,
 )
-from active_smoothing.solver import EXACT_PRUNE_CAP
 
 # grid agent, smoother objective, density 2: frozen regression values of the global
 # backup (every stage forced off the reachable tree) and of the default tree backup
-GRID_D2_GAMMAS = [244, 66, 15, 4]
+GRID_D2_GAMMAS = [316, 66, 15, 4]
 GRID_D2_TREE_GAMMAS = [2, 10, 10, 4]
 GRID_D2_EXACT_TOTAL = 1.8523955343318514
 # exact optimum of the smoother objective on the grid agent (tree DP)
@@ -162,69 +161,28 @@ def test_backup_matches_brute_force_cross_sums(rng):
             assert gaps.min() <= 1e-9
 
 
-def test_backup_envelope_matches_unpruned(rng):
+def test_backup_envelope_matches_unpruned(rng, monkeypatch):
     model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=2)
     nxt = rng.normal(size=(4, 3))
     pieces = [rng.normal(size=(2, 3)) for _ in range(2)]
     beliefs = rng.dirichlet(np.ones(3), size=500)
-    values, _ = backup(model, nxt, pieces)
-    unpruned, _ = oracle.unpruned_backup(model, nxt, pieces)
-    np.testing.assert_allclose((values @ beliefs.T).min(axis=0),
-                               (unpruned @ beliefs.T).min(axis=0), atol=1e-8)
+    # entropy tangents -log p: prune drops none of the 150 stage pieces, so a control's
+    # observation sum crossed with them passes 2,000 rows
+    tangents = -np.log(rng.dirichlet(np.full(3, 3.0), size=20))
+    tangent_pieces = [-np.log(rng.dirichlet(np.full(3, 3.0), size=150)) for _ in range(2)]
+    pruned_sizes = []
 
+    def recording_prune(values):
+        pruned_sizes.append(len(values))
+        return prune(values)
 
-# ----------------------------------------------------------- cloud winners --
-# Dyadic inputs: values are integers/8 and cloud coordinates k/8, so every
-# product is exact in any summation order and the reference is exact too.
-
-def _dyadic_values(rng, rows, n):
-    # few distinct levels, so many rows tie exactly at some point
-    return rng.integers(-3, 4, size=(rows, n)) / 8
-
-
-def _dyadic_cloud(rng, points, n):
-    return rng.multinomial(8, np.full(n, 1.0 / n), size=points) / 8
-
-
-def _first_argmin(values, cloud):
-    """Per point, the first row attaining the minimum, on exact integer scores."""
-    scores = np.rint(cloud * 8).astype(np.int64) @ np.rint(values * 8).astype(np.int64).T
-    return np.array([np.flatnonzero(row == row.min())[0] for row in scores])
-
-
-@pytest.mark.parametrize("rows, points", [
-    (40, 500),                                   # many exact ties
-    (solver_module.CLOUD_CHUNK + 1, 3),          # one point per block
-    (1000, 300),                                 # blocks of 131 points, the last one ragged
-    (1, 50),                                     # one vector
-    (200, 1),                                    # one point
-])
-def test_cloud_argmin_is_the_first_minimising_row(rng, rows, points):
-    n = 3
-    values = _dyadic_values(rng, rows, n)
-    values[rows // 2:rows // 2 + 2] = values[0]  # exact duplicates of row 0
-    cloud = _dyadic_cloud(rng, points, n)
-    got = solver_module._cloud_argmin(values, cloud)
-    want = _first_argmin(values, cloud)
-    assert got.shape == (points,)
-    np.testing.assert_array_equal(got, want)
-    if rows > 1:
-        assert not np.isin(got, [rows // 2, rows // 2 + 1]).any()  # ties go to row 0
-
-
-@pytest.mark.parametrize("n_first, n_second", [(12, 1), (6, 23), (30, 9)])
-def test_cross_cap_branch_sums_the_distinct_winner_pairs_in_order(rng, monkeypatch,
-                                                                 n_first, n_second):
-    n = 3
-    first = _dyadic_values(rng, n_first, n)
-    second = _dyadic_values(rng, n_second, n)
-    cloud = _dyadic_cloud(rng, 400, n)
-    monkeypatch.setattr(solver_module, "EXACT_PRUNE_CAP", 0)
-    monkeypatch.setattr(solver_module, "_witness_cloud", lambda _: cloud)
-    pairs = sorted(set(zip(_first_argmin(first, cloud).tolist(),
-                           _first_argmin(second, cloud).tolist())))
-    want = np.array([first[i] + second[j] for i, j in pairs])
-    np.testing.assert_array_equal(solver_module._cross(first, second), want)
+    monkeypatch.setattr(solver_module, "prune", recording_prune)
+    for nxt, pieces in [(nxt, pieces), (tangents, tangent_pieces)]:
+        values, _ = backup(model, nxt, pieces)
+        unpruned, _ = oracle.unpruned_backup(model, nxt, pieces)
+        np.testing.assert_allclose((values @ beliefs.T).min(axis=0),
+                                   (unpruned @ beliefs.T).min(axis=0), atol=1e-8)
+    assert max(pruned_sizes) > 2000
 
 
 # -------------------------------------------------------------------- solve --
@@ -305,7 +263,7 @@ def solve_with_a_duplicated_control(grid, density):
     return solve(copied, copied_costs, "smoother", generate_base_points(4, density))
 
 
-@pytest.mark.parametrize("density, gammas", [(2, GRID_D2_GAMMAS), (3, [383, 183, 48, 10])])
+@pytest.mark.parametrize("density, gammas", [(2, GRID_D2_GAMMAS), (3, [680, 220, 48, 10])])
 def test_a_duplicated_control_never_appears_in_the_policy(grid, monkeypatch, density, gammas):
     # the copy's vectors equal stay's bit for bit, and of equal rows the lowest index
     # survives a prune, so the copy adds no vector and no action
@@ -387,22 +345,6 @@ def test_smoother_matches_unpruned_at_density_one(grid, rng):
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
-def test_preselection_cap_keeps_upper_bound(grid, rng, monkeypatch):
-    # forcing the winner-cloud path still yields a valid (possibly looser) bound; the
-    # cap applies only to global stages, so every stage is forced global
-    model, costs = grid
-    bp = generate_base_points(4, 2)
-    force_global(monkeypatch)
-    exact = solve(model, costs, "smoother", bp)
-    monkeypatch.setattr(solver_module, "EXACT_PRUNE_CAP", 0)
-    capped = solve(model, costs, "smoother", bp)
-    beliefs = rng.dirichlet(np.ones(4), size=200)
-    for b in beliefs:
-        lo = value(exact, b, 0)
-        hi = value(capped, b, 0)
-        assert hi >= lo - 1e-9
-
-
 # -------------------------------------------------------- reachable tree --
 
 def oracle_levels(model, horizon):
@@ -455,6 +397,25 @@ def test_tree_solve_is_the_unpruned_value_at_reachable_beliefs(grid, rng, densit
                                    rtol=0, atol=1e-9, err_msg=f"stage {k}")
         above = (policy.stages[k].values @ anywhere.T).min(axis=0)
         assert (above >= lower_envelope(unpruned[k], anywhere) - 1e-9).all(), f"stage {k}"
+
+
+@pytest.mark.parametrize("objective", ["smoother", "belief-sum"])
+def test_global_stages_are_exact_at_every_reachable_belief(grid, monkeypatch, objective):
+    # at T=6, d=5 the global stages 4-5 prune cross-sums of thousands of vectors; they
+    # must still hold the lattice value function, which the all-tree solve holds at
+    # every reachable belief
+    model, costs = grid
+    costs = make_cost_model(6, costs.stage_cost[0], costs.terminal_cost)
+    bp = generate_base_points(4, 5)
+    default = solve(model, costs, objective, bp)
+    monkeypatch.setattr(solver_module, "TREE_LEVEL_CAP", 10**9)
+    tree = solve(model, costs, objective, bp)
+    levels = solver_module._reachable_levels(model, 6)
+    assert len(levels) == 6
+    for k, beliefs in enumerate(levels):
+        np.testing.assert_allclose((default.stages[k].values @ beliefs.T).min(axis=0),
+                                   (tree.stages[k].values @ beliefs.T).min(axis=0),
+                                   rtol=0, atol=1e-12, err_msg=f"stage {k}")
 
 
 def test_tree_solve_keeps_used_terminal_tangents_without_pruning(grid, monkeypatch):
