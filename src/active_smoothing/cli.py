@@ -68,13 +68,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, metadata: dict, header: list[str], rows: list[list]) -> None:
+def _write_csv(path, metadata: dict, header: list[str], rows: list[list], *,
+               floats: bool = True) -> None:
+    """Write the metadata comment, the header and the rows, each cell through `_fmt`.
+
+    Rows written with floats=False hold only Python ints and strings, which
+    csv.writer writes with the bytes `_fmt` gives, so they are written as they are.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        if floats:
+            rows = ([_fmt(x) for x in row] for row in rows)
+        writer.writerows(rows)
 
 
 def read_csv(path) -> tuple[dict, list[dict]]:
@@ -218,7 +225,7 @@ def _sweep_row(model, costs, density: int, policy, summary: MetricsSummary, exac
 def _trace_rows(pairs, head) -> list[list]:
     """One row per stage of each policy's head runs, the (states, controls, observations)
     that `compare_policies` copied out of the leading runs of its pass: no run is
-    simulated again for its trace."""
+    simulated again for its trace. Every cell is a Python int or ""."""
     rows = []
     for (name, _), *runs in zip(pairs, *(a.tolist() for a in head)):
         for i, (states, controls, observations) in enumerate(zip(*runs)):
@@ -264,7 +271,7 @@ def cmd_simulate(args) -> int:
         print(f"{name}: total_cost={s.total_cost!r} (exact)" if args.exact
               else _summary_line(name, s))
     if args.trace:
-        _write_csv(args.trace, metadata, TRACE_HEADER, _trace_rows(pairs, head))
+        _write_csv(args.trace, metadata, TRACE_HEADER, _trace_rows(pairs, head), floats=False)
     return 0
 
 
@@ -334,7 +341,8 @@ def cmd_experiment(args) -> int:
         print(f"  d={density}: total_cost={sweep_rows[-1][1]!r}")
     _write_csv(out_dir / "sweep.csv", metadata, SWEEP_HEADER, sweep_rows)
 
-    _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER, _trace_rows(policies, head))
+    _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER, _trace_rows(policies, head),
+               floats=False)
 
     with open(out_dir / "metadata.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)

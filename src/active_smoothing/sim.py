@@ -4,24 +4,30 @@ Rollouts draw their randomness from the counter-based Philox4x64-10 keyed by
 (seed, run index), so run i sees the same uniform stream regardless of the
 policy under test: comparisons across policies use common random numbers. A
 block's draws are one array computation over its keys.
-All runs of a block advance together, one stage at a time, as arrays with the
-row on the leading axis (states and observations (rows, T+1)); a single
-rollout is a block of one. A policy comparison advances every policy in the
-same pass: row p * R + r is policy p's run start + r, and all policies share
-the block's uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats.
-States and observations are sampled per row from CDF tables laid out as
-(outcome, code), code u * N + x: a row compares its uniform with the K entries
-of its own column. The filter, the decisions and the realised smoother entropy
-depend on a row's policy and data alone, so they are computed once per
-distinct history: rows of one policy that saw the same observations and
-controls share one group. Each stage regroups the rows by np.unique over their
-codes, cast first to the narrowest unsigned dtype that holds them, so codes
-below 2^16 are radix-sorted. A batch keeps each row's group ids and each
-stage's (G, N) beliefs, and gathers per-row beliefs only when they are read.
+All runs of a block advance together, one stage at a time; a single rollout is
+a block of one. A policy comparison advances every policy in the same pass:
+row p * R + r is policy p's run start + r, and all policies share the block's
+uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats.
+A row pays only for what its own draws decide: its states, observations,
+stage costs and history code. They are stored stage-major, (stage, P, R), and
+each draw's (R,) column is compared against the (P, R) rows of every policy;
+stage 0 depends on the run alone and is sampled once per run. States and
+observations are sampled from CDF tables laid out as (outcome, code), code
+u * N + x: a row compares its uniform with the first K - 1 entries of its own
+column. Everything that follows from a row's policy and history is paid once
+per history group: rows of one policy that saw the same observations and
+controls share one group, and the filter, the decisions, the belief entropies
+with their per-run sums and the realised smoother entropy are computed per
+group. Each stage regroups the rows by a presence table over their codes,
+which numbers the groups in sorted-code order, and a group's code gives its
+parent, control and observation. A batch keeps each row's group ids, each
+stage's (G, N) beliefs and each final history's belief entropies, and gathers
+per-row beliefs and entropies only when they are read.
 One forward filter pass gives both the beliefs and the realised smoother
 entropy, carried per group as the entropy of its past given each state. Every
-group is computed with the operations of a single run, so results do not
-depend on the block it was simulated in or on the policies simulated beside it.
+group is computed with the operations of a single run, and every per-run sum
+adds one run's terms in a C-ordered row, so results do not depend on the
+block it was simulated in or on the policies simulated beside it.
 Each entry point checks a policy and builds its rule in one `_rows_rule` call.
 Exact evaluation walks the observation tree breadth-first with the same batched
 filter and rules, one level of (L, N) beliefs per stage, and charges the
@@ -55,6 +61,7 @@ from .solver import ValuePolicy, best_action
 
 SIZE_GUARD = 10_000_000
 ROLLOUT_CHUNK = 1 << 20  # floats per compare_policies block, about 8 MiB
+TABLE_SPAN = 4  # code values per row up to which `_regroup` uses a presence table
 _MASK64 = (1 << 64) - 1
 _LOW32 = (1 << 32) - 1
 _PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -89,7 +96,10 @@ class RolloutBatch:
 
     Rows that saw the same history share one filtered belief: `groups[r, k]`
     is row r's group at stage k and `group_beliefs[k]` the (G_k, N) beliefs of
-    that stage's groups. `beliefs` and `record` gather rows from them on read.
+    that stage's groups. Row r's belief entropies are row groups[r, T] of
+    `entropy_paths`, one row per final group. `beliefs`, `belief_entropies` and
+    `record` gather rows from them on read. The (R, T+1) and (R, T) integer
+    arrays are transposed views of stage-major arrays.
     """
     seed: int
     start: int
@@ -101,7 +111,7 @@ class RolloutBatch:
     stage_costs: np.ndarray       # (R, T)
     terminal_cost: np.ndarray     # (R,)
     smoother_entropy: np.ndarray  # (R,)
-    belief_entropies: np.ndarray  # (R, T+1)
+    entropy_paths: np.ndarray     # (G_T, T+1) belief entropies along each final group's history
 
     def __len__(self) -> int:
         return len(self.states)
@@ -110,6 +120,16 @@ class RolloutBatch:
     def beliefs(self) -> np.ndarray:
         """(R, T+1, N) filtered beliefs after each update."""
         return np.stack([b[g] for b, g in zip(self.group_beliefs, self.groups.T)], axis=1)
+
+    @property
+    def belief_entropies(self) -> np.ndarray:
+        """(R, T+1) filtered-belief entropies after each update."""
+        return self.entropy_paths[self.groups[:, -1]]
+
+    @property
+    def total_belief_entropy(self) -> np.ndarray:
+        """(R,) sums of `belief_entropies`, each summed once per final group."""
+        return self.entropy_paths.sum(axis=1)[self.groups[:, -1]]
 
     @property
     def total_cost(self) -> np.ndarray:
@@ -126,7 +146,7 @@ class RolloutBatch:
             stage_costs=self.stage_costs[row],
             terminal_cost=float(self.terminal_cost[row]),
             smoother_entropy=float(self.smoother_entropy[row]),
-            belief_entropies=self.belief_entropies[row],
+            belief_entropies=self.entropy_paths[self.groups[row, -1]],
         )
 
 
@@ -172,14 +192,18 @@ def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like):
     or a builtin reference is one fixed control. A user callable
     (belief, stage) -> control is called once per row, in row order, with that
     row's belief, so a stochastic or stateful one sees the calls it would with
-    one belief per row.
+    one belief per row; its controls are range-checked on return, since only a
+    callable can decide outside the controls `check_policy` has checked.
     """
     check_policy(model, cost_model, policy_like)
     if isinstance(policy_like, ValuePolicy):
         return lambda beliefs, group, stage: best_action(policy_like, beliefs, stage)[group]
     if callable(policy_like):
-        return lambda beliefs, group, stage: np.array(
-            [int(policy_like(beliefs[g], stage)) for g in group], dtype=int)
+        def decide(beliefs, group, stage):
+            controls = np.array([int(policy_like(beliefs[g], stage)) for g in group], dtype=int)
+            check_controls(model, controls)  # an out-of-range control would alias another's code
+            return controls
+        return decide
     control = _fixed_control(model, policy_like)
     return lambda beliefs, group, stage: np.full(len(group), control)
 
@@ -228,55 +252,81 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> No
                 )
 
 
+def _mul128(x: np.ndarray, mult: np.ndarray, hi: np.ndarray, lo: np.ndarray, w: np.ndarray,
+            t: np.ndarray) -> None:
+    """In place: `hi` gets the high words of x * mult and `x` its low words, all uint64.
+
+    The high word is built from 32-bit halves (Warren, Hacker's Delight, mulhu);
+    `lo`, `w` and `t` are scratch of x's shape, and `mult` broadcasts against it.
+    """
+    m_hi, m_lo = mult >> 32, mult & _LOW32
+    np.right_shift(x, 32, out=hi)
+    np.bitwise_and(x, _LOW32, out=lo)
+    np.multiply(lo, m_lo, out=w)
+    w >>= 32
+    np.multiply(hi, m_lo, out=t)
+    t += w                                  # below 2^64: no carry is lost
+    np.bitwise_and(t, _LOW32, out=w)
+    t >>= 32
+    lo *= m_hi
+    w += lo
+    w >>= 32
+    hi *= m_hi
+    hi += t
+    hi += w
+    x *= mult
+
+
 def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
     """Row r: the 2 + 2T uniforms of run start + r, numpy's Philox(key=(seed, run)) stream.
 
     Philox4x64-10 (Salmon et al., SC 2011) is counter-based, so the whole block is one
     array computation: key words (seed, run) mod 2^64, counters 1, 2, ... (numpy
     increments before each block of four words), and each double (word >> 11) * 2^-53.
-    Words x0, x2 and x1, x3 are held as stacked (2, c, R) lanes, so each round is one
-    64-bit product of a lane pair, its high word built from 32-bit halves (Warren,
-    Hacker's Delight, mulhu). All arithmetic is in place on uint64 arrays, which wrap
-    mod 2^64 without a warning. The result is the transpose of a C-ordered
-    (2 + 2T, R) array, so each draw's column is contiguous.
+    Counter block j enters as x = (j, 0, 0, 0), so round 0 depends on the counter
+    alone and round 1's product of x0 on the seed alone: both are exact Python
+    integer products, and only round 1's product of x2 and rounds 2-9 run per row.
+    Those hold words x0, x2 and x1, x3 as stacked (2, c, R) lanes, so each round is
+    one 64-bit product of a lane pair (`_mul128`). All array arithmetic is in place
+    on uint64 arrays, which wrap mod 2^64 without a warning. The result is the
+    transpose of a C-ordered (2 + 2T, R) array, so each draw's column is contiguous.
     """
     width, rows = 2 + 2 * horizon, stop - start
     shape = (2, (width + 3) // 4, rows)
-    key = np.empty((2, 1, rows), dtype=np.uint64)
-    key[0] = seed & _MASK64
-    key[1, 0] = np.uint64(start & _MASK64) + np.arange(rows, dtype=np.uint64)
-    weyl = np.array(_PHILOX_WEYL, dtype=np.uint64)[:, None, None]
+    seed &= _MASK64
+    counter = [j * _PHILOX_MULT[0] for j in range(1, shape[1] + 1)]  # j * M0, exact
+    seed_product = seed * _PHILOX_MULT[0]
     mult = np.array(_PHILOX_MULT, dtype=np.uint64)[:, None, None]
-    m_hi, m_lo = mult >> 32, mult & _LOW32
-    even = np.zeros(shape, dtype=np.uint64)  # x0, x2
-    even[0] = np.arange(1, shape[1] + 1)[:, None]
-    odd = np.zeros(shape, dtype=np.uint64)   # x1, x3
+    weyl = np.array(_PHILOX_WEYL, dtype=np.uint64)[:, None, None]
+    key = np.empty((2, 1, rows), dtype=np.uint64)  # round 1's keys
+    key[0] = (seed + _PHILOX_WEYL[0]) & _MASK64
+    key[1, 0] = np.uint64(start & _MASK64) + np.arange(rows, dtype=np.uint64)
+    even = np.empty(shape, dtype=np.uint64)  # x0, x2
+    odd = np.empty(shape, dtype=np.uint64)   # x1, x3
     x_hi, x_lo, w, t = (np.empty(shape, dtype=np.uint64) for _ in range(4))
-    for rnd in range(10):
-        if rnd:
-            key += weyl
-        np.right_shift(even, 32, out=x_hi)
-        np.bitwise_and(even, _LOW32, out=x_lo)
-        np.multiply(x_lo, m_lo, out=w)
-        w >>= 32
-        np.multiply(x_hi, m_lo, out=t)
-        t += w                                  # below 2^64: no carry is lost
-        np.bitwise_and(t, _LOW32, out=w)
-        t >>= 32
-        x_lo *= m_hi
-        w += x_lo
-        w >>= 32
-        x_hi *= m_hi
-        x_hi += t
-        x_hi += w                               # the high words of even * mult
-        even *= mult                            # the low words
+    # round 0 takes x = (j, 0, 0, 0) to (seed, 0, hi(j * M0) ^ run, lo(j * M0))
+    np.bitwise_xor(np.array([p >> 64 for p in counter], dtype=np.uint64)[:, None], key[1],
+                   out=odd[0])
+    key[1] += weyl[1]
+    # round 1: x0 = hi(x2 * M1) ^ key0, x1 = lo(x2 * M1), x2 = hi(seed * M0) ^ x3 ^ key1
+    # and x3 = lo(seed * M0); only the product of x2 depends on the run
+    _mul128(odd[0], mult[1], x_hi[0], x_lo[0], w[0], t[0])
+    np.bitwise_xor(x_hi[0], key[0], out=even[0])
+    row_free = [(seed_product >> 64) ^ (p & _MASK64) for p in counter]
+    np.bitwise_xor(np.array(row_free, dtype=np.uint64)[:, None], key[1], out=even[1])
+    odd[1] = seed_product & _MASK64
+    for _ in range(2, 10):
+        key += weyl
+        _mul128(even, mult, x_hi, x_lo, w, t)
         np.bitwise_xor(x_hi[::-1], odd, out=odd)
         odd ^= key
         even, odd = odd, even[::-1]
-    # word 4j + i of a run is x_i of counter block j
-    words = np.stack((even, odd), axis=2).swapaxes(0, 1).reshape(-1, rows)[:width]
-    words >>= 11
-    return (words * 2.0 ** -53).T
+    # word 4j + i of a run is x_i of counter block j: (j, lane pair, even/odd) in order
+    doubles = np.empty((shape[1], 2, 2, rows))
+    for i, lanes in enumerate((even, odd)):
+        lanes >>= 11
+        np.multiply(lanes.swapaxes(0, 1), 2.0 ** -53, out=doubles[:, :, i])
+    return doubles.reshape(-1, rows)[:width].T
 
 
 def _check_runs(runs: int) -> None:
@@ -288,23 +338,37 @@ def _sample(table: np.ndarray, code: np.ndarray, uniforms: np.ndarray) -> np.nda
     """Per row, searchsorted(table[:, code], u, side="right") clipped to the last index.
 
     `table` (K, C) holds one CDF per column, outcomes on the leading axis, and
-    row r samples from column code[r]. Every column is compared, so the count
-    does not rely on the CDF being monotone.
+    row r samples from column code[r]; `uniforms` broadcasts against `code`, so
+    one draw per run serves a (P, R) array of rows. A cumsum of non-negative
+    entries is non-decreasing, so the entries at or below u are a prefix, and
+    counting them among the first K - 1 entries is the clipped searchsorted: the
+    last column is never read. The count is kept in the narrowest unsigned dtype
+    that holds K - 1, as numpy adds bytes to bytes fastest.
     """
-    index = np.zeros(len(code), dtype=int)
-    for column in table:
-        index += column[code] <= uniforms
-    return np.minimum(index, len(table) - 1, out=index)
+    index = np.zeros(code.shape, dtype=np.min_scalar_type(len(table) - 1))
+    for column in table[:-1]:
+        index += (column[code] <= uniforms).view(np.uint8)
+    return index
 
 
-def _regroup(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(code) with first rows and inverse, on codes cast to their narrowest dtype.
+def _regroup(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(code, return_inverse=True) for codes in [0, span): sorted codes, each row's id.
 
-    The stable argsort inside np.unique radix-sorts integers of 16 bits or fewer;
-    narrowing changes no value, so the groups, first rows and inverse are the same.
+    A presence table over the span finds the codes in sorted order with no sort.
+    Its two arrays take 9 bytes per code value, so above TABLE_SPAN values per row
+    the rows fall back to np.unique on codes cast to their narrowest dtype, whose
+    stable argsort radix-sorts integers of 16 bits or fewer.
     """
-    code = code.astype(np.min_scalar_type(code.max()), copy=False)
-    return np.unique(code, return_index=True, return_inverse=True)
+    if span > TABLE_SPAN * len(code):
+        values, inverse = np.unique(code.astype(np.min_scalar_type(span - 1), copy=False),
+                                    return_inverse=True)
+        return values.astype(np.intp), inverse
+    present = np.zeros(span, dtype=bool)
+    present[code] = True
+    values = np.flatnonzero(present)
+    ids = np.empty(span, dtype=np.intp)  # read only at present codes
+    ids[values] = np.arange(len(values))
+    return values, ids[code]
 
 
 def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: int,
@@ -315,81 +379,87 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     p * R + r is policy p's run start + r and uses that run's uniforms, so the
     batch has P * R rows and is a plain `rollouts` batch when P = 1.
 
-    What the filter computes for a row follows from its policy and data alone,
-    so it runs once per distinct history. `group` gives each row's history at
-    the current stage, numbered by its sorted code: p * Y + the first
-    observation at stage 0, then (group, control, next observation) after each
-    stage. Codes sort by policy first, so each policy's groups are one
-    contiguous range at every stage, and a rule decides on its range alone.
-    The beliefs, decisions and (G, N) past entropies are computed per group,
-    each with the operations of a single run, and gathered from the parent
-    groups at each regroup; states, observations and realised costs are
-    sampled per row from its uniforms. No (G, N, N) array outlives its stage.
+    Per-row arrays are stage-major, (stage, P, R), and each draw's (R,) column
+    is compared against the (P, R) rows; stage 0 is sampled once per run.
+    `group` gives each row's history group at the current stage, numbered by
+    its sorted code: p * Y0 + the rank of its first observation among the Y0
+    observed at stage 0, then (group, control, next observation) after each
+    stage, so a group's code gives its parent, control and observation. Codes
+    sort by policy first, so each policy's groups are one contiguous range at
+    every stage, and a rule decides on its range alone. The beliefs,
+    decisions, belief entropies and (G, N) past entropies are computed per
+    group, each with the operations of a single run, and gathered from the
+    parent groups at each regroup. Each final group's belief entropies are
+    laid out along its path as one row of the (G_T, T+1) `entropy_paths`.
+    No (G, N, N) array outlives its stage.
     """
-    runs, t = len(uniforms), cost_model.horizon
-    uniforms = np.tile(uniforms.T, len(decides))  # (2 + 2T, rows): one draw per row
-    rows = uniforms.shape[1]
-    states = np.empty((rows, t + 1), dtype=int)
-    observations = np.empty((rows, t + 1), dtype=int)
-    controls = np.empty((rows, t), dtype=int)
-    groups = np.empty((rows, t + 1), dtype=np.intp)
-    stage_beliefs = []
-    belief_entropies = np.empty((rows, t + 1))
-    stage_costs = np.empty((rows, t))
-    n, y = model.n_states, model.n_observations
+    runs, t, n_policies = len(uniforms), cost_model.horizon, len(decides)
+    draws = uniforms.T  # (2 + 2T, R): one draw per run, shared by every policy
+    rows = n_policies * runs
+    states = np.empty((t + 1, n_policies, runs), dtype=int)
+    observations = np.empty((t + 1, n_policies, runs), dtype=int)
+    controls = np.empty((t, n_policies, runs), dtype=int)
+    groups = np.empty((t + 1, n_policies, runs), dtype=np.intp)
+    stage_costs = np.empty((rows, t))  # run-major: per-run sums keep numpy's pairwise order
+    stage_beliefs, stage_entropies, parents = [], [], []
+    n, u_count, y = model.n_states, model.n_controls, model.n_observations
     # CDF tables (outcome, code), code u * N + x: next states, then observations
     transition_cdf = np.cumsum(model.transition, axis=1).transpose(1, 0, 2).reshape(n, -1)
     observation_cdf = np.cumsum(model.observation, axis=2).transpose(2, 0, 1).reshape(y, -1)
-    policy_ids = np.arange(len(decides) + 1)
+    policy_ids = np.arange(n_policies + 1)
 
-    states[:, 0] = _sample(np.cumsum(model.prior)[:, None], np.zeros(rows, dtype=int),
-                           uniforms[0])
-    observations[:, 0] = _sample(np.cumsum(model.initial_observation, axis=1).T, states[:, 0],
-                                 uniforms[1])
-    code = np.repeat(policy_ids[:-1], runs) * y + observations[:, 0]
-    code, first, group = _regroup(code)
-    group_policy = code // y  # sorted: each policy's groups are a range
-    group_beliefs = initial_update(model, observations[first, 0])
+    states[0] = _sample(np.cumsum(model.prior)[:, None], np.zeros(runs, dtype=int), draws[0])
+    observations[0] = _sample(np.cumsum(model.initial_observation, axis=1).T, states[0, 0],
+                              draws[1])
+    seen, rank = _regroup(observations[0, 0], y)
+    groups[0] = policy_ids[:-1, None] * len(seen) + rank
+    group_beliefs = np.tile(initial_update(model, seen), (n_policies, 1))
+    group_policy = np.repeat(policy_ids[:-1], len(seen))  # sorted: each policy's groups are a range
     past = np.zeros_like(group_beliefs)
     for k in range(t):
-        groups[:, k] = group
+        group, u = groups[k], controls[k]
         stage_beliefs.append(group_beliefs)
-        belief_entropies[:, k] = belief_entropy(group_beliefs, config)[group]
+        stage_entropies.append(belief_entropy(group_beliefs, config))
         bounds = np.searchsorted(group_policy, policy_ids)
         for p, decide in enumerate(decides):
-            lo, hi, own = bounds[p], bounds[p + 1], slice(p * runs, (p + 1) * runs)
-            controls[own, k] = decide(group_beliefs[lo:hi], group[own] - lo, k)
-        u = controls[:, k]
-        check_controls(model, u)  # an out-of-range control would alias another's code
-        ux = u * n + states[:, k]
-        stage_costs[:, k] = cost_model.stage_cost[k].T.ravel()[ux]
-        states[:, k + 1] = _sample(transition_cdf, ux, uniforms[2 + 2 * k])
-        observations[:, k + 1] = _sample(observation_cdf, u * n + states[:, k + 1],
-                                         uniforms[3 + 2 * k])
-        code = (group * model.n_controls + u) * y + observations[:, k + 1]
-        _, first, child = _regroup(code)
-        parent, u = group[first], u[first]
-        joint = predict_joint(model, group_beliefs[parent], u)
+            lo, hi = bounds[p], bounds[p + 1]
+            u[p] = decide(group_beliefs[lo:hi], group[p] - lo, k)
+        ux = u * n + states[k]
+        stage_costs[:, k] = cost_model.stage_cost[k].T.ravel()[ux].ravel()
+        states[k + 1] = _sample(transition_cdf, ux, draws[2 + 2 * k])
+        observations[k + 1] = _sample(observation_cdf, u * n + states[k + 1], draws[3 + 2 * k])
+        code = (group * u_count + u) * y + observations[k + 1]
+        values, child = _regroup(code.ravel(), len(group_beliefs) * u_count * y)
+        groups[k + 1] = child.reshape(n_policies, runs)
+        history, observed = np.divmod(values, y)
+        parent, applied = np.divmod(history, u_count)
+        joint = predict_joint(model, group_beliefs[parent], applied)
         past = past_entropy(joint, past[parent])
-        group_beliefs = update(model, joint, u, observations[first, k + 1], stage=k)
-        group, group_policy = child, group_policy[parent]
-    groups[:, t] = group
+        group_beliefs = update(model, joint, applied, observed, stage=k)
+        group_policy = group_policy[parent]
+        parents.append(parent)
     stage_beliefs.append(group_beliefs)
-    belief_entropies[:, t] = belief_entropy(group_beliefs, config)[group]
+    stage_entropies.append(belief_entropy(group_beliefs, config))
     smoother = trajectory_entropy(group_beliefs, past, config)
+    entropy_paths = np.empty((len(group_beliefs), t + 1))
+    ancestor = np.arange(len(group_beliefs))
+    for k in range(t, -1, -1):
+        entropy_paths[:, k] = stage_entropies[k][ancestor]
+        if k:
+            ancestor = parents[k - 1][ancestor]
 
     return RolloutBatch(
         seed=seed,
         start=start,
-        states=states,
-        observations=observations,
-        controls=controls,
-        groups=groups,
+        states=states.reshape(t + 1, rows).T,
+        observations=observations.reshape(t + 1, rows).T,
+        controls=controls.reshape(t, rows).T,
+        groups=groups.reshape(t + 1, rows).T,
         group_beliefs=tuple(stage_beliefs),
         stage_costs=stage_costs,
-        terminal_cost=cost_model.terminal_cost[states[:, t]],
-        smoother_entropy=smoother[group],
-        belief_entropies=belief_entropies,
+        terminal_cost=cost_model.terminal_cost[states[t].ravel()],
+        smoother_entropy=smoother[groups[t].ravel()],
+        entropy_paths=entropy_paths,
     )
 
 
@@ -511,7 +581,7 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
         stop = min(start + block, runs)
         batch = _advance(model, cost_model, rules, seed, start,
                          _uniforms(seed, start, stop, t), config)
-        metrics = np.stack((batch.terminal_cost, batch.belief_entropies.sum(axis=1),
+        metrics = np.stack((batch.terminal_cost, batch.total_belief_entropy,
                             batch.smoother_entropy, batch.total_cost))
         per_run[:, :, start:stop] = metrics.reshape(4, len(rules), -1).swapaxes(0, 1)
         if start < n_head:  # copy only the head rows: batch row p * R + r is run start + r

@@ -332,6 +332,27 @@ def test_lockstep_engine_matches_reference_on_random_models(n_states):
                                           config.log_scale)
 
 
+def test_per_run_totals_equal_each_records_sums_bit_for_bit():
+    # numpy sums 8 or more contiguous terms pairwise, so at T = 9 a running sum over
+    # the stages would differ in the last bits from the records' own sums
+    rng = np.random.default_rng(9)
+    model = oracle.random_model(rng, n_states=5, n_obs=3, n_controls=2)
+    costs = oracle.random_costs(rng, model, 9)
+    rule = oracle.random_rule(rng, model, 9)
+    summaries = compare_policies(model, costs, [("rule", rule), ("fixed", 1)], 150, seed=3)
+    for policy_like, (_, summary) in zip((rule, 1), summaries):
+        batch = rollouts(model, costs, policy_like, 3, 150)
+        records = [rollout(model, costs, policy_like, 3, run_index=row) for row in range(150)]
+        tbe = [r.belief_entropies.sum() for r in records]
+        total = [r.total_cost for r in records]
+        assert batch.total_belief_entropy.tolist() == tbe
+        assert batch.belief_entropies.sum(axis=1).tolist() == tbe
+        assert batch.total_cost.tolist() == total
+        assert (summary.total_belief_entropy, summary.total_cost) == (np.mean(tbe), np.mean(total))
+    running = [sum(r.belief_entropies.tolist()) for r in records]
+    assert running != tbe  # the test sees the summation order
+
+
 def test_rollout_is_a_batch_of_one(grid, grid_policies):
     model, costs = grid
     policy = grid_policies["smoother"]
@@ -628,18 +649,49 @@ def test_sample_equals_searchsorted_clipped_to_the_last_outcome():
     np.testing.assert_array_equal(sim._sample(table, mixed, draws), want)
 
 
-@pytest.mark.parametrize("top, itemsize", [(200, 1), (60_000, 2), (2**16, 4), (2**20, 4),
-                                           (2**40, 8)])
-def test_regroup_on_narrowed_codes_equals_int64_grouping(top, itemsize):
+def test_sample_compares_each_runs_draw_against_every_policys_row():
+    rng = np.random.default_rng(5)
+    table = np.cumsum(rng.dirichlet(np.ones(4), size=6).T, axis=0)  # (outcome, code)
+    code = rng.integers(0, 6, size=(3, 50))  # (policy, run)
+    draws = rng.random(50)
+    got = sim._sample(table, code, draws)
+    assert got.shape == code.shape
+    for p in range(3):
+        np.testing.assert_array_equal(got[p], sim._sample(table, code[p], draws))
+
+
+@pytest.mark.parametrize("path, top", [(path, top) for path in ("table", "sort")
+                                       for top in (200, 60_000, 2**16, 2**20, 2**40)
+                                       if (path, top) != ("table", 2**40)])
+def test_regroup_equals_np_unique(monkeypatch, path, top):
     rng = np.random.default_rng(top)
     code = np.concatenate([rng.integers(0, top, 3000), rng.integers(0, 40, 3000), [top]])
     code = rng.permutation(code).astype(np.int64)
-    values, first, inverse = sim._regroup(code)
-    assert values.dtype.itemsize == itemsize
-    want = np.unique(code, return_index=True, return_inverse=True)
+    # TABLE_SPAN 0 sorts every input; top + 1 code values per row fit any input in a table
+    monkeypatch.setattr(sim, "TABLE_SPAN", top + 1 if path == "table" else 0)
+    values, inverse = sim._regroup(code, top + 1)
+    want = np.unique(code, return_inverse=True)
     np.testing.assert_array_equal(values, want[0])
-    np.testing.assert_array_equal(first, want[1])
-    np.testing.assert_array_equal(inverse, want[2])
+    np.testing.assert_array_equal(inverse, want[1])
+    assert values.dtype == inverse.dtype == np.intp
+    np.testing.assert_array_equal(values[inverse], code)  # any row of a group carries its code
+
+
+@pytest.mark.parametrize("per_row", [sim.TABLE_SPAN, sim.TABLE_SPAN + 1, 2**40])
+def test_regroup_memory_stays_within_a_few_per_row_arrays(per_row):
+    # the block's per-row arrays hold at least 8 int64 per row (T >= 1): the regroup of
+    # any code span stays below them, by a table up to TABLE_SPAN values per row and a
+    # sort above
+    rows = 10_000
+    code = np.random.default_rng(per_row).integers(0, per_row * rows, rows)
+    tracemalloc.start()
+    try:
+        values, inverse = sim._regroup(code, per_row * rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(values[inverse], code)
+    assert peak <= 8 * code.nbytes
 
 
 def test_batch_beliefs_gather_the_records_beliefs(grid, grid_policies):
