@@ -191,7 +191,8 @@ def build_grid_agent() -> tuple[ControlledHMM, CostModel]:
 
 
 def _floats(a: np.ndarray):
-    return [repr(float(x)) for x in np.asarray(a).ravel()]
+    # tolist() gives Python floats, whose repr is that of float(x) per numpy scalar
+    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
 
 
 def _canonical_dict(model: ControlledHMM, costs: CostModel | None) -> dict:

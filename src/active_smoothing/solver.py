@@ -6,12 +6,16 @@ the initial updates, so the shallow stages back up only there, as point-based
 value iteration does (Pineau, Gordon & Thrun, IJCAI 2003). `_reachable_levels`
 enumerates those beliefs forward with the filter, under every control, until
 the first level of more than TREE_LEVEL_CAP beliefs. A tree stage keeps, per
-reachable belief, the backed-up vector that is minimal there (`_tree_backup`).
-Each such vector belongs to the unpruned backup, so the stored function is an
-upper bound everywhere, and at every reachable belief it equals the backup of
-the next stage there: the value function of the tangent lattice. When every
-decision stage is on the tree, the terminal set keeps the tangents the last
-stage uses, and no prune runs. The stages past the tree back up globally:
+reachable belief, the backed-up vector that is minimal there (`_tree_backup`):
+one stacked product and one argmin over every (control, observation) pair, on
+the (U, Y, N, N) projection stack that a solve builds once. Each such vector
+belongs to the unpruned backup, so the stored function is an upper bound
+everywhere, and at every reachable belief it equals the backup of the next
+stage there: the value function of the tangent lattice. The stage-cost
+tangents run once per distinct stage-cost table, so a stationary cost model
+pays for one stage's tangents whatever its horizon. When every decision stage
+is on the tree, the terminal set keeps the tangents the last stage uses, and
+no prune runs. The stages past the tree back up globally:
 `backup` transforms each next-stage vector per observation, cross-sums one
 choice per observation, cross-sums the stage-cost tangent pieces, unions over
 controls, and prunes after every step, as incremental pruning does (Cassandra,
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import initial_update, observation_marginal, step
+from .belief import _normalise, initial_update, marginalize_next, predict_joint
 from .costs import (
     DEFAULT_CONFIG,
     EntropyConfig,
@@ -194,9 +198,10 @@ def _cross(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return _reduce((first[:, None, :] + second[None, :, :]).reshape(-1, first.shape[1]))
 
 
-def _projections(model: ControlledHMM, control: int) -> np.ndarray:
-    """weight[y, i, j] = B(u)[i, y] A(u)[i, j]: next-stage alpha projects to alpha @ weight[y]."""
-    return model.observation[control].T[:, :, None] * model.transition[control][None, :, :]
+def _projections(model: ControlledHMM) -> np.ndarray:
+    """weights[u, y, i, j] = B(u)[i, y] A(u)[i, j]: under control u and observation y a
+    next-stage alpha projects to alpha @ weights[u, y]."""
+    return model.observation.transpose(0, 2, 1)[:, :, :, None] * model.transition[:, None]
 
 
 def backup(model: ControlledHMM, next_values: np.ndarray,
@@ -204,14 +209,16 @@ def backup(model: ControlledHMM, next_values: np.ndarray,
     """One DP stage: per control, observation cross-sums then stage-cost pieces.
 
     next_values: (m, N) alpha vectors of the following stage. stage_pieces[u]:
-    tangent pieces of the stage cost under control u. Returns (values, actions).
+    tangent pieces of the stage cost under control u. Next-stage vectors project
+    through `weights[u, y]` of the stack of `_projections`, built once per call.
+    Returns (values, actions).
     """
+    weights = _projections(model)
     out_values, out_actions = [], []
     for u in range(model.n_controls):
-        weight = _projections(model, u)
-        acc = _reduce(next_values @ weight[0])
+        acc = _reduce(next_values @ weights[u, 0])
         for y in range(1, model.n_observations):
-            acc = _cross(acc, _reduce(next_values @ weight[y]))
+            acc = _cross(acc, _reduce(next_values @ weights[u, y]))
         acc = _cross(acc, np.asarray(stage_pieces[u], dtype=float))
         out_values.append(acc)
         out_actions.append(np.full(len(acc), u, dtype=int))
@@ -227,8 +234,11 @@ def _reachable_levels(model: ControlledHMM, horizon: int) -> list[np.ndarray]:
     Level 0 holds the updates on each initial observation of positive
     probability; level k + 1 the filter images of level k under every control
     and every observation of positive probability, as the filter computes them
-    (`step`, row by row) and not deduplicated. The levels stop before the first
-    one of more than TREE_LEVEL_CAP beliefs, and at stage horizon - 1.
+    (`step`, row by row) and not deduplicated. Each level's joint is predicted
+    once: the observation marginal and the update are both read off the
+    products B(u)[i, y] * (A(u) belief)(i), with the operations of
+    `observation_marginal` and `step`. The levels stop before the first one of
+    more than TREE_LEVEL_CAP beliefs, and at stage horizon - 1.
     """
     p0 = model.prior @ model.initial_observation
     beliefs = initial_update(model, np.flatnonzero(p0 > 0.0))
@@ -240,39 +250,45 @@ def _reachable_levels(model: ControlledHMM, horizon: int) -> list[np.ndarray]:
             break
         parents = np.tile(np.arange(len(beliefs)), model.n_controls)
         controls = np.repeat(np.arange(model.n_controls), len(beliefs))
-        rows, observations = np.nonzero(
-            observation_marginal(model, beliefs[parents], controls) > 0.0)
+        predicted = marginalize_next(predict_joint(model, beliefs[parents], controls))
+        likelihood = model.observation[controls] * predicted[:, :, None]  # (R, N, Y)
+        rows, observations = np.nonzero(likelihood.sum(axis=1) > 0.0)
         if len(rows) > TREE_LEVEL_CAP:
             break
-        beliefs = step(model, beliefs[parents[rows]], controls[rows], observations,
-                       stage=len(levels) - 1)
+        beliefs = _normalise(likelihood[rows, :, observations], observations, len(levels) - 1)
     return levels
 
 
-def _tree_backup(model: ControlledHMM, beliefs: np.ndarray, next_values: np.ndarray,
-                 stage_pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tree_backup(weights: np.ndarray, beliefs: np.ndarray, next_values: np.ndarray,
+                 pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One DP stage backed up only at `beliefs` (L, N): the minimal backed-up vector at each.
 
-    Per belief and control, the candidate sums the projected next-stage vector
-    `alpha @ weight[y]` that is minimal at the belief, per observation, in the
-    order `backup` sums them, then the minimal stage piece: it is the cross-sum
-    of `backup` that is minimal there, so it belongs to the unpruned backup.
-    The control is the lowest one whose candidate's own product with the belief
-    is within TIE_TOL of the least, as `best_action` decides. Returns the
-    distinct chosen (vector, control) pairs in order of first choice, and a
-    mask of the next-stage rows that some candidate uses.
+    weights: the (U, Y, N, N) stack of `_projections`; pieces: the (U, P, N)
+    stage-cost pieces. Per belief and control, the candidate sums the projected
+    next-stage vector `alpha @ weights[u, y]` that is minimal at the belief, per
+    observation, in the order `backup` sums them, then the minimal stage piece:
+    it is the cross-sum of `backup` that is minimal there, so it belongs to the
+    unpruned backup. Every (control, observation) pair shares one stacked
+    product and one argmin; numpy runs a stacked product as one gemm per pair,
+    so each pair has the bits of its own product. The control is the lowest
+    one whose candidate's own product with the belief is within TIE_TOL of the
+    least, as `best_action` decides. Returns the distinct chosen (vector,
+    control) pairs in order of first choice, and a mask of the next-stage rows
+    that some candidate uses.
     """
+    n_controls, n_observations = weights.shape[:2]
     n_beliefs = len(beliefs)
-    candidates = np.zeros((model.n_controls, n_beliefs, model.n_states))
+    controls = np.arange(n_controls)[:, None]
+    projected = next_values @ weights                                  # (U, Y, m, N)
+    picks = np.argmin(beliefs @ projected.swapaxes(-1, -2), axis=-1)   # (U, Y, L)
     used = np.zeros(len(next_values), dtype=bool)
-    for u in range(model.n_controls):
-        for weight in _projections(model, u):
-            projected = next_values @ weight
-            pick = np.argmin(beliefs @ projected.T, axis=1)
-            used[pick] = True
-            candidates[u] += projected[pick]  # 0 + x is x: the first term adds no rounding
-        pieces = np.asarray(stage_pieces[u], dtype=float)
-        candidates[u] += pieces[np.argmin(beliefs @ pieces.T, axis=1)]
+    used[picks] = True
+    minimal = projected[controls[:, None], np.arange(n_observations)[:, None], picks]
+    candidates = np.zeros((n_controls, n_beliefs, beliefs.shape[1]))
+    for y in range(n_observations):
+        candidates += minimal[:, y]  # 0 + x is x: the first term adds no rounding
+    piece_picks = np.argmin(beliefs @ pieces.swapaxes(-1, -2), axis=-1)  # (U, L)
+    candidates += pieces[controls, piece_picks]
     scores = (candidates[:, :, None, :] @ beliefs[:, :, None])[..., 0, 0]  # (U, L)
     chosen = np.argmax(scores <= scores.min(axis=0) + TIE_TOL, axis=0)  # lowest tied control
     values = candidates[chosen, np.arange(n_beliefs)]
@@ -294,13 +310,39 @@ def _belief_sum_stage_alphas(model: ControlledHMM, cost_model: CostModel,
     return conditional_entropy_tangents(weights, base_points.points, config) + linear
 
 
+def _stage_pieces(model: ControlledHMM, cost_model: CostModel, objective: str,
+                  base_points: BasePointSet, config: EntropyConfig) -> list[np.ndarray]:
+    """Per decision stage, the (U, P, N) stack of stage-cost pieces, one (P, N) per control.
+
+    The pieces of a stage are a function of its (N, U) cost table alone, so a
+    stage whose table has the bytes of an earlier stage's shares that stage's
+    array, and the tangents run once per distinct table. `costs-only` keeps the
+    exact linear c_k(., u) as one piece per control.
+    """
+    tangents = stage_tangent_alphas if objective == "smoother" else _belief_sum_stage_alphas
+    by_table: dict[bytes, np.ndarray] = {}
+    pieces = []
+    for k in range(cost_model.horizon):
+        table = cost_model.stage_cost[k]
+        key = table.tobytes()  # bytes, not values: a -0.0 cost keeps its own pieces
+        if key not in by_table:
+            by_table[key] = table.T[:, None, :] if objective == "costs-only" else np.stack(
+                [tangents(model, cost_model, base_points, k, u, config)
+                 for u in range(model.n_controls)])
+        pieces.append(by_table[key])
+    return pieces
+
+
 def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
           base_points: BasePointSet, config: EntropyConfig = DEFAULT_CONFIG) -> ValuePolicy:
     """Backward induction producing alpha-vector sets for stages 0..T.
 
     A stage whose reachable level (`_reachable_levels`) is within TREE_LEVEL_CAP
     backs up at those beliefs alone (`_tree_backup`), a deeper one globally
-    (`backup`), which prunes every cross-sum exactly whatever its size.
+    (`backup`), which prunes every cross-sum exactly whatever its size. The
+    per-solve work runs once: the projection stack, and the stage pieces of
+    each distinct stage-cost table (`_stage_pieces`), which the stages sharing
+    that table share.
 
     Objectives: `smoother` uses tangent pieces of the pairwise conditional
     entropy stage cost and an entropy-plus-c_T terminal set; `belief-sum`
@@ -325,26 +367,18 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
     tree_only = 0 < len(levels) == horizon
     if objective == "costs-only":
         terminal = cost_model.terminal_cost[None, :].copy()
-        stage_pieces = [
-            [cost_model.stage_cost[k][:, u][None, :] for u in range(model.n_controls)]
-            for k in range(horizon)
-        ]
     else:
         terminal = terminal_tangent_alphas(cost_model, base_points, config)
         if not tree_only:
             terminal = _reduce(terminal)
-        tangents = stage_tangent_alphas if objective == "smoother" else _belief_sum_stage_alphas
-        stage_pieces = [
-            [tangents(model, cost_model, base_points, k, u, config)
-             for u in range(model.n_controls)]
-            for k in range(horizon)
-        ]
+    stage_pieces = _stage_pieces(model, cost_model, objective, base_points, config)
+    weights = _projections(model)
 
     stages: list[StageSet] = [StageSet(values=np.asarray(terminal, dtype=float), actions=None)]
     for k in reversed(range(horizon)):
         current = stages[0].values
         if k < len(levels):
-            values, actions, used = _tree_backup(model, levels[k], current, stage_pieces[k])
+            values, actions, used = _tree_backup(weights, levels[k], current, stage_pieces[k])
             if k == horizon - 1:  # the terminal set keeps the tangents the last stage uses
                 stages[0] = StageSet(values=current[used], actions=None)
         else:

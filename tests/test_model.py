@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import active_smoothing.model as model_module
 from active_smoothing import (
     build_grid_agent,
     fingerprint,
@@ -17,6 +18,7 @@ from active_smoothing import (
 )
 
 GRID_PAIR_FINGERPRINT = "198051616f85c2f21486e1c6bd69743e9d4c1d9998bebd80e3e3f0574f083cc8"
+GRID_MODEL_FINGERPRINT = "a5b5e5f16dbee41c3ee3342123b26ec9cbb27335c846cb77ef39095dca5d6f07"
 
 
 def test_grid_agent_shapes_and_values(grid):
@@ -131,6 +133,7 @@ def test_validate_costs_shapes_and_signs(grid):
 def test_fingerprint_is_frozen_and_sensitive(grid):
     model, costs = grid
     assert fingerprint(model, costs) == GRID_PAIR_FINGERPRINT
+    assert fingerprint(model) == GRID_MODEL_FINGERPRINT
     assert fingerprint(model, costs) == fingerprint(*build_grid_agent())
     assert fingerprint(model) != fingerprint(model, costs)
 
@@ -144,6 +147,13 @@ def test_fingerprint_is_frozen_and_sensitive(grid):
     changed = make_model(perturbed, model.transition, model.observation,
                          model.initial_observation)
     assert fingerprint(changed, costs) != GRID_PAIR_FINGERPRINT
+
+
+def test_fingerprint_floats_are_the_repr_of_each_scalar():
+    # the canonical strings are repr(float(x)) per element, whatever the dtype
+    edge = np.array([[0.0, -0.0, 0.1 + 0.2, 1e300], [5e-324, 1 / 3, 2.0, 1e-5]])
+    for a in (edge, edge.T, np.arange(6).reshape(2, 3), np.float32([0.1, 1 / 3, -0.0])):
+        assert model_module._floats(a) == [repr(float(x)) for x in np.asarray(a).ravel()]
 
 
 def test_dict_round_trip_preserves_fingerprint(grid):

@@ -431,6 +431,127 @@ def test_tree_solve_keeps_used_terminal_tangents_without_pruning(grid, monkeypat
     assert all((tangents == row).all(axis=1).any() for row in terminal)
 
 
+def looped_tree_backup(model, beliefs, next_values, pieces):
+    """The tree backup with one product and one argmin per (control, observation) pair."""
+    n_controls, n_beliefs = model.n_controls, len(beliefs)
+    candidates = np.zeros((n_controls, n_beliefs, model.n_states))
+    used = np.zeros(len(next_values), dtype=bool)
+    for u in range(n_controls):
+        for y in range(model.n_observations):
+            projected = next_values @ (model.observation[u][:, y, None] * model.transition[u])
+            pick = np.argmin(beliefs @ projected.T, axis=1)
+            used[pick] = True
+            candidates[u] += projected[pick]
+        candidates[u] += pieces[u][np.argmin(beliefs @ pieces[u].T, axis=1)]
+    scores = (candidates[:, :, None, :] @ beliefs[:, :, None])[..., 0, 0]
+    chosen = [np.flatnonzero(s <= s.min() + solver_module.TIE_TOL)[0] for s in scores.T]
+    values, actions = [], []
+    for row, u in zip(candidates[chosen, np.arange(n_beliefs)], chosen):
+        if not any(u == a and (row == v).all() for v, a in zip(values, actions)):
+            values.append(row)
+            actions.append(u)
+    return np.array(values), np.array(actions), used, scores
+
+
+def tree_backup_cases(grid):
+    """(model, beliefs, next values, (U, P, N) pieces); every belief set has copied rows."""
+    rng = np.random.default_rng(11)
+    for zero_fraction in (0.0, 0.3) * 15:
+        model = oracle.random_model(rng, n_states=int(rng.integers(2, 6)),
+                                    n_obs=int(rng.integers(1, 4)),
+                                    n_controls=int(rng.integers(1, 4)),
+                                    zero_fraction=zero_fraction)
+        n = model.n_states
+        beliefs = oracle.interior_beliefs(rng, n, 20)[rng.integers(0, 20, size=40)]
+        next_values = rng.normal(size=(int(rng.integers(1, 12)), n))
+        pieces = rng.normal(size=(model.n_controls, int(rng.integers(1, 6)), n))
+        yield model, beliefs, next_values, pieces
+    # the grid agent's walls: at the vertices e_0 (e_3) west (east) and stay move no mass,
+    # so under the zero stage costs of costs-only their candidates tie there exactly
+    model, costs = grid
+    bp = generate_base_points(4, 3)
+    terminal = terminal_tangent_alphas(costs, bp)
+    vertices = np.repeat(np.eye(4), 2, axis=0)
+    for level in solver_module._reachable_levels(model, 3):
+        beliefs = np.vstack([level, level[::-1], vertices])
+        yield model, beliefs, terminal, costs.stage_cost[0].T[:, None, :]
+        yield model, beliefs, terminal, np.stack(
+            [stage_tangent_alphas(model, costs, bp, 0, u) for u in range(3)])
+
+
+def test_stacked_tree_backup_equals_the_loop_over_pairs_bit_for_bit(grid):
+    exact_ties = 0
+    for model, beliefs, next_values, pieces in tree_backup_cases(grid):
+        values, actions, used = solver_module._tree_backup(
+            solver_module._projections(model), beliefs, next_values, pieces)
+        want_values, want_actions, want_used, scores = looped_tree_backup(
+            model, beliefs, next_values, pieces)
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(actions, want_actions)
+        np.testing.assert_array_equal(used, want_used)
+        exact_ties += int(((scores == scores.min(axis=0)).sum(axis=0) > 1).sum())
+    assert exact_ties > 0  # the lowest-control tie rule was exercised
+
+
+def recorded_solve(monkeypatch, model, costs, objective, tangents_name):
+    """(tangent calls as (stage, control), the stage pieces each stage backs up with)."""
+    calls, pieces = [], []
+    tangents = getattr(solver_module, tangents_name)
+    tree_backup, global_backup = solver_module._tree_backup, solver_module.backup
+
+    def counting(model, cost_model, base_points, stage, control, config):
+        calls.append((stage, control))
+        return tangents(model, cost_model, base_points, stage, control, config)
+
+    def tree_recording(weights, beliefs, next_values, stage_pieces):
+        pieces.insert(0, stage_pieces)
+        return tree_backup(weights, beliefs, next_values, stage_pieces)
+
+    def global_recording(model, next_values, stage_pieces):
+        pieces.insert(0, stage_pieces)
+        return global_backup(model, next_values, stage_pieces)
+
+    monkeypatch.setattr(solver_module, tangents_name, counting)
+    monkeypatch.setattr(solver_module, "_tree_backup", tree_recording)
+    monkeypatch.setattr(solver_module, "backup", global_recording)
+    solve(model, costs, objective, generate_base_points(4, 2))
+    assert len(pieces) == costs.horizon
+    return calls, pieces
+
+
+TANGENTS = [("smoother", "stage_tangent_alphas"), ("belief-sum", "_belief_sum_stage_alphas")]
+
+
+@pytest.mark.parametrize("objective, tangents_name", TANGENTS)
+@pytest.mark.parametrize("horizon", [3, 6])
+def test_stationary_costs_tangent_one_stage(grid, monkeypatch, objective, tangents_name,
+                                           horizon):
+    # T=6 backs stages 4-5 up globally, with the same pieces
+    model, costs = grid
+    costs = make_cost_model(horizon, costs.stage_cost[0], costs.terminal_cost)
+    calls, pieces = recorded_solve(monkeypatch, model, costs, objective, tangents_name)
+    assert calls == [(0, u) for u in range(3)]
+    assert all(p is pieces[0] for p in pieces)
+
+
+@pytest.mark.parametrize("objective, tangents_name", TANGENTS)
+def test_tangents_follow_the_stage_cost_tables(grid, monkeypatch, objective, tangents_name):
+    model, costs = grid
+    table = np.random.default_rng(5).uniform(size=(4, 3))
+    costs = make_cost_model(3, np.stack([np.zeros((4, 3)), table, np.zeros((4, 3))]),
+                            costs.terminal_cost)
+    calls, pieces = recorded_solve(monkeypatch, model, costs, objective, tangents_name)
+    assert calls == [(k, u) for k in (0, 1) for u in range(3)]
+    assert pieces[2] is pieces[0]
+    # stage 0 costs nothing, so its pieces are the bare tangents
+    np.testing.assert_array_equal(pieces[1], pieces[0] + table.T[:, None, :])
+    # a signed zero is another table: reusing +0.0 pieces could flip a zero's sign
+    signed = make_cost_model(3, np.stack([np.zeros((4, 3)), np.full((4, 3), -0.0)] * 2)[:3],
+                             costs.terminal_cost)
+    calls, _ = recorded_solve(monkeypatch, model, signed, objective, tangents_name)
+    assert calls == [(k, u) for k in (0, 1) for u in range(3)]
+
+
 def assert_tree_decides_as_global(monkeypatch, model, costs, objective, base_points):
     tree = solve(model, costs, objective, base_points)
     with monkeypatch.context() as patch:
