@@ -8,27 +8,32 @@ All runs of a block advance together, one stage at a time; a single rollout is
 a block of one. A policy comparison advances every policy in the same pass:
 row p * R + r is policy p's run start + r, and all policies share the block's
 uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats.
-A row pays only for what its own draws decide: its states, observations,
-stage costs and history code. They are stored stage-major, (stage, P, R), and
-each draw's (R,) column is compared against the (P, R) rows of every policy;
-stage 0 depends on the run alone and is sampled once per run. States and
-observations are sampled from CDF tables laid out as (outcome, code), code
-u * N + x: a row compares its uniform with the first K - 1 entries of its own
-column. Everything that follows from a row's policy and history is paid once
-per history group: rows of one policy that saw the same observations and
-controls share one group, and the filter, the decisions, the belief entropies
-with their per-run sums and the realised smoother entropy are computed per
-group. Each stage regroups the rows by a presence table over their codes,
-which numbers the groups in sorted-code order, and a group's code gives its
-parent, control and observation. A batch keeps each row's group ids, each
-stage's (G, N) beliefs and each final history's belief entropies, and gathers
-per-row beliefs and entropies only when they are read.
+A row keeps only its states, stage-major (stage, P, R), and its stage costs,
+run-major, besides the current stage's (P, R) group ids, controls and codes;
+the controls and codes are filled in place. Each draw's (R,) column is
+compared against the (P, R) rows of every policy; stage 0 depends on the run
+alone and is sampled once per run. States and observations are sampled from
+CDF tables laid out as (outcome, code), code u * N + x: a row compares its
+uniform with the first K - 1 entries of its own column. Everything that
+follows from a row's policy and history is paid once per history group: rows
+of one policy that saw the same observations and controls share one group,
+and the filter, the decisions, the belief entropies with their per-run sums
+and the realised smoother entropy are computed per group. Each stage
+regroups the rows by a presence table over their codes, which numbers the
+groups in sorted-code order, and a group's code gives its parent, control and
+observation. Those are recorded per group at each stage and laid out once,
+after the last stage, along each final history: its ancestor groups,
+observations, controls and belief entropies. A batch keeps each row's final
+group, each stage's (G, N) beliefs and these per-history paths, and gathers
+per-row observations, controls, group ids, beliefs and entropies only when
+they are read.
 One forward filter pass gives both the beliefs and the realised smoother
 entropy, carried per group as the entropy of its past given each state. Every
 group is computed with the operations of a single run, and every per-run sum
 adds one run's terms in a C-ordered row, so results do not depend on the
 block it was simulated in or on the policies simulated beside it.
-Each entry point checks a policy and builds its rule in one `_rows_rule` call.
+Each entry point checks a policy and builds its rule in one `_rows_rule` call;
+a comparison fingerprints the model and costs once for all its policies.
 Exact evaluation walks the observation tree breadth-first with the same batched
 filter and rules, one level of (L, N) beliefs per stage, and charges the
 smoother entropy in its belief-state form; it refuses above a size guard.
@@ -94,27 +99,45 @@ class RolloutRecord:
 class RolloutBatch:
     """Runs start, start + 1, ... of one seed; row r holds run start + r.
 
-    Rows that saw the same history share one filtered belief: `groups[r, k]`
-    is row r's group at stage k and `group_beliefs[k]` the (G_k, N) beliefs of
-    that stage's groups. Row r's belief entropies are row groups[r, T] of
-    `entropy_paths`, one row per final group. `beliefs`, `belief_entropies` and
-    `record` gather rows from them on read. The (R, T+1) and (R, T) integer
-    arrays are transposed views of stage-major arrays.
+    A row keeps its states, stage costs, terminal cost, smoother entropy and
+    final history group; everything else is kept once per history. Rows that
+    saw the same history share one filtered belief: `group_beliefs[k]` holds
+    the (G_k, N) beliefs of stage k's groups, and row g of each (G_T, .) path
+    array holds final group g's ancestor groups, observations, controls and
+    belief entropies. `observations`, `controls`, `groups`, `beliefs`,
+    `belief_entropies` and `record` gather rows from them on read. `states`
+    is a transposed view of a stage-major array.
     """
     seed: int
     start: int
     states: np.ndarray            # (R, T+1)
-    observations: np.ndarray      # (R, T+1)
-    controls: np.ndarray          # (R, T)
-    groups: np.ndarray            # (R, T+1) history group of each row at each stage
-    group_beliefs: tuple[np.ndarray, ...]  # T+1 arrays (G_k, N), one per group
     stage_costs: np.ndarray       # (R, T)
     terminal_cost: np.ndarray     # (R,)
     smoother_entropy: np.ndarray  # (R,)
-    entropy_paths: np.ndarray     # (G_T, T+1) belief entropies along each final group's history
+    final_group: np.ndarray       # (R,) each row's history group at stage T
+    group_beliefs: tuple[np.ndarray, ...]  # T+1 arrays (G_k, N), one per group
+    group_paths: np.ndarray        # (G_T, T+1) each final group's group at each stage
+    observation_paths: np.ndarray  # (G_T, T+1) y_0..y_T along each final group's history
+    control_paths: np.ndarray      # (G_T, T)
+    entropy_paths: np.ndarray      # (G_T, T+1) belief entropies along each final group's history
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def observations(self) -> np.ndarray:
+        """(R, T+1) observations y_0..y_T."""
+        return self.observation_paths[self.final_group]
+
+    @property
+    def controls(self) -> np.ndarray:
+        """(R, T) applied controls."""
+        return self.control_paths[self.final_group]
+
+    @property
+    def groups(self) -> np.ndarray:
+        """(R, T+1) history group of each row at each stage."""
+        return self.group_paths[self.final_group]
 
     @property
     def beliefs(self) -> np.ndarray:
@@ -124,29 +147,30 @@ class RolloutBatch:
     @property
     def belief_entropies(self) -> np.ndarray:
         """(R, T+1) filtered-belief entropies after each update."""
-        return self.entropy_paths[self.groups[:, -1]]
+        return self.entropy_paths[self.final_group]
 
     @property
     def total_belief_entropy(self) -> np.ndarray:
         """(R,) sums of `belief_entropies`, each summed once per final group."""
-        return self.entropy_paths.sum(axis=1)[self.groups[:, -1]]
+        return self.entropy_paths.sum(axis=1)[self.final_group]
 
     @property
     def total_cost(self) -> np.ndarray:
         return self.smoother_entropy + self.stage_costs.sum(axis=1) + self.terminal_cost
 
     def record(self, row: int) -> RolloutRecord:
+        final = self.final_group[row]
         return RolloutRecord(
             seed=self.seed,
             run_index=self.start + row,
             states=self.states[row],
-            observations=self.observations[row],
-            controls=self.controls[row],
-            beliefs=np.stack([b[g] for b, g in zip(self.group_beliefs, self.groups[row])]),
+            observations=self.observation_paths[final],
+            controls=self.control_paths[final],
+            beliefs=np.stack([b[g] for b, g in zip(self.group_beliefs, self.group_paths[final])]),
             stage_costs=self.stage_costs[row],
             terminal_cost=float(self.terminal_cost[row]),
             smoother_entropy=float(self.smoother_entropy[row]),
-            belief_entropies=self.entropy_paths[self.groups[row, -1]],
+            belief_entropies=self.entropy_paths[final],
         )
 
 
@@ -183,20 +207,24 @@ def _builtin_control(ref: str) -> int | None:
     return int(digits)
 
 
-def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like):
+def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like,
+               expected: str | None = None):
     """Check `policy_like` and build its rule decide(beliefs, group, stage) for grouped rows.
 
     `beliefs` (G, N) holds one belief per history group of one policy and
     `group` (R,) each row's group; the result is one control per row, as an int
-    array. A value policy decides each group once by `best_action`; an integer
+    array. A value policy is checked as `check_policy` does, against
+    `expected`, the fingerprint of (model, cost_model), computed here if not
+    given, and decides each group once by `best_action`; an integer
     or a builtin reference is one fixed control. A user callable
     (belief, stage) -> control is called once per row, in row order, with that
     row's belief, so a stochastic or stateful one sees the calls it would with
     one belief per row; its controls are range-checked on return, since only a
     callable can decide outside the controls `check_policy` has checked.
     """
-    check_policy(model, cost_model, policy_like)
     if isinstance(policy_like, ValuePolicy):
+        _check_value_policy(model, cost_model, policy_like,
+                            expected or fingerprint(model, cost_model))
         return lambda beliefs, group, stage: best_action(policy_like, beliefs, stage)[group]
     if callable(policy_like):
         def decide(beliefs, group, stage):
@@ -227,29 +255,35 @@ def _fixed_control(model: ControlledHMM, policy_like) -> int:
 
 def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> None:
     if isinstance(policy_like, ValuePolicy):
-        expected = fingerprint(model, cost_model)
-        if policy_like.model_fingerprint != expected:
+        _check_value_policy(model, cost_model, policy_like, fingerprint(model, cost_model))
+
+
+def _check_value_policy(model: ControlledHMM, cost_model: CostModel, policy_like: ValuePolicy,
+                        expected: str) -> None:
+    """PolicyModelMismatch unless `policy_like` fits the model and costs whose fingerprint is
+    `expected`."""
+    if policy_like.model_fingerprint != expected:
+        raise PolicyModelMismatch(
+            f"policy fingerprint {policy_like.model_fingerprint[:12]}... does not match "
+            f"the supplied model/costs ({expected[:12]}...)"
+        )
+    if policy_like.horizon != cost_model.horizon:
+        raise PolicyModelMismatch(
+            f"policy has horizon {policy_like.horizon}, costs have {cost_model.horizon}"
+        )
+    # the fingerprint covers the model and costs, not the policy's own arrays
+    for k, stage_set in enumerate(policy_like.stages):
+        if stage_set.values.ndim != 2 or stage_set.values.shape[1] != model.n_states:
             raise PolicyModelMismatch(
-                f"policy fingerprint {policy_like.model_fingerprint[:12]}... does not match "
-                f"the supplied model/costs ({expected[:12]}...)"
+                f"policy stage {k} value rows do not have the model's {model.n_states} states"
             )
-        if policy_like.horizon != cost_model.horizon:
+        actions = stage_set.actions
+        if k < policy_like.horizon and (
+                actions is None or not ((actions >= 0) & (actions < model.n_controls)).all()):
             raise PolicyModelMismatch(
-                f"policy has horizon {policy_like.horizon}, costs have {cost_model.horizon}"
+                f"policy stage {k} has actions outside the model's controls "
+                f"[0, {model.n_controls})"
             )
-        # the fingerprint covers the model and costs, not the policy's own arrays
-        for k, stage_set in enumerate(policy_like.stages):
-            if stage_set.values.ndim != 2 or stage_set.values.shape[1] != model.n_states:
-                raise PolicyModelMismatch(
-                    f"policy stage {k} value rows do not have the model's {model.n_states} states"
-                )
-            actions = stage_set.actions
-            if k < policy_like.horizon and (
-                    actions is None or not ((actions >= 0) & (actions < model.n_controls)).all()):
-                raise PolicyModelMismatch(
-                    f"policy stage {k} has actions outside the model's controls "
-                    f"[0, {model.n_controls})"
-                )
 
 
 def _mul128(x: np.ndarray, mult: np.ndarray, hi: np.ndarray, lo: np.ndarray, w: np.ndarray,
@@ -379,29 +413,33 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     p * R + r is policy p's run start + r and uses that run's uniforms, so the
     batch has P * R rows and is a plain `rollouts` batch when P = 1.
 
-    Per-row arrays are stage-major, (stage, P, R), and each draw's (R,) column
-    is compared against the (P, R) rows; stage 0 is sampled once per run.
-    `group` gives each row's history group at the current stage, numbered by
-    its sorted code: p * Y0 + the rank of its first observation among the Y0
-    observed at stage 0, then (group, control, next observation) after each
-    stage, so a group's code gives its parent, control and observation. Codes
-    sort by policy first, so each policy's groups are one contiguous range at
-    every stage, and a rule decides on its range alone. The beliefs,
-    decisions, belief entropies and (G, N) past entropies are computed per
-    group, each with the operations of a single run, and gathered from the
-    parent groups at each regroup. Each final group's belief entropies are
-    laid out along its path as one row of the (G_T, T+1) `entropy_paths`.
-    No (G, N, N) array outlives its stage.
+    A row keeps only its states, stage-major (T+1, P, R), and its run-major
+    stage costs; each draw's (R,) column is compared against the (P, R) rows,
+    and stage 0 is sampled once per run. The current stage's group ids,
+    controls and codes are (P, R) arrays, the last two filled in place; the
+    observations are added into the codes as they are drawn. `group` gives each
+    row's history group at the current stage, numbered by its sorted code:
+    p * Y0 + the rank of its first observation among the Y0 observed at stage
+    0, then (group, control, next observation) after each stage, so a group's
+    code gives its parent, control and observation. Codes sort by policy
+    first, so each policy's groups are one contiguous range at every stage,
+    and a rule decides on its range alone. The beliefs, decisions, belief
+    entropies and (G, N) past entropies are computed per group, each with the
+    operations of a single run, and gathered from the parent groups at each
+    regroup. Each final group's ancestors, observations, controls and belief
+    entropies are laid out along its path once, after the last stage, as rows
+    of (G_T, T+1) and (G_T, T) paths. No (G, N, N) array outlives its stage.
     """
     runs, t, n_policies = len(uniforms), cost_model.horizon, len(decides)
     draws = uniforms.T  # (2 + 2T, R): one draw per run, shared by every policy
     rows = n_policies * runs
     states = np.empty((t + 1, n_policies, runs), dtype=int)
-    observations = np.empty((t + 1, n_policies, runs), dtype=int)
-    controls = np.empty((t, n_policies, runs), dtype=int)
-    groups = np.empty((t + 1, n_policies, runs), dtype=np.intp)
     stage_costs = np.empty((rows, t))  # run-major: per-run sums keep numpy's pairwise order
-    stage_beliefs, stage_entropies, parents = [], [], []
+    u = np.empty((n_policies, runs), dtype=int)
+    ux = np.empty((n_policies, runs), dtype=int)  # u * N + x, x the current or next state
+    code = np.empty((n_policies, runs), dtype=np.intp)
+    stage_beliefs, stage_entropies = [], []
+    parents, controls, observations = [], [], []  # per group of each stage
     n, u_count, y = model.n_states, model.n_controls, model.n_observations
     # CDF tables (outcome, code), code u * N + x: next states, then observations
     transition_cdf = np.cumsum(model.transition, axis=1).transpose(1, 0, 2).reshape(n, -1)
@@ -409,28 +447,32 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     policy_ids = np.arange(n_policies + 1)
 
     states[0] = _sample(np.cumsum(model.prior)[:, None], np.zeros(runs, dtype=int), draws[0])
-    observations[0] = _sample(np.cumsum(model.initial_observation, axis=1).T, states[0, 0],
-                              draws[1])
-    seen, rank = _regroup(observations[0, 0], y)
-    groups[0] = policy_ids[:-1, None] * len(seen) + rank
+    seen, rank = _regroup(_sample(np.cumsum(model.initial_observation, axis=1).T,
+                                  states[0, 0], draws[1]), y)
+    group = policy_ids[:-1, None] * len(seen) + rank
+    observations.append(np.tile(seen, n_policies))
     group_beliefs = np.tile(initial_update(model, seen), (n_policies, 1))
     group_policy = np.repeat(policy_ids[:-1], len(seen))  # sorted: each policy's groups are a range
     past = np.zeros_like(group_beliefs)
     for k in range(t):
-        group, u = groups[k], controls[k]
         stage_beliefs.append(group_beliefs)
         stage_entropies.append(belief_entropy(group_beliefs, config))
         bounds = np.searchsorted(group_policy, policy_ids)
         for p, decide in enumerate(decides):
             lo, hi = bounds[p], bounds[p + 1]
             u[p] = decide(group_beliefs[lo:hi], group[p] - lo, k)
-        ux = u * n + states[k]
+        np.multiply(u, n, out=ux)
+        ux += states[k]
         stage_costs[:, k] = cost_model.stage_cost[k].T.ravel()[ux].ravel()
         states[k + 1] = _sample(transition_cdf, ux, draws[2 + 2 * k])
-        observations[k + 1] = _sample(observation_cdf, u * n + states[k + 1], draws[3 + 2 * k])
-        code = (group * u_count + u) * y + observations[k + 1]
+        np.multiply(u, n, out=ux)
+        ux += states[k + 1]
+        np.multiply(group, u_count, out=code)
+        code += u
+        code *= y
+        code += _sample(observation_cdf, ux, draws[3 + 2 * k])
         values, child = _regroup(code.ravel(), len(group_beliefs) * u_count * y)
-        groups[k + 1] = child.reshape(n_policies, runs)
+        group = child.reshape(n_policies, runs)
         history, observed = np.divmod(values, y)
         parent, applied = np.divmod(history, u_count)
         joint = predict_joint(model, group_beliefs[parent], applied)
@@ -438,27 +480,38 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
         group_beliefs = update(model, joint, applied, observed, stage=k)
         group_policy = group_policy[parent]
         parents.append(parent)
+        controls.append(applied)
+        observations.append(observed)
     stage_beliefs.append(group_beliefs)
     stage_entropies.append(belief_entropy(group_beliefs, config))
     smoother = trajectory_entropy(group_beliefs, past, config)
-    entropy_paths = np.empty((len(group_beliefs), t + 1))
-    ancestor = np.arange(len(group_beliefs))
+    n_final = len(group_beliefs)
+    group_paths = np.empty((n_final, t + 1), dtype=np.intp)
+    observation_paths = np.empty((n_final, t + 1), dtype=np.intp)
+    control_paths = np.empty((n_final, t), dtype=np.intp)
+    entropy_paths = np.empty((n_final, t + 1))
+    ancestor = np.arange(n_final)
     for k in range(t, -1, -1):
+        group_paths[:, k] = ancestor
+        observation_paths[:, k] = observations[k][ancestor]
         entropy_paths[:, k] = stage_entropies[k][ancestor]
         if k:
+            control_paths[:, k - 1] = controls[k - 1][ancestor]
             ancestor = parents[k - 1][ancestor]
+    final_group = group.ravel()
 
     return RolloutBatch(
         seed=seed,
         start=start,
         states=states.reshape(t + 1, rows).T,
-        observations=observations.reshape(t + 1, rows).T,
-        controls=controls.reshape(t, rows).T,
-        groups=groups.reshape(t + 1, rows).T,
-        group_beliefs=tuple(stage_beliefs),
         stage_costs=stage_costs,
         terminal_cost=cost_model.terminal_cost[states[t].ravel()],
-        smoother_entropy=smoother[groups[t].ravel()],
+        smoother_entropy=smoother[final_group],
+        final_group=final_group,
+        group_beliefs=tuple(stage_beliefs),
+        group_paths=group_paths,
+        observation_paths=observation_paths,
+        control_paths=control_paths,
         entropy_paths=entropy_paths,
     )
 
@@ -553,44 +606,60 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
 
     Every policy advances in the same lockstep pass, one block of runs at a
     time; each block's uniforms are drawn once and shared by every policy. A
-    block holds as many runs as fit ROLLOUT_CHUNK floats at about (T+1)(N+8)
-    floats per run and policy. That budget counts only the per-run arrays
-    (with the stored group beliefs at most one per row) and bounds them for
-    any run count. The current stage's (G, N, N) joint and its temporaries
-    come on top, freed with the stage: at N=20, T=8 the peak is about 7x the
-    budget. Each policy is checked and its rule built by one `_rows_rule`. A
+    block holds as many runs as fit ROLLOUT_CHUNK floats at (T+1)(N+8) floats
+    per run and policy. That budget over-counts the per-row arrays (states and
+    stage costs, with the stored group beliefs at most one per row) and bounds
+    them for any run count. The current stage's (G, N, N) joint and its
+    temporaries come on top, freed with the stage: at N=20, T=8 the peak is
+    about 7x the budget. Each policy is checked and its rule built by one
+    `_rows_rule`, against one fingerprint of (model, cost_model) per call. A
     callable is called stage by stage within each block, so a stateful one's
     calls interleave with the other policies' decisions by stage. Any other
-    policy's summary equals its own `monte_carlo`.
+    policy's summary equals its own `monte_carlo`. Each block's per-run metrics
+    are written straight into one (P, 4, runs) array.
 
     Given `trace_runs`, the result is (summaries, head): head holds the states
     (P, n, T+1), controls (P, n, T) and observations (P, n, T+1) of runs
     0 .. n - 1 of each of the P policies, n = min(trace_runs, runs). They are
-    copied out of the leading block(s) of this pass, so they equal each run's
+    gathered from the leading block(s) of this pass, so they equal each run's
     `rollout` and no run is simulated twice.
     """
     _check_runs(runs)
-    rules = [_rows_rule(model, cost_model, policy_like) for _, policy_like in policies]
-    t, n_head = cost_model.horizon, min(trace_runs or 0, runs)
-    head = tuple(np.empty((len(rules), n_head, width), dtype=int) for width in (t + 1, t, t + 1))
+    expected = (fingerprint(model, cost_model)
+                if any(isinstance(policy_like, ValuePolicy) for _, policy_like in policies)
+                else None)
+    rules = [_rows_rule(model, cost_model, policy_like, expected) for _, policy_like in policies]
+    t, n_head, n_policies = cost_model.horizon, min(trace_runs or 0, runs), len(rules)
+    head = tuple(np.empty((n_policies, n_head, width), dtype=int) for width in (t + 1, t, t + 1))
     if not rules:
         return [] if trace_runs is None else ([], head)
-    block = max(1, ROLLOUT_CHUNK // (len(rules) * (t + 1) * (model.n_states + 8)))
-    per_run = np.empty((len(rules), 4, runs))  # terminal, belief entropies, smoother, total
+    block = max(1, ROLLOUT_CHUNK // (n_policies * (t + 1) * (model.n_states + 8)))
+    per_run = np.empty((n_policies, 4, runs))  # terminal, belief entropies, smoother, total
     for start in range(0, runs, block):
         stop = min(start + block, runs)
+        shape = (n_policies, stop - start)
         batch = _advance(model, cost_model, rules, seed, start,
                          _uniforms(seed, start, stop, t), config)
-        metrics = np.stack((batch.terminal_cost, batch.total_belief_entropy,
-                            batch.smoother_entropy, batch.total_cost))
-        per_run[:, :, start:stop] = metrics.reshape(4, len(rules), -1).swapaxes(0, 1)
-        if start < n_head:  # copy only the head rows: batch row p * R + r is run start + r
+        terminal, tbe, smoother, total = per_run[:, :, start:stop].swapaxes(0, 1)  # each (P, R)
+        final = batch.final_group.reshape(shape)
+        terminal[...] = batch.terminal_cost.reshape(shape)
+        tbe[...] = batch.entropy_paths.sum(axis=1)[final]
+        smoother[...] = batch.smoother_entropy.reshape(shape)
+        # stage sum + smoother is smoother + stage sum bit for bit, so this adds
+        # (smoother + stage sum) + terminal, as `RolloutBatch.total_cost` does
+        batch.stage_costs.reshape(*shape, t).sum(axis=2, out=total)
+        total += smoother
+        total += terminal
+        if start < n_head:  # gather only the head rows: batch row p * R + r is run start + r
             end = min(n_head, stop)
-            for kept, rows in zip(head, (batch.states, batch.controls, batch.observations)):
-                by_policy = rows.reshape(len(rules), stop - start, rows.shape[1])
-                kept[:, start:end] = by_policy[:, :end - start]
+            leading = final[:, :end - start]
+            head[0][:, start:end] = batch.states.reshape(*shape, t + 1)[:, :end - start]
+            head[1][:, start:end] = batch.control_paths[leading]
+            head[2][:, start:end] = batch.observation_paths[leading]
     means = per_run.mean(axis=2)
-    ses = per_run.std(axis=2, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros_like(means)
+    # a row at a time, so the deviations std forms are one row, not a second per_run
+    ses = (np.array([row.std(ddof=1) for row in per_run.reshape(-1, runs)]).reshape(means.shape)
+           / np.sqrt(runs) if runs > 1 else np.zeros_like(means))
     summaries = [(name, _summary(runs, m, e, config, seed))
                  for (name, _), m, e in zip(policies, means, ses)]
     return summaries if trace_runs is None else (summaries, head)

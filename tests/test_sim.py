@@ -7,6 +7,7 @@ import pytest
 
 import _oracles as oracle
 from active_smoothing import (
+    DEFAULT_CONFIG,
     EntropyConfig,
     PolicyModelMismatch,
     StageSet,
@@ -527,6 +528,26 @@ def test_block_memory_stays_within_the_rollout_budget(monkeypatch):
     assert peak <= 16 * sim.ROLLOUT_CHUNK * 8
 
 
+def test_block_memory_of_an_experiment_block_stays_under_half_the_budget(grid):
+    """One block of `experiment`'s comparison (two d=5 policies and always-east, 7,281
+    runs) keeps only states and stage costs per row: its peak stays under half of
+    ROLLOUT_CHUNK floats, uniforms and per-run metrics included."""
+    model, costs = grid
+    bp = generate_base_points(model.n_states, 5)
+    policies = [("smoother", solve(model, costs, "smoother", bp)),
+                ("belief-sum", solve(model, costs, "belief-sum", bp)), ("east", "always-east")]
+    runs = 7281
+    assert runs == sim.ROLLOUT_CHUNK // (len(policies) * (costs.horizon + 1)
+                                         * (model.n_states + 8))
+    tracemalloc.start()
+    try:
+        compare_policies(model, costs, policies, runs, seed=12345)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * sim.ROLLOUT_CHUNK * 8
+
+
 def _random_value_policy(rng, model, costs) -> ValuePolicy:
     """Five random vectors with random controls at each stage, fingerprinted for (model, costs)."""
     stages = tuple(StageSet(values=rng.normal(size=(5, model.n_states)),
@@ -601,8 +622,7 @@ def test_ties_go_to_the_lowest_control_on_every_row(grid, rng):
     assert 1 not in batch.controls
 
 
-def test_fingerprint_runs_once_per_policy_per_call(grid, grid_policies, grid_blocks,
-                                                   monkeypatch):
+def test_fingerprint_runs_once_per_comparison(grid, grid_policies, grid_blocks, monkeypatch):
     model, costs = grid
     calls = []
     monkeypatch.setattr(sim, "fingerprint", lambda *a: calls.append(1) or fingerprint(*a))
@@ -612,7 +632,18 @@ def test_fingerprint_runs_once_per_policy_per_call(grid, grid_policies, grid_blo
     compare_policies(model, costs, [("a", grid_policies["smoother"]),
                                     ("b", grid_policies["belief-sum"]),
                                     ("c", "always-east")], BLOCK_RUNS + 3, seed=1)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    calls.clear()
+    compare_policies(model, costs, [("c", "always-east"), ("d", 1)], 10, seed=1)
+    assert calls == []
+    # a mismatch found against the shared fingerprint reads as check_policy's
+    other = make_cost_model(3, np.zeros((4, 3)), np.zeros(4))
+    with pytest.raises(PolicyModelMismatch) as want:
+        check_policy(model, other, grid_policies["belief-sum"])
+    with pytest.raises(PolicyModelMismatch) as got:
+        compare_policies(model, other, [("a", grid_policies["smoother"]),
+                                        ("b", grid_policies["belief-sum"])], 10, seed=1)
+    assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------------ draws --
@@ -692,6 +723,54 @@ def test_regroup_memory_stays_within_a_few_per_row_arrays(per_row):
         tracemalloc.stop()
     np.testing.assert_array_equal(values[inverse], code)
     assert peak <= 8 * code.nbytes
+
+
+def _same_classes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether equal rows of `a` and equal rows of `b` split the row indices alike."""
+    _, ia = np.unique(a, axis=0, return_inverse=True)
+    _, ib = np.unique(b, axis=0, return_inverse=True)
+    pairs = np.unique(np.stack([ia.ravel(), ib.ravel()], axis=1), axis=0)
+    return len(pairs) == ia.max() + 1 == ib.max() + 1
+
+
+@pytest.mark.parametrize("horizon", [0, 3])
+def test_a_group_is_a_history(grid, grid_policies, horizon):
+    # rows share a group at stage k exactly when they share their policy, y_0..y_k and
+    # u_0..u_{k-1}; each row's paths are the ones its own rollout sees
+    rng = np.random.default_rng(26 + horizon)
+    model, costs = grid
+    costs = make_cost_model(horizon, costs.stage_cost[0], costs.terminal_cost)
+    cases = [(model, costs, ["always-east", lambda b, k: int(np.argmax(b) + k) % 3]
+              + ([grid_policies["smoother"], grid_policies["belief-sum"]] if horizon else []))]
+    for n_states, n_obs, n_controls, zeros in ((3, 3, 2, 0.0), (5, 2, 3, 0.4)):
+        other = oracle.random_model(rng, n_states, n_obs, n_controls, zero_fraction=zeros)
+        other_costs = oracle.random_costs(rng, other, horizon)
+        cases.append((other, other_costs,
+                      [1, oracle.random_rule(rng, other, max(horizon, 1)),
+                       _random_value_policy(rng, other, other_costs)]))
+    runs, start, seed = 60, 4, 19
+    for case_model, case_costs, policies in cases:
+        rules = [sim._rows_rule(case_model, case_costs, policy) for policy in policies]
+        batch = sim._advance(case_model, case_costs, rules, seed, start,
+                             sim._uniforms(seed, start, start + runs, horizon), DEFAULT_CONFIG)
+        assert len(batch) == len(policies) * runs
+        policy = np.repeat(np.arange(len(policies)), runs)[:, None]
+        groups, observations, controls = batch.groups, batch.observations, batch.controls
+        assert groups.shape == observations.shape == (len(batch), horizon + 1)
+        assert controls.shape == (len(batch), horizon)
+        np.testing.assert_array_equal(groups[:, -1], batch.final_group)
+        for k in range(horizon + 1):
+            history = np.hstack([policy, observations[:, :k + 1], controls[:, :k]])
+            assert _same_classes(history, groups[:, k:k + 1]), k
+        for row in range(0, len(batch), 7):
+            p, r = divmod(row, runs)
+            want = rollout(case_model, case_costs, policies[p], seed, run_index=start + r)
+            got = batch.record(row)
+            for field in ("states", "observations", "controls", "beliefs", "stage_costs",
+                          "belief_entropies"):
+                assert getattr(got, field).tolist() == getattr(want, field).tolist(), field
+            assert (got.terminal_cost, got.smoother_entropy) == \
+                (want.terminal_cost, want.smoother_entropy)
 
 
 def test_batch_beliefs_gather_the_records_beliefs(grid, grid_policies):
