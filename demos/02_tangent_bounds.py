@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from active_smoothing import (
+    belief_entropy,
     build_grid_agent,
     evaluate_pwl,
-    expected_terminal_cost,
     generate_base_points,
     stage_entropy_cost,
     stage_tangent_alphas,
@@ -24,16 +24,20 @@ model, costs = build_grid_agent()
 rng = np.random.default_rng(2)
 beliefs = rng.dirichlet(np.ones(4), size=2000)
 
+
+def terminal_cost(belief):
+    """g_T: the belief entropy plus the expected linear cell penalty."""
+    return belief_entropy(belief) + belief @ costs.terminal_cost
+
+
 print("terminal cost bound: entropy plus a linear cell penalty")
 print(f"{'density':>8} {'points':>7} {'mean gap':>10} {'max gap':>10} "
       f"{'worst tangency':>15}")
 for density in (1, 2, 3, 5, 8):
     bp = generate_base_points(4, density)
     alphas = terminal_tangent_alphas(costs, bp)
-    gaps = [evaluate_pwl(alphas, b) - expected_terminal_cost(costs, b)
-            for b in beliefs]
-    touch = max(abs(evaluate_pwl(alphas, xi) - expected_terminal_cost(costs, xi))
-                for xi in bp.points)
+    gaps = [evaluate_pwl(alphas, b) - terminal_cost(b) for b in beliefs]
+    touch = max(abs(evaluate_pwl(alphas, xi) - terminal_cost(xi)) for xi in bp.points)
     print(f"{density:>8} {len(bp):>7} {np.mean(gaps):>10.4f} "
           f"{np.max(gaps):>10.4f} {touch:>15.2e}")
 

@@ -113,6 +113,8 @@ def _load_model_and_costs(args):
     if runs is not None and runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if horizon is not None and horizon != costs.horizon:
+        if costs.horizon == 0:
+            raise UsageError("cannot override the horizon of a model with no stage costs")
         base = costs.stage_cost[0]
         if any(not np.array_equal(costs.stage_cost[k], base) for k in range(costs.horizon)):
             raise UsageError("cannot override the horizon of a stage-dependent cost table")

@@ -3,13 +3,12 @@
 Stage cost: the conditional entropy of the current state given the next state
 under the joint predicted belief, whose accumulated expectation (plus the
 terminal belief entropy) equals the expected entropy of the full hidden
-trajectory given all data. Also provides expected costs including the linear
-c-terms, the entropy/mutual-information decomposition, the realised
-(pointwise) trajectory entropy carried forward with the filter, and the
-expected next-step belief entropy used by the belief-sum baseline. Both
-entropy costs the solver plans with are conditional entropies H(X | Z) of a
-joint linear in the belief: their values share one kernel,
-`_conditional_entropy`, and their tangents another,
+trajectory given all data. Also provides the entropy/mutual-information
+decomposition, the realised (pointwise) trajectory entropy carried forward
+with the filter, and the expected next-step belief entropy used by the
+belief-sum baseline. Both entropy costs the solver plans with are
+conditional entropies H(X | Z) of a joint linear in the belief: their values
+share one kernel, `_conditional_entropy`, and their tangents another,
 `pwl.conditional_entropy_tangents`.
 
 All conventions are term-wise: 0 log 0 = 0 and 0 log(0/0) = 0.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import initial_update, marginalize_next, predict_joint, update
-from .model import ControlledHMM, CostModel
+from .model import ControlledHMM
 
 BOUNDARY_TOL = 1e-12
 
@@ -85,25 +84,12 @@ def stage_entropy_cost(model: ControlledHMM, belief: np.ndarray, control,
     return _conditional_entropy(predict_joint(model, belief, control), config)
 
 
-def expected_stage_cost(model: ControlledHMM, cost_model: CostModel, belief: np.ndarray,
-                        control: int, stage: int,
-                        config: EntropyConfig = DEFAULT_CONFIG) -> float:
-    """g_k: stage entropy cost plus the expected linear stage cost."""
-    linear = float(np.asarray(belief) @ cost_model.stage_cost[stage][:, control])
-    return stage_entropy_cost(model, belief, control, config) + linear
-
-
-def expected_terminal_cost(cost_model: CostModel, belief: np.ndarray,
-                           config: EntropyConfig = DEFAULT_CONFIG) -> float:
-    """g_T: belief entropy plus the expected terminal cost."""
-    return belief_entropy(belief, config) + float(np.asarray(belief) @ cost_model.terminal_cost)
-
-
 def stage_decomposition(model: ControlledHMM, belief: np.ndarray, control: int,
                         config: EntropyConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """(current-state entropy, current/next mutual information) from the joint.
 
-    Their difference equals stage_entropy_cost.
+    Their difference equals stage_entropy_cost. `demos/01` teaches the per-stage
+    decomposition with it.
     """
     joint = predict_joint(model, belief, control)
     rows = marginalize_next(joint)
@@ -152,7 +138,9 @@ def pointwise_smoother_entropy(model: ControlledHMM, observations, controls,
 
     Runs the filter along (y_0..y_T, u_0..u_{T-1}), advancing `past_entropy`
     with each joint predicted belief, and closes it with the final belief.
-    Equals the entropy of p(x_0..x_T | all data).
+    Equals the entropy of p(x_0..x_T | all data). `demos/01` computes a
+    record's trajectory entropy with it, and it is the per-sequence reference
+    the lockstep Monte Carlo engine is tested against.
 
     Sequences of shape (T+1,) and (T,) give a float; (R, T+1) and (R, T) give
     one entropy per row, computed with the same operations as one sequence.

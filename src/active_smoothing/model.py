@@ -248,6 +248,8 @@ def model_from_dict(d: dict) -> tuple[ControlledHMM, CostModel]:
     if type(horizon) is not int:  # exact type: int() would run true as T=1 and 2.7 as T=2
         raise ValueError(f"model field 'horizon' must be an integer, got {horizon!r}")
     stage = np.asarray(d.get("stage_cost", np.zeros((model.n_states, model.n_controls))), dtype=float)
+    if stage.shape == (0,):  # the empty table `model_to_dict` writes at T = 0
+        stage = stage.reshape(0, model.n_states, model.n_controls)
     costs = make_cost_model(
         horizon=horizon,
         stage_cost=stage,

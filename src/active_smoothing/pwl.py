@@ -98,16 +98,13 @@ def conditional_entropy_tangents(weights: np.ndarray, points: np.ndarray,
     return -np.einsum("pxz,xzm->pm", logs, weights) / config.log_scale
 
 
-def entropy_tangent_alphas(base_points: BasePointSet,
-                           config: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Tangents of the belief entropy H(x); the plane at xi reduces to -log xi."""
-    n = base_points.points.shape[1]
-    return conditional_entropy_tangents(np.eye(n)[:, None, :], base_points.points, config)
-
-
 def terminal_tangent_alphas(cost_model: CostModel, base_points: BasePointSet,
                             config: EntropyConfig = DEFAULT_CONFIG) -> np.ndarray:
-    return entropy_tangent_alphas(base_points, config) + cost_model.terminal_cost[None, :]
+    """Tangents of g_T: the belief entropy H(x), whose plane at xi reduces to -log xi,
+    plus the exact linear c_T part."""
+    n = base_points.points.shape[1]
+    entropy = conditional_entropy_tangents(np.eye(n)[:, None, :], base_points.points, config)
+    return entropy + cost_model.terminal_cost[None, :]
 
 
 def stage_tangent_alphas(model: ControlledHMM, cost_model: CostModel,
@@ -121,5 +118,9 @@ def stage_tangent_alphas(model: ControlledHMM, cost_model: CostModel,
 
 
 def evaluate_pwl(alphas: np.ndarray, belief: np.ndarray) -> float:
-    """Minimum inner product over the alpha set: the PWL upper bound at `belief`."""
+    """Minimum inner product over the alpha set: the PWL upper bound at `belief`.
+
+    `solver.value` reads a policy's stage with it, and `demos/02` measures the
+    tangent bounds' gaps with it.
+    """
     return float(np.min(np.asarray(alphas) @ np.asarray(belief)))

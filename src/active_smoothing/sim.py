@@ -97,7 +97,8 @@ class RolloutRecord:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Runs start, start + 1, ... of one seed; row r holds run start + r.
+    """Runs start, ..., start + runs - 1 of one seed, for each of the policies
+    the batch advanced: row p * runs + r holds policy p's run start + r.
 
     A row keeps its states, stage costs, terminal cost, smoother entropy and
     final history group; everything else is kept once per history. Rows that
@@ -110,6 +111,7 @@ class RolloutBatch:
     """
     seed: int
     start: int
+    runs: int                     # runs per policy: the batch has P * runs rows
     states: np.ndarray            # (R, T+1)
     stage_costs: np.ndarray       # (R, T)
     terminal_cost: np.ndarray     # (R,)
@@ -162,7 +164,7 @@ class RolloutBatch:
         final = self.final_group[row]
         return RolloutRecord(
             seed=self.seed,
-            run_index=self.start + row,
+            run_index=self.start + row % self.runs,
             states=self.states[row],
             observations=self.observation_paths[final],
             controls=self.control_paths[final],
@@ -503,6 +505,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     return RolloutBatch(
         seed=seed,
         start=start,
+        runs=runs,
         states=states.reshape(t + 1, rows).T,
         stage_costs=stage_costs,
         terminal_cost=cost_model.terminal_cost[states[t].ravel()],

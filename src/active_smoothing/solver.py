@@ -62,6 +62,7 @@ from .model import ControlledHMM, CostModel, fingerprint
 from .pwl import (
     BasePointSet,
     conditional_entropy_tangents,
+    evaluate_pwl,
     stage_tangent_alphas,
     terminal_tangent_alphas,
 )
@@ -396,7 +397,7 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
 
 def value(policy: ValuePolicy, belief: np.ndarray, stage: int) -> float:
     """min over the stage set of <belief, alpha>."""
-    return float(np.min(policy.stages[stage].values @ np.asarray(belief)))
+    return evaluate_pwl(policy.stages[stage].values, belief)
 
 
 def best_action(policy: ValuePolicy, belief: np.ndarray, stage: int):

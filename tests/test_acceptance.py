@@ -13,8 +13,6 @@ from active_smoothing import (
     build_grid_agent,
     conditional_entropy_tangents,
     evaluate_pwl,
-    expected_stage_cost,
-    expected_terminal_cost,
     generate_base_points,
     initial_update,
     load_policy,
@@ -290,17 +288,21 @@ def test_criterion_10_pwl_upper_bound_and_tangency(grid):
     terminal = terminal_tangent_alphas(costs, bp)
     stage_sets = {u: stage_tangent_alphas(model, costs, bp, 0, u) for u in range(3)}
 
+    def g_terminal(b):
+        return belief_entropy(b) + b @ costs.terminal_cost
+
+    def g_stage(b, u):
+        return stage_entropy_cost(model, b, u) + b @ costs.stage_cost[0][:, u]
+
     for xi in bp.points:
-        assert abs(evaluate_pwl(terminal, xi) - expected_terminal_cost(costs, xi)) <= 1e-9
+        assert abs(evaluate_pwl(terminal, xi) - g_terminal(xi)) <= 1e-9
         for u in range(3):
-            assert abs(evaluate_pwl(stage_sets[u], xi)
-                       - expected_stage_cost(model, costs, xi, u, 0)) <= 1e-9
+            assert abs(evaluate_pwl(stage_sets[u], xi) - g_stage(xi, u)) <= 1e-9
 
     for b in rng.dirichlet(np.ones(4), size=1000):
-        assert evaluate_pwl(terminal, b) >= expected_terminal_cost(costs, b) - 1e-9
+        assert evaluate_pwl(terminal, b) >= g_terminal(b) - 1e-9
         for u in range(3):
-            assert evaluate_pwl(stage_sets[u], b) >= expected_stage_cost(
-                model, costs, b, u, 0) - 1e-9
+            assert evaluate_pwl(stage_sets[u], b) >= g_stage(b, u) - 1e-9
 
 
 # -------------------------------------------------------------- criterion 11 --

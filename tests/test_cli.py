@@ -577,3 +577,21 @@ def test_horizon_override_with_stage_dependent_costs(tmp_path):
                  "--policy", "always-east", "--runs", "5", "--seed", "1",
                  "--out", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("stage_cost", ["written", "missing"])
+def test_horizon_override_of_a_model_with_no_stages(tmp_path, capsys, stage_cost):
+    model, costs = build_grid_agent()
+    path = tmp_path / "model.json"
+    save_model(path, model, make_cost_model(0, costs.stage_cost[0], costs.terminal_cost))
+    if stage_cost == "missing":
+        d = json.loads(path.read_text())
+        del d["stage_cost"]
+        path.write_text(json.dumps(d))
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--model", str(path), "--horizon", "2",
+                 "--policy", "always-east", "--runs", "5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: cannot override the horizon of a model with no stage costs\n"
+    assert not out.exists()

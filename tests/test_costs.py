@@ -11,17 +11,14 @@ from active_smoothing import (
     EntropyConfig,
     belief_entropy,
     conditional_entropy_tangents,
-    expected_next_entropy,
-    expected_stage_cost,
-    expected_terminal_cost,
     initial_update,
-    make_cost_model,
     make_model,
     pointwise_smoother_entropy,
     stage_decomposition,
     stage_entropy_cost,
     step,
 )
+from active_smoothing.costs import expected_next_entropy
 
 # conditional entropy of the current state given the next, grid agent,
 # belief (0.5, 0.5, 0, 0), control east: 0.5 * H(0.8, 0.2)
@@ -173,20 +170,6 @@ def test_terminal_entropy_gradient_formula_and_fd(rng):
         conditional_entropy_tangents(weights, np.array([[1.0, 0.0, 0.0, 0.0]]))
     for model, config in kernel_cases(rng):
         assert_tangents_match_directional_fd(rng, model, "terminal", 0, config)
-
-
-def test_expected_costs_add_linear_terms(grid, rng):
-    model, _ = grid
-    costs = make_cost_model(3, rng.uniform(size=(3, 4, 3)), rng.uniform(size=4))
-    belief = rng.dirichlet(np.ones(4))
-    for u in range(3):
-        for k in range(3):
-            expected = stage_entropy_cost(model, belief, u) + belief @ costs.stage_cost[k][:, u]
-            np.testing.assert_allclose(expected_stage_cost(model, costs, belief, u, k),
-                                       expected, atol=1e-12)
-    np.testing.assert_allclose(expected_terminal_cost(costs, belief),
-                               belief_entropy(belief) + belief @ costs.terminal_cost,
-                               atol=1e-12)
 
 
 def test_stage_decomposition_identity(grid, rng):

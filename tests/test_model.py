@@ -10,12 +10,11 @@ from active_smoothing import (
     load_model,
     make_cost_model,
     make_model,
-    model_from_dict,
-    model_to_dict,
     save_model,
     validate_costs,
     validate_model,
 )
+from active_smoothing.model import model_from_dict, model_to_dict
 
 GRID_PAIR_FINGERPRINT = "198051616f85c2f21486e1c6bd69743e9d4c1d9998bebd80e3e3f0574f083cc8"
 GRID_MODEL_FINGERPRINT = "a5b5e5f16dbee41c3ee3342123b26ec9cbb27335c846cb77ef39095dca5d6f07"
@@ -171,6 +170,20 @@ def test_save_load_round_trip(tmp_path, grid):
     m2, c2 = load_model(path)
     assert fingerprint(m2, c2) == GRID_PAIR_FINGERPRINT
     # saving again is byte-identical
+    again = tmp_path / "model2.json"
+    save_model(again, m2, c2)
+    assert path.read_bytes() == again.read_bytes()
+
+
+def test_save_load_round_trip_at_horizon_zero(tmp_path, grid):
+    model, costs = grid
+    zero = make_cost_model(0, costs.stage_cost[0], costs.terminal_cost)
+    path = tmp_path / "model.json"
+    save_model(path, model, zero)
+    m2, c2 = load_model(path)
+    assert c2.stage_cost.shape == (0, 4, 3)
+    assert validate_costs(c2, m2) == []
+    assert fingerprint(m2, c2) == fingerprint(model, zero)
     again = tmp_path / "model2.json"
     save_model(again, m2, c2)
     assert path.read_bytes() == again.read_bytes()

@@ -10,9 +10,7 @@ import _oracles as oracle
 from active_smoothing import (
     EntropyConfig,
     belief_entropy,
-    entropy_tangent_alphas,
     evaluate_pwl,
-    expected_terminal_cost,
     generate_base_points,
     make_cost_model,
     stage_tangent_alphas,
@@ -76,16 +74,22 @@ def test_simplex_lattice_equals_the_filtered_product():
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, levels)
 
 
-def test_entropy_tangent_alphas_bound_and_tangency(rng):
+def entropy_tangents(bp, config=EntropyConfig()):
+    """Tangents of the belief entropy alone: the terminal tangents of a zero terminal cost."""
+    n = bp.points.shape[1]
+    return terminal_tangent_alphas(make_cost_model(0, np.zeros((n, 1)), np.zeros(n)), bp, config)
+
+
+def test_terminal_entropy_tangents_bound_and_tangency(rng):
     bp = generate_base_points(4, 4)
-    alphas = entropy_tangent_alphas(bp)
+    alphas = entropy_tangents(bp)
     assert alphas.shape == (len(bp), 4)
     np.testing.assert_allclose(alphas, -np.log(bp.points), atol=1e-14)
     for n in range(2, 7):
         bp = generate_base_points(n, 3)
         beliefs = rng.dirichlet(np.full(n, 0.5), size=2000)
         for config in CONFIGS:
-            alphas = entropy_tangent_alphas(bp, config)
+            alphas = entropy_tangents(bp, config)
             np.testing.assert_allclose((alphas * bp.points).sum(axis=1),
                                        belief_entropy(bp.points, config),
                                        rtol=0, atol=1e-12)
@@ -96,15 +100,12 @@ def test_entropy_tangent_alphas_bound_and_tangency(rng):
 def test_terminal_tangent_alphas_add_linear_cost(grid):
     model, costs = grid
     bp = generate_base_points(4, 3)
-    np.testing.assert_allclose(
-        terminal_tangent_alphas(costs, bp),
-        entropy_tangent_alphas(bp) + costs.terminal_cost[None, :],
-        atol=1e-14,
-    )
     alphas = terminal_tangent_alphas(costs, bp)
+    np.testing.assert_allclose(alphas, entropy_tangents(bp) + costs.terminal_cost[None, :],
+                               atol=1e-14)
     for xi in bp.points:
         np.testing.assert_allclose(evaluate_pwl(alphas, xi),
-                                   expected_terminal_cost(costs, xi), atol=1e-9)
+                                   belief_entropy(xi) + xi @ costs.terminal_cost, atol=1e-9)
 
 
 def stage_entropy_batch(model, cost: str, beliefs: np.ndarray, u: int, config) -> np.ndarray:

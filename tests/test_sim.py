@@ -769,8 +769,8 @@ def test_a_group_is_a_history(grid, grid_policies, horizon):
             for field in ("states", "observations", "controls", "beliefs", "stage_costs",
                           "belief_entropies"):
                 assert getattr(got, field).tolist() == getattr(want, field).tolist(), field
-            assert (got.terminal_cost, got.smoother_entropy) == \
-                (want.terminal_cost, want.smoother_entropy)
+            assert (got.run_index, got.terminal_cost, got.smoother_entropy) == \
+                (want.run_index, want.terminal_cost, want.smoother_entropy)
 
 
 def test_batch_beliefs_gather_the_records_beliefs(grid, grid_policies):

@@ -8,7 +8,6 @@ import _oracles as oracle
 import active_smoothing.solver as solver_module
 from active_smoothing import (
     ValuePolicy,
-    backup,
     best_action,
     exact_policy_metrics,
     generate_base_points,
@@ -22,6 +21,7 @@ from active_smoothing import (
     terminal_tangent_alphas,
     value,
 )
+from active_smoothing.solver import backup
 
 # grid agent, smoother objective, density 2: frozen regression values of the global
 # backup (every stage forced off the reachable tree) and of the default tree backup
