@@ -15,24 +15,26 @@ from __future__ import annotations
 import time
 
 from active_smoothing import (
-    belief_entropy,
+    SolveContext,
     build_grid_agent,
     exact_policy_metrics,
     generate_base_points,
     initial_update,
-    observation_marginal,
     solve,
     value,
 )
 
 model, costs = build_grid_agent()
+# the densities share one context, as the `sweep` command's do: the reachable
+# beliefs, the projection stack and the model fingerprint are computed once
+context = SolveContext(model, costs)
 
 print(f"{'density':>8} {'points':>7} {'stage sizes':>20} {'bound':>8} "
       f"{'achieved':>9} {'seconds':>8}")
 for density in (1, 2, 3, 4, 5):
     bp = generate_base_points(model.n_states, density)
     start = time.perf_counter()
-    policy = solve(model, costs, "smoother", bp)
+    policy = solve(model, costs, "smoother", bp, context=context)
     elapsed = time.perf_counter() - start
 
     # solver's own estimate: expected stage-0 value over the first observation

@@ -47,7 +47,15 @@ from .sim import (
     monte_carlo,
     rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
 )
-from .solver import OBJECTIVES, PolicyFormatError, load_policy, save_policy, solve, value
+from .solver import (
+    OBJECTIVES,
+    PolicyFormatError,
+    SolveContext,
+    load_policy,
+    save_policy,
+    solve,
+    value,
+)
 
 RESULTS_HEADER = ["policy"] + [field.name for field in dataclasses.fields(MetricsSummary)]
 TRACE_HEADER = ["policy", "run", "stage", "state", "control", "observation"]
@@ -123,10 +131,10 @@ def _load_model_and_costs(args):
     return model, costs
 
 
-def _config_dict(args, model, costs, **extra) -> dict:
+def _config_dict(args, costs, model_fingerprint: str, **extra) -> dict:
     d = {"model": getattr(args, "model", None) or "builtin:grid-agent",
          "horizon": costs.horizon,
-         "model_fingerprint": fingerprint(model, costs),
+         "model_fingerprint": model_fingerprint,
          "rng": "philox key=(seed, run_index)"}
     for key in ("objective", "base_points", "epsilon", "prune", "log_base", "runs", "seed"):
         if getattr(args, key, None) is not None:
@@ -186,11 +194,16 @@ def _reported_bound(model, costs, policy, config) -> float:
     return total
 
 
-def _solve(model, costs, args, objective: str, density: int, config):
-    """The policy solved on the `density` lattice, and the seconds the solve took."""
+def _solve(context: SolveContext, args, objective: str, density: int, config):
+    """The policy solved on the `density` lattice, and the seconds the solve took.
+
+    Every solve of a command gets the command's one `context`, through `solve`
+    itself, so the work the context shares runs inside the first solve.
+    """
+    model = context.model
     base_points = generate_base_points(model.n_states, density, args.epsilon)
     start = time.perf_counter()
-    policy = solve(model, costs, objective, base_points, config)
+    policy = solve(model, context.cost_model, objective, base_points, config, context=context)
     return policy, time.perf_counter() - start
 
 
@@ -253,8 +266,10 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
-    policy, elapsed = _solve(model, costs, args, args.objective, args.base_points, config)
-    save_policy(args.out, policy, extra_metadata=_config_dict(args, model, costs))
+    context = SolveContext(model, costs)
+    policy, elapsed = _solve(context, args, args.objective, args.base_points, config)
+    save_policy(args.out, policy,
+                extra_metadata=_config_dict(args, costs, context.model_fingerprint))
     for k, size in enumerate(policy.gamma_sizes()):
         print(f"stage {k}: {size} vectors")
     print(f"solved {args.objective} in {elapsed:.2f}s -> {args.out}")
@@ -267,7 +282,8 @@ def cmd_simulate(args) -> int:
     pairs = [_resolve_policy(ref, model, costs) for ref in args.policy]
     trace_runs = (1 if args.exact else MAX_TRACE_RUNS) if args.trace else 0
     results, head = _evaluate(model, costs, pairs, args.exact, args, config, trace_runs)
-    metadata = _config_dict(args, model, costs, **({"exact": True} if args.exact else {}))
+    metadata = _config_dict(args, costs, fingerprint(model, costs),
+                            **({"exact": True} if args.exact else {}))
     _write_csv(args.out, metadata, RESULTS_HEADER, [_summary_row(name, s) for name, s in results])
     for name, s in results:
         print(f"{name}: total_cost={s.total_cost!r} (exact)" if args.exact
@@ -282,15 +298,17 @@ def cmd_sweep(args) -> int:
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
     exact = exact_refusal(model, costs.horizon) is None
+    context = SolveContext(model, costs)
     rows = []
     for density in densities:
-        policy, elapsed = _solve(model, costs, args, args.objective, density, config)
+        policy, elapsed = _solve(context, args, args.objective, density, config)
         summary = (exact_policy_metrics(model, costs, policy, config, seed=args.seed) if exact
                    else monte_carlo(model, costs, policy, args.runs, args.seed, config))
         rows.append(_sweep_row(model, costs, density, policy, summary, exact, config))
         print(f"d={density}: total_cost={rows[-1][1]!r} bound={rows[-1][2]!r} "
               f"gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
-    _write_csv(args.out, _config_dict(args, model, costs), SWEEP_HEADER, rows)
+    _write_csv(args.out, _config_dict(args, costs, context.model_fingerprint), SWEEP_HEADER,
+               rows)
     return 0
 
 
@@ -306,16 +324,17 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    context = SolveContext(model, costs)
     solved = {}
     for objective in ("smoother", "belief-sum"):
         print(f"solving {objective} objective at d={d_main} ...")
-        solved[objective], elapsed = _solve(model, costs, args, objective, d_main, config)
+        solved[objective], elapsed = _solve(context, args, objective, d_main, config)
         print(f"  gammas={solved[objective].gamma_sizes()} ({elapsed:.2f}s)")
     active, baseline = solved["smoother"], solved["belief-sum"]
 
     save_model(out_dir / "model.json", model, costs)
     metadata = _config_dict(
-        args, model, costs,
+        args, costs, context.model_fingerprint,
         gamma_sizes_smoother=active.gamma_sizes(),
         gamma_sizes_belief_sum=baseline.gamma_sizes(),
     )
@@ -337,7 +356,7 @@ def cmd_experiment(args) -> int:
         if density == d_main:  # table1.csv's exact record of the active policy
             policy, summary = active, exact_results[0][1]
         else:
-            policy = _solve(model, costs, args, "smoother", density, config)[0]
+            policy = _solve(context, args, "smoother", density, config)[0]
             summary = exact_policy_metrics(model, costs, policy, config, seed=args.seed)
         sweep_rows.append(_sweep_row(model, costs, density, policy, summary, True, config))
         print(f"  d={density}: total_cost={sweep_rows[-1][1]!r}")

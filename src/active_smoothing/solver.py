@@ -8,7 +8,11 @@ enumerates those beliefs forward with the filter, under every control, until
 the first level of more than TREE_LEVEL_CAP beliefs. A tree stage keeps, per
 reachable belief, the backed-up vector that is minimal there (`_tree_backup`):
 one stacked product and one argmin over every (control, observation) pair, on
-the (U, Y, N, N) projection stack that a solve builds once. Each such vector
+the (U, Y, N, N) projection stack. The levels, the stack and the model
+fingerprint belong to a `SolveContext`, which computes each once, inside the
+first solve given it, for every solve of its model and cost model: `sweep` and
+`experiment` make one per command, so their solves at several densities and
+objectives share that work. Each such vector
 belongs to the unpruned backup, so the stored function is an upper bound
 everywhere, and at every reachable belief it equals the backup of the next
 stage there: the value function of the tangent lattice. The stage-cost
@@ -44,6 +48,7 @@ the module, as a test or a tracer does, is the one the solver calls.
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import json
@@ -334,16 +339,59 @@ def _stage_pieces(model: ControlledHMM, cost_model: CostModel, objective: str,
     return pieces
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class SolveContext:
+    """The work every solve of one model and cost model shares, done once for all of them.
+
+    It holds the reachable levels (`_reachable_levels` to the cost model's
+    horizon), the (U, Y, N, N) projection stack (`_projections`) and the model
+    fingerprint. Each is computed on first use, which is inside the first
+    `solve` given the context, and kept for every later solve, whatever its
+    objective, base points or entropy unit. The levels are the ones enumerated
+    under the TREE_LEVEL_CAP in force at that first use: a later change of the
+    cap does not reach a context that has them already. The arrays are
+    read-only, since every solve given the context reads the same ones.
+    `solve` refuses a context made for other model or cost model objects,
+    equal ones included. A context lives as long as the command or caller
+    that made it; nothing is cached at module level.
+    """
+
+    def __init__(self, model: ControlledHMM, cost_model: CostModel):
+        self.model = model
+        self.cost_model = cost_model
+
+    @functools.cached_property
+    def levels(self) -> list[np.ndarray]:
+        return [_read_only(level)
+                for level in _reachable_levels(self.model, self.cost_model.horizon)]
+
+    @functools.cached_property
+    def projections(self) -> np.ndarray:
+        return _read_only(_projections(self.model))
+
+    @functools.cached_property
+    def model_fingerprint(self) -> str:
+        return fingerprint(self.model, self.cost_model)
+
+
 def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
-          base_points: BasePointSet, config: EntropyConfig = DEFAULT_CONFIG) -> ValuePolicy:
+          base_points: BasePointSet, config: EntropyConfig = DEFAULT_CONFIG, *,
+          context: SolveContext | None = None) -> ValuePolicy:
     """Backward induction producing alpha-vector sets for stages 0..T.
 
     A stage whose reachable level (`_reachable_levels`) is within TREE_LEVEL_CAP
     backs up at those beliefs alone (`_tree_backup`), a deeper one globally
     (`backup`), which prunes every cross-sum exactly whatever its size. The
-    per-solve work runs once: the projection stack, and the stage pieces of
-    each distinct stage-cost table (`_stage_pieces`), which the stages sharing
-    that table share.
+    levels, the projection stack and the model fingerprint come from `context`,
+    which computes each once for all the solves given it; without one, the
+    solve makes its own. A context made for other model or cost model objects
+    raises ValueError. The stage pieces of each distinct stage-cost table
+    (`_stage_pieces`) run once per solve, and the stages sharing that table
+    share them.
 
     Objectives: `smoother` uses tangent pieces of the pairwise conditional
     entropy stage cost and an entropy-plus-c_T terminal set; `belief-sum`
@@ -362,9 +410,13 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    if context is None:
+        context = SolveContext(model, cost_model)
+    elif context.model is not model or context.cost_model is not cost_model:
+        raise ValueError("the solve context was made for another model or cost model")
     horizon = cost_model.horizon
 
-    levels = _reachable_levels(model, horizon)
+    levels = context.levels
     tree_only = 0 < len(levels) == horizon
     if objective == "costs-only":
         terminal = cost_model.terminal_cost[None, :].copy()
@@ -373,7 +425,7 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
         if not tree_only:
             terminal = _reduce(terminal)
     stage_pieces = _stage_pieces(model, cost_model, objective, base_points, config)
-    weights = _projections(model)
+    weights = context.projections
 
     stages: list[StageSet] = [StageSet(values=np.asarray(terminal, dtype=float), actions=None)]
     for k in reversed(range(horizon)):
@@ -391,7 +443,7 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
         density=base_points.density,
         epsilon_interior=base_points.epsilon_interior,
         log_base=config.log_base,
-        model_fingerprint=fingerprint(model, cost_model),
+        model_fingerprint=context.model_fingerprint,
     )
 
 

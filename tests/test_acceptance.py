@@ -10,7 +10,6 @@ import pytest
 import _oracles as oracle
 from active_smoothing import (
     belief_entropy,
-    build_grid_agent,
     conditional_entropy_tangents,
     evaluate_pwl,
     generate_base_points,

@@ -14,7 +14,7 @@ from active_smoothing import (
     make_cost_model,
     save_model,
 )
-from active_smoothing import cli, sim
+from active_smoothing import cli, sim, solver
 from active_smoothing.cli import (
     SWEEP_HEADER,
     TRACE_HEADER,
@@ -502,6 +502,36 @@ def test_experiment_evaluates_each_policy_exactly_once(tmp_path, monkeypatch):
     _, sweep = read_csv(out / "sweep.csv")
     active = next(r for r in table if r["policy"] == "active-smoothing" and r["runs"] == "0")
     assert sweep[-1]["total_cost"] == active["total_cost"]
+
+
+@pytest.mark.parametrize("command, solves", [
+    (["solve", "--base-points", "1", "--out", "p.json"], 1),
+    (["sweep", "--base-points", "2,1", "--runs", "10", "--out", "s.csv"], 2),
+    (["experiment", "--base-points", "1,2", "--runs", "10", "--out", "exp"], 3),
+], ids=["solve", "sweep", "experiment"])
+def test_a_solving_command_enumerates_and_fingerprints_once(tmp_path, monkeypatch, command,
+                                                            solves):
+    # one context for every solve of the command, whose work runs inside the first
+    # solve, and the run config reads the context's hash
+    monkeypatch.chdir(tmp_path)
+    contexts, enumerated, hashed = [], [], []
+    solve, levels, fingerprint_ = cli.solve, solver._reachable_levels, solver.fingerprint
+
+    def recording_solve(*args, context, **kwargs):
+        contexts.append(context)
+        return solve(*args, context=context, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    monkeypatch.setattr(solver, "_reachable_levels",
+                        lambda *args: enumerated.append(len(contexts)) or levels(*args))
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "fingerprint",
+                            lambda *args: hashed.append(len(contexts)) or fingerprint_(*args))
+    assert main(command) == 0
+    assert len(contexts) == solves
+    assert all(context is contexts[0] for context in contexts)
+    assert enumerated == [1]  # during the first solve
+    assert hashed == [1]
 
 
 def test_experiment_refuses_before_writing_anything(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,11 @@ An import alone is not a use: a name imported only to keep it reachable, as
 with a `# noqa: F401` alias, is not referred to. The files are parsed, never
 run, and a use is only counted through the binding its import made, so a
 local variable that happens to share an exported name counts for nothing.
+
+No `src` module imports a name it never reads, either. A name listed in the
+module's `__all__` is read, as the package's re-exports are; an import kept
+only so that a name stays reachable says so with `# noqa: F401` on the line
+that names it.
 """
 from __future__ import annotations
 
@@ -128,3 +133,52 @@ def test_an_import_alone_is_not_a_use():
                      "step = 1\n"
                      "value(sim.rollout, step)\n")
     assert _uses(tree) == {"value", "rollout"}
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names the source imports and never reads, but for those on a `# noqa: F401` line.
+
+    A read is a load of the bound name, the base of an attribute included, or
+    the name's string in a top-level `__all__`. `from __future__` binds nothing.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [(alias, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [(alias, alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        unread += [name for alias, name in bound
+                   if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]]
+    return unread
+
+
+def test_no_src_module_imports_a_name_it_never_reads():
+    unread = {path.name: _unread_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in unread.items() if names} == {}
+
+
+def test_an_unread_import_is_found_unless_its_line_is_marked():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from dataclasses import dataclass, field\n"
+              "from json import dumps  # noqa: F401\n"
+              "from .solver import (\n"
+              "    backup,\n"
+              "    prune,  # noqa: F401\n"
+              "    solve as run,\n"
+              ")\n"
+              "__all__ = ['dataclass']\n"
+              "x = np.zeros(1)\n"
+              "run(x)\n")
+    assert _unread_imports(source) == ["os", "field", "backup"]

@@ -7,8 +7,10 @@ from scipy.spatial import QhullError
 import _oracles as oracle
 import active_smoothing.solver as solver_module
 from active_smoothing import (
+    SolveContext,
     ValuePolicy,
     best_action,
+    build_grid_agent,
     exact_policy_metrics,
     generate_base_points,
     load_policy,
@@ -21,7 +23,7 @@ from active_smoothing import (
     terminal_tangent_alphas,
     value,
 )
-from active_smoothing.solver import backup
+from active_smoothing.solver import backup, policy_to_dict
 
 # grid agent, smoother objective, density 2: frozen regression values of the global
 # backup (every stage forced off the reachable tree) and of the default tree backup
@@ -588,6 +590,68 @@ def test_tree_solve_evaluates_as_the_global_solve_on_random_models(rng, monkeypa
         with monkeypatch.context() as patch:  # the shallow stages only on the tree
             patch.setattr(solver_module, "TREE_LEVEL_CAP", 2 * model.n_observations)
             assert_tree_decides_as_global(monkeypatch, model, costs, objective, bp)
+
+
+# ---------------------------------------------------------- solve context --
+
+# every objective at densities 1-5, in an order that mixes both
+CONTEXT_ORDER = [(objective, density) for density in (3, 1, 5, 2, 4)
+                 for objective in ("belief-sum", "costs-only", "smoother")]
+
+
+def context_cases(grid):
+    """(model, costs): the grid all on the tree (T=3), the grid with global stages 4-5
+    (T=6), and a random model with a cost table per stage and a global stage 4 (T=5)."""
+    model, costs = grid
+    yield model, costs
+    yield model, make_cost_model(6, costs.stage_cost[0], costs.terminal_cost)
+    rng = np.random.default_rng(29)
+    model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=3, zero_fraction=0.3)
+    yield model, oracle.random_costs(rng, model, 5)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["grid-T3", "grid-T6", "random-T5"])
+def test_solves_sharing_a_context_equal_independent_solves(grid, case):
+    model, costs = list(context_cases(grid))[case]
+    context = SolveContext(model, costs)
+    for objective, density in CONTEXT_ORDER:
+        base_points = generate_base_points(model.n_states, density)
+        shared = solve(model, costs, objective, base_points, context=context)
+        alone = solve(model, costs, objective, base_points)
+        assert policy_to_dict(shared) == policy_to_dict(alone)
+
+
+def test_a_context_is_refused_for_other_model_or_cost_objects(grid):
+    model, costs = grid
+    context = SolveContext(model, costs)
+    base_points = generate_base_points(4, 1)
+    equal_model, equal_costs = build_grid_agent()  # equal values, other objects
+    for other_model, other_costs in ((equal_model, costs), (model, equal_costs)):
+        with pytest.raises(ValueError, match="another model or cost model"):
+            solve(other_model, other_costs, "smoother", base_points, context=context)
+    solve(model, costs, "smoother", base_points, context=context)
+
+
+def test_six_solves_on_one_context_enumerate_the_levels_once(grid, monkeypatch):
+    model, costs = grid
+    calls = []
+    levels = solver_module._reachable_levels
+
+    def counting(model, horizon):
+        calls.append(horizon)
+        return levels(model, horizon)
+
+    monkeypatch.setattr(solver_module, "_reachable_levels", counting)
+    context = SolveContext(model, costs)
+    assert calls == []  # nothing runs before the first solve
+    for objective, density in [("smoother", 5), ("belief-sum", 5)] + [
+            ("smoother", d) for d in range(1, 5)]:
+        solve(model, costs, objective, generate_base_points(4, density), context=context)
+    assert calls == [3]
+    # every solve reads the same arrays, so none of them can be written
+    assert not any(a.flags.writeable for a in context.levels + [context.projections])
+    solve(model, costs, "smoother", generate_base_points(4, 1))  # no context: a fresh one
+    assert calls == [3, 3]
 
 
 def test_belief_sum_solve_evaluates_correctly(grid):
