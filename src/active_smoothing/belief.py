@@ -8,6 +8,9 @@ renormalised after every update to absorb floating-point drift.
 Every map takes either one belief of shape (N,) with scalar control and
 observation, or a batch of shape (R, N) with one control and observation per
 row; a batch row is computed with exactly the operations of a single belief.
+
+`initial_level` and `children` grow the tree of reachable beliefs for the
+solver, exact evaluation and the reported bound.
 """
 from __future__ import annotations
 
@@ -83,3 +86,24 @@ def observation_marginal(model: ControlledHMM, belief: np.ndarray, control) -> n
     """Distribution of the next observation: p(y) = sum_i B(u)[i, y] * (A(u) belief)(i)."""
     predicted = marginalize_next(predict_joint(model, belief, control))
     return (model.observation[control] * predicted[..., None]).sum(axis=-2)
+
+
+def initial_level(model: ControlledHMM) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The belief tree's root: (observations, probabilities, beliefs) of each initial
+    observation y0 of positive probability, in increasing order."""
+    p0 = model.prior @ model.initial_observation
+    observations = np.flatnonzero(p0 > 0.0)
+    return observations, p0[observations], initial_update(model, observations)
+
+
+def children(model: ControlledHMM, joint: np.ndarray, controls: np.ndarray,
+             stage: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(parents, observations, probabilities, beliefs) of the children of positive
+    probability of L rows, whose (L, N, N) joints were predicted under (L,) controls,
+    in (parent, observation) order. p(y | row) has the bits of `observation_marginal`
+    and the updated belief those of `step`: both read one likelihood array."""
+    likelihood = model.observation[controls] * marginalize_next(joint)[:, :, None]  # (L, N, Y)
+    marginal = likelihood.sum(axis=1)
+    parents, observations = np.nonzero(marginal > 0.0)
+    beliefs = _normalise(likelihood[parents, :, observations], observations, stage)
+    return parents, observations, marginal[parents, observations], beliefs

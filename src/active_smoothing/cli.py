@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .belief import ImpossibleEvidence, initial_update
+from .belief import ImpossibleEvidence, initial_level
 from .costs import EntropyConfig, belief_entropy
 from .model import (
     build_grid_agent,
@@ -183,14 +183,13 @@ def _reported_bound(model, costs, policy, config) -> float:
     For the belief-sum objective the constant initial belief entropy is not
     part of the solved stage costs and is added here, at reporting time.
     """
-    p0 = model.prior @ model.initial_observation
+    _, probabilities, beliefs = initial_level(model)
     total = 0.0
-    for y0 in np.flatnonzero(p0 > 0):
-        b = initial_update(model, int(y0))
+    for p, b in zip(probabilities, beliefs):
         v = value(policy, b, 0)
         if policy.objective == "belief-sum":
             v += belief_entropy(b, config)
-        total += float(p0[y0]) * v
+        total += float(p) * v
     return total
 
 

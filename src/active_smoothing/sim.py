@@ -34,9 +34,10 @@ adds one run's terms in a C-ordered row, so results do not depend on the
 block it was simulated in or on the policies simulated beside it.
 Each entry point checks a policy and builds its rule in one `_rows_rule` call;
 a comparison fingerprints the model and costs once for all its policies.
-Exact evaluation walks the observation tree breadth-first with the same batched
-filter and rules, one level of (L, N) beliefs per stage, and charges the
-smoother entropy in its belief-state form; it refuses above a size guard.
+Exact evaluation walks the observation tree breadth-first with the same rules,
+one level of (L, N) beliefs per stage grown by `belief.children`, as the
+solver's reachable levels are, and charges the smoother entropy in its
+belief-state form; it refuses above a size guard.
 """
 from __future__ import annotations
 
@@ -46,19 +47,20 @@ import numpy as np
 
 from .belief import (
     check_controls,
+    children,
+    initial_level,
     initial_update,
-    observation_marginal,
     predict_joint,
-    step,
+    step,  # noqa: F401  kept importable: the benchmark's tracer wraps sim.step by name
     update,
 )
 from .costs import (
     DEFAULT_CONFIG,
     EntropyConfig,
+    _conditional_entropy,
     belief_entropy,
     past_entropy,
     pointwise_smoother_entropy,  # noqa: F401  kept importable: the benchmark's tracer wraps sim.pointwise_smoother_entropy by name
-    stage_entropy_cost,
     trajectory_entropy,
 )
 from .model import ControlledHMM, CostModel, fingerprint
@@ -556,8 +558,9 @@ _joint_trajectory_entropy = None
 
 
 def exact_refusal(model: ControlledHMM, horizon: int) -> str | None:
-    """Why exact evaluation refuses, or None: its largest array, the (Y^(T+1), N, N)
-    joint predicted beliefs of the last level's children, is over SIZE_GUARD entries."""
+    """Why exact evaluation refuses, or None: Y^(T+1) * N^2 is over SIZE_GUARD. It bounds
+    the entries of its largest arrays, a level's (L, N, N) joint predicted beliefs and
+    (L, N, Y) likelihoods, L <= Y^T."""
     terms = model.n_observations ** (horizon + 1) * model.n_states ** 2
     if terms > SIZE_GUARD:
         return f"exact evaluation needs {terms} joint terms, over the {SIZE_GUARD} guard"
@@ -571,29 +574,26 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
 
     Walks the tree breadth-first: level k holds the (L, N) beliefs of its L
     nodes and their (L,) path probabilities, decides every row as Monte Carlo
-    does and expands it into its children of positive probability with the
-    batched filter. The smoother entropy is charged in its belief-state form,
-    E[sum_k H(x_k | x_{k+1}, data to k) + H(b_T)]: prob * stage_entropy_cost
-    at each node and prob * H(b_T) at each leaf.
+    does, predicts its joint once and expands it with `children`. The smoother
+    entropy is charged in its belief-state form,
+    E[sum_k H(x_k | x_{k+1}, data to k) + H(b_T)]: prob * the stage entropy
+    cost of that joint at each node and prob * H(b_T) at each leaf.
     """
     decide = _rows_rule(model, cost_model, policy_like)
     refusal = exact_refusal(model, cost_model.horizon)
     if refusal:
         raise ValueError(refusal)
 
-    p0 = model.prior @ model.initial_observation
-    observations = np.flatnonzero(p0 > 0.0)
-    prob, beliefs = p0[observations], initial_update(model, observations)
+    _, prob, beliefs = initial_level(model)
     tbe = smoother = stage_c = 0.0
     for k in range(cost_model.horizon):
         tbe += prob @ belief_entropy(beliefs, config)
         controls = decide(beliefs, np.arange(len(beliefs)), k)
         stage_c += prob @ (beliefs * cost_model.stage_cost[k].T[controls]).sum(axis=1)
-        smoother += prob @ stage_entropy_cost(model, beliefs, controls, config)
-        p_next = observation_marginal(model, beliefs, controls)
-        parents, observations = np.nonzero(p_next > 0.0)
-        prob = prob[parents] * p_next[parents, observations]
-        beliefs = step(model, beliefs[parents], controls[parents], observations, stage=k)
+        joint = predict_joint(model, beliefs, controls)
+        smoother += prob @ _conditional_entropy(joint, config)  # stage_entropy_cost's bits
+        parents, _, p_next, beliefs = children(model, joint, controls, stage=k)
+        prob = prob[parents] * p_next
     final_entropy = prob @ belief_entropy(beliefs, config)
     terminal = prob @ (beliefs @ cost_model.terminal_cost)
     smoother += final_entropy

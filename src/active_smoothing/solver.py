@@ -4,8 +4,8 @@ The value function at each stage is the minimum over a set of linear functions
 (alpha vectors). A policy is only ever read at the beliefs it can reach from
 the initial updates, so the shallow stages back up only there, as point-based
 value iteration does (Pineau, Gordon & Thrun, IJCAI 2003). `_reachable_levels`
-enumerates those beliefs forward with the filter, under every control, until
-the first level of more than TREE_LEVEL_CAP beliefs. A tree stage keeps, per
+grows those beliefs with `belief.children`, as exact evaluation does, under
+every control, until the first level of more than TREE_LEVEL_CAP beliefs. A tree stage keeps, per
 reachable belief, the backed-up vector that is minimal there (`_tree_backup`):
 one stacked product and one argmin over every (control, observation) pair, on
 the (U, Y, N, N) projection stack. The levels, the stack and the model
@@ -19,7 +19,7 @@ stage there: the value function of the tangent lattice. The stage-cost
 tangents run once per distinct stage-cost table, so a stationary cost model
 pays for one stage's tangents whatever its horizon. When every decision stage
 is on the tree, the terminal set keeps the tangents the last stage uses, and
-no prune runs. The stages past the tree back up globally:
+no prune runs. The stages past the tree back up globally on the same stack:
 `backup` transforms each next-stage vector per observation, cross-sums one
 choice per observation, cross-sums the stage-cost tangent pieces, unions over
 controls, and prunes after every step, as incremental pruning does (Cassandra,
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import _normalise, initial_update, marginalize_next, predict_joint
+from .belief import children, initial_level, predict_joint
 from .costs import (
     DEFAULT_CONFIG,
     EntropyConfig,
@@ -210,20 +210,20 @@ def _projections(model: ControlledHMM) -> np.ndarray:
     return model.observation.transpose(0, 2, 1)[:, :, :, None] * model.transition[:, None]
 
 
-def backup(model: ControlledHMM, next_values: np.ndarray,
+def backup(weights: np.ndarray, next_values: np.ndarray,
            stage_pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """One DP stage: per control, observation cross-sums then stage-cost pieces.
 
-    next_values: (m, N) alpha vectors of the following stage. stage_pieces[u]:
-    tangent pieces of the stage cost under control u. Next-stage vectors project
-    through `weights[u, y]` of the stack of `_projections`, built once per call.
-    Returns (values, actions).
+    weights: the (U, Y, N, N) stack of `_projections`, through which
+    next-stage vectors project as `alpha @ weights[u, y]`. next_values: (m, N)
+    alpha vectors of the following stage. stage_pieces[u]: tangent pieces of
+    the stage cost under control u. Returns (values, actions).
     """
-    weights = _projections(model)
+    n_controls, n_observations = weights.shape[:2]
     out_values, out_actions = [], []
-    for u in range(model.n_controls):
+    for u in range(n_controls):
         acc = _reduce(next_values @ weights[u, 0])
-        for y in range(1, model.n_observations):
+        for y in range(1, n_observations):
             acc = _cross(acc, _reduce(next_values @ weights[u, y]))
         acc = _cross(acc, np.asarray(stage_pieces[u], dtype=float))
         out_values.append(acc)
@@ -237,31 +237,20 @@ def backup(model: ControlledHMM, next_values: np.ndarray,
 def _reachable_levels(model: ControlledHMM, horizon: int) -> list[np.ndarray]:
     """(L_k, N) beliefs of decision stages 0, 1, ... reachable from the initial updates.
 
-    Level 0 holds the updates on each initial observation of positive
-    probability; level k + 1 the filter images of level k under every control
-    and every observation of positive probability, as the filter computes them
-    (`step`, row by row) and not deduplicated. Each level's joint is predicted
-    once: the observation marginal and the update are both read off the
-    products B(u)[i, y] * (A(u) belief)(i), with the operations of
-    `observation_marginal` and `step`. The levels stop before the first one of
-    more than TREE_LEVEL_CAP beliefs, and at stage horizon - 1.
+    Level 0 is `initial_level`; level k + 1 the `children` of level k under every
+    control, control-major and not deduplicated. The levels stop before the
+    first one of more than TREE_LEVEL_CAP beliefs, and at stage horizon - 1.
     """
-    p0 = model.prior @ model.initial_observation
-    beliefs = initial_update(model, np.flatnonzero(p0 > 0.0))
+    *_, beliefs = initial_level(model)
     levels = []
     while len(levels) < horizon and len(beliefs) <= TREE_LEVEL_CAP:
         levels.append(beliefs)
         # each belief has an observation of positive probability under every control
         if len(levels) == horizon or len(beliefs) * model.n_controls > TREE_LEVEL_CAP:
             break
-        parents = np.tile(np.arange(len(beliefs)), model.n_controls)
         controls = np.repeat(np.arange(model.n_controls), len(beliefs))
-        predicted = marginalize_next(predict_joint(model, beliefs[parents], controls))
-        likelihood = model.observation[controls] * predicted[:, :, None]  # (R, N, Y)
-        rows, observations = np.nonzero(likelihood.sum(axis=1) > 0.0)
-        if len(rows) > TREE_LEVEL_CAP:
-            break
-        beliefs = _normalise(likelihood[rows, :, observations], observations, len(levels) - 1)
+        joint = predict_joint(model, np.tile(beliefs, (model.n_controls, 1)), controls)
+        *_, beliefs = children(model, joint, controls, len(levels) - 1)
     return levels
 
 
@@ -435,7 +424,7 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
             if k == horizon - 1:  # the terminal set keeps the tangents the last stage uses
                 stages[0] = StageSet(values=current[used], actions=None)
         else:
-            values, actions = backup(model, current, stage_pieces[k])
+            values, actions = backup(weights, current, stage_pieces[k])
         stages.insert(0, StageSet(values=values, actions=actions))
     return ValuePolicy(
         stages=tuple(stages),

@@ -386,6 +386,22 @@ def random_model(rng, n_states=None, n_obs=None, n_controls=None, zero_fraction=
     return make_model(prior, transition, observation, initial)
 
 
+def zero_observation_model(rng, n_states=4, n_obs=3, n_controls=2, zero_fraction=0.7):
+    """Random model whose every kernel (transitions, observations and the initial
+    observation) has about `zero_fraction` of its entries zero, each kernel keeping its
+    largest entry: beliefs get zeros, so some observations have zero probability."""
+    def kernels(shape, axis):
+        rest = [s for i, s in enumerate(shape) if i != axis]
+        p = np.moveaxis(rng.dirichlet(np.ones(shape[axis]), size=rest), -1, axis)
+        zero = (rng.random(shape) < zero_fraction) & (p < p.max(axis=axis, keepdims=True))
+        p = np.where(zero, 0.0, p)
+        return p / p.sum(axis=axis, keepdims=True)
+
+    n, y, u = n_states, n_obs, n_controls
+    return make_model(rng.dirichlet(np.ones(n)), kernels((u, n, n), 1), kernels((u, n, y), 2),
+                      kernels((n, y), 1))
+
+
 def rank_one_model(rng, n_states=3, n_obs=2, n_controls=2):
     """All transition columns identical per control: states temporally independent."""
     cols = rng.dirichlet(np.ones(n_states), size=n_controls)

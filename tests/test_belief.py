@@ -14,6 +14,7 @@ from active_smoothing import (
     step,
     update,
 )
+from active_smoothing.belief import children, initial_level
 
 
 def test_predict_joint_matches_elementwise_product(grid):
@@ -169,3 +170,33 @@ def test_batched_impossible_evidence_names_the_first_bad_row():
     assert (exc.value.observation, exc.value.stage) == (0, 4)
     with pytest.raises(IndexError):
         predict_joint(model, beliefs, np.array([0, 1, 0]))
+
+
+@pytest.mark.parametrize("which", ["grid", "zero-observations"])
+def test_tree_expansion_equals_observation_marginal_and_step_row_by_row(grid, rng, which):
+    # the zero-observation model has observations of zero probability at every level
+    # after the root, whose children must be dropped
+    model = grid[0] if which == "grid" else oracle.zero_observation_model(rng)
+    observations, probabilities, beliefs = initial_level(model)
+    p0 = model.prior @ model.initial_observation
+    np.testing.assert_array_equal(observations, np.flatnonzero(p0 > 0.0))
+    np.testing.assert_array_equal(probabilities, p0[observations])
+    for y0, belief in zip(observations, beliefs):
+        np.testing.assert_array_equal(belief, initial_update(model, int(y0)))
+    dropped = 0
+    for stage in range(3):
+        # every row under every control, as the solver's reachable levels expand them
+        rows = np.repeat(beliefs, model.n_controls, axis=0)
+        controls = np.tile(np.arange(model.n_controls), len(beliefs))
+        parents, observations, probabilities, beliefs = children(
+            model, predict_joint(model, rows, controls), controls, stage)
+        marginal = observation_marginal(model, rows, controls)
+        want_parents, want_observations = np.nonzero(marginal > 0.0)
+        np.testing.assert_array_equal(parents, want_parents)
+        np.testing.assert_array_equal(observations, want_observations)
+        for parent, y, p, belief in zip(parents, observations, probabilities, beliefs):
+            u = int(controls[parent])
+            np.testing.assert_array_equal(p, observation_marginal(model, rows[parent], u)[y])
+            np.testing.assert_array_equal(belief, step(model, rows[parent], u, int(y), stage))
+        dropped += marginal.size - len(parents)
+    assert (dropped > 0) == (which == "zero-observations")

@@ -27,6 +27,8 @@ from active_smoothing import (
     rollouts,
     solve,
 )
+from active_smoothing import belief as belief_module
+from active_smoothing import costs as costs_module
 from active_smoothing import sim
 from active_smoothing.solver import TIE_TOL
 
@@ -251,6 +253,26 @@ def test_exact_policy_metrics_grid_agent_at_horizon_eight(grid, rng):
         assert abs(mc.total_belief_entropy - exact.total_belief_entropy) <= 5 * mc.tbe_se
         assert abs(mc.smoother_entropy - exact.smoother_entropy) <= 5 * mc.se_se
         assert abs(mc.total_cost - exact.total_cost) <= 5 * mc.tc_se
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 6])
+def test_exact_evaluation_predicts_each_levels_joint_once(grid, monkeypatch, horizon):
+    # the stage entropy, the observation probabilities and the children's beliefs all
+    # read one joint per level; every module's own binding of predict_joint is counted
+    model, costs = grid
+    costs = make_cost_model(horizon, costs.stage_cost[0], costs.terminal_cost)
+    policy = solve(model, costs, "smoother", generate_base_points(4, 2))
+    calls = []
+    for module in (belief_module, costs_module, sim):
+        def counting(*args, predict=module.predict_joint):
+            calls.append(module)
+            return predict(*args)
+
+        monkeypatch.setattr(module, "predict_joint", counting)
+    for policy_like in ("always-east", policy):
+        calls.clear()
+        exact_policy_metrics(model, costs, policy_like)
+        assert len(calls) == horizon
 
 
 def test_monte_carlo_converges_to_exact(grid):

@@ -148,7 +148,7 @@ def test_backup_matches_brute_force_cross_sums(rng):
         model = oracle.random_model(rng, n_states=3, n_obs=2, n_controls=2)
         nxt = rng.normal(size=(3, 3))
         pieces = [rng.normal(size=(2, 3)), rng.normal(size=(1, 3))]
-        values, actions = backup(model, nxt, pieces)
+        values, actions = backup(solver_module._projections(model), nxt, pieces)
         assert len(values) == len(actions)
         brute, brute_actions = oracle.unpruned_backup(model, nxt, pieces)
 
@@ -180,7 +180,7 @@ def test_backup_envelope_matches_unpruned(rng, monkeypatch):
 
     monkeypatch.setattr(solver_module, "prune", recording_prune)
     for nxt, pieces in [(nxt, pieces), (tangents, tangent_pieces)]:
-        values, _ = backup(model, nxt, pieces)
+        values, _ = backup(solver_module._projections(model), nxt, pieces)
         unpruned, _ = oracle.unpruned_backup(model, nxt, pieces)
         np.testing.assert_allclose((values @ beliefs.T).min(axis=0),
                                    (unpruned @ beliefs.T).min(axis=0), atol=1e-8)
@@ -350,12 +350,13 @@ def test_smoother_matches_unpruned_at_density_one(grid, rng):
 # -------------------------------------------------------- reachable tree --
 
 def oracle_levels(model, horizon):
-    """Per stage 0..horizon, the beliefs reachable under any controls, by the oracle filter."""
+    """Per stage 0..horizon, the beliefs reachable under any controls, by the oracle filter,
+    control-major: all children under control 0 first."""
     levels = [[oracle.initial_filter(model, y) for y in range(model.n_observations)
                if model.initial_observation[:, y] @ model.prior > 0.0]]
     for _ in range(horizon):
-        levels.append([oracle.filter_step(model, b, u, y) for b in levels[-1]
-                       for u in range(model.n_controls) for y in range(model.n_observations)
+        levels.append([oracle.filter_step(model, b, u, y) for u in range(model.n_controls)
+                       for b in levels[-1] for y in range(model.n_observations)
                        if oracle.obs_prob(model, b, u, y) > 0.0])
     return levels
 
@@ -375,9 +376,17 @@ def test_reachable_levels_stop_before_the_first_level_over_the_cap(grid, monkeyp
     assert [len(b) for b in solver_module._reachable_levels(model, 6)] == [2, 12, 72]
     monkeypatch.setattr(solver_module, "TREE_LEVEL_CAP", 1)
     assert solver_module._reachable_levels(model, 6) == []
-    # the levels are the oracle's reachable beliefs, in the filter's own arithmetic
-    for got, want in zip(solver_module._reachable_levels(model, 3), oracle_levels(model, 2)):
-        np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-15)
+    # the levels are the oracle's reachable beliefs, in the filter's own arithmetic, on
+    # the grid agent and on a model whose observations of zero probability drop children
+    sparse = oracle.zero_observation_model(np.random.default_rng(2))
+    monkeypatch.undo()  # the default cap
+    for model, horizon in ((model, 3), (sparse, 4)):
+        got_levels = solver_module._reachable_levels(model, horizon)
+        want_levels = oracle_levels(model, horizon - 1)
+        assert [len(level) for level in got_levels] == [len(level) for level in want_levels]
+        for got, want in zip(got_levels, want_levels):
+            np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-15)
+    assert [len(level) for level in got_levels] == [3, 16, 75, 339]  # not 3 * 6**k
 
 
 @pytest.mark.parametrize("density, horizon", [(1, 3), (2, 1), (2, 2), (3, 1)])
@@ -509,9 +518,9 @@ def recorded_solve(monkeypatch, model, costs, objective, tangents_name):
         pieces.insert(0, stage_pieces)
         return tree_backup(weights, beliefs, next_values, stage_pieces)
 
-    def global_recording(model, next_values, stage_pieces):
+    def global_recording(weights, next_values, stage_pieces):
         pieces.insert(0, stage_pieces)
-        return global_backup(model, next_values, stage_pieces)
+        return global_backup(weights, next_values, stage_pieces)
 
     monkeypatch.setattr(solver_module, tangents_name, counting)
     monkeypatch.setattr(solver_module, "_tree_backup", tree_recording)
