@@ -26,6 +26,7 @@ import numpy as np
 from .belief import ImpossibleEvidence, initial_level
 from .costs import EntropyConfig, belief_entropy
 from .model import (
+    ModelFormatError,
     build_grid_agent,
     fingerprint,
     load_model,
@@ -177,7 +178,7 @@ def _parse_densities(raw: str) -> list[int]:
     return densities
 
 
-def _reported_bound(model, costs, policy, config) -> float:
+def _reported_bound(model, policy, config) -> float:
     """Expected solver value at the initial updated belief.
 
     For the belief-sum objective the constant initial belief entropy is not
@@ -230,10 +231,26 @@ def _summary_line(name: str, s) -> str:
             f"smoother={s.smoother_entropy:.4f} total={s.total_cost:.4f}")
 
 
-def _sweep_row(model, costs, density: int, policy, summary: MetricsSummary, exact: bool,
-               config) -> list:
-    return [density, summary.total_cost, _reported_bound(model, costs, policy, config),
-            ";".join(str(x) for x in policy.gamma_sizes()), int(exact)]
+def _sweep(context: SolveContext, args, objective: str, densities: list[int], config,
+           solved: dict | None = None) -> list[list]:
+    """sweep.csv's rows: per density, its policy's cost, exact where `exact_refusal` allows
+    and by Monte Carlo elsewhere, the reported bound and the stage sizes. A density that
+    `solved` maps to (policy, solve seconds, exact summary) is not solved or evaluated again."""
+    model, costs = context.model, context.cost_model
+    exact = exact_refusal(model, costs.horizon) is None
+    rows = []
+    for density in densities:
+        if density in (solved or {}):
+            policy, elapsed, summary = solved[density]
+        else:
+            policy, elapsed = _solve(context, args, objective, density, config)
+            summary = (exact_policy_metrics(model, costs, policy, config, seed=args.seed) if exact
+                       else monte_carlo(model, costs, policy, args.runs, args.seed, config))
+        rows.append([density, summary.total_cost, _reported_bound(model, policy, config),
+                     ";".join(str(x) for x in policy.gamma_sizes()), int(exact)])
+        print(f"d={density}: total_cost={rows[-1][1]!r} bound={rows[-1][2]!r} "
+              f"gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
+    return rows
 
 
 def _trace_rows(pairs, head) -> list[list]:
@@ -296,16 +313,8 @@ def cmd_sweep(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
-    exact = exact_refusal(model, costs.horizon) is None
     context = SolveContext(model, costs)
-    rows = []
-    for density in densities:
-        policy, elapsed = _solve(context, args, args.objective, density, config)
-        summary = (exact_policy_metrics(model, costs, policy, config, seed=args.seed) if exact
-                   else monte_carlo(model, costs, policy, args.runs, args.seed, config))
-        rows.append(_sweep_row(model, costs, density, policy, summary, exact, config))
-        print(f"d={density}: total_cost={rows[-1][1]!r} bound={rows[-1][2]!r} "
-              f"gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
+    rows = _sweep(context, args, args.objective, densities, config)
     _write_csv(args.out, _config_dict(args, costs, context.model_fingerprint), SWEEP_HEADER,
                rows)
     return 0
@@ -327,9 +336,9 @@ def cmd_experiment(args) -> int:
     solved = {}
     for objective in ("smoother", "belief-sum"):
         print(f"solving {objective} objective at d={d_main} ...")
-        solved[objective], elapsed = _solve(context, args, objective, d_main, config)
-        print(f"  gammas={solved[objective].gamma_sizes()} ({elapsed:.2f}s)")
-    active, baseline = solved["smoother"], solved["belief-sum"]
+        policy, elapsed = solved[objective] = _solve(context, args, objective, d_main, config)
+        print(f"  gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
+    (active, active_s), (baseline, _) = solved["smoother"], solved["belief-sum"]
 
     save_model(out_dir / "model.json", model, costs)
     metadata = _config_dict(
@@ -350,15 +359,8 @@ def cmd_experiment(args) -> int:
         print("  " + _summary_line(name, s))
 
     print(f"density sweep over {densities} ...")
-    sweep_rows = []
-    for density in densities:
-        if density == d_main:  # table1.csv's exact record of the active policy
-            policy, summary = active, exact_results[0][1]
-        else:
-            policy = _solve(context, args, "smoother", density, config)[0]
-            summary = exact_policy_metrics(model, costs, policy, config, seed=args.seed)
-        sweep_rows.append(_sweep_row(model, costs, density, policy, summary, True, config))
-        print(f"  d={density}: total_cost={sweep_rows[-1][1]!r}")
+    sweep_rows = _sweep(context, args, "smoother", densities, config,
+                        {d_main: (active, active_s, exact_results[0][1])})
     _write_csv(out_dir / "sweep.csv", metadata, SWEEP_HEADER, sweep_rows)
 
     _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER, _trace_rows(policies, head),
@@ -455,11 +457,14 @@ def main(argv=None) -> int:
     except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, KeyError, PolicyFormatError) as exc:
+    except (json.JSONDecodeError, KeyError, ModelFormatError, PolicyFormatError) as exc:
         print(f"error: unreadable input file ({exc})", file=sys.stderr)
         return 2
     except (PolicyModelMismatch, ImpossibleEvidence, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
 
 

@@ -38,7 +38,12 @@ class CostModel:
 
 
 def make_model(prior, transition, observation, initial_observation=None) -> ControlledHMM:
-    """Assemble a ControlledHMM from array-likes, defaulting B0 to B(u=0)."""
+    """Assemble a ControlledHMM from array-likes, defaulting B0 to B(u=0).
+
+    The arrays are taken as given: an entry that is not a number or an array of the
+    wrong rank raises what numpy or the unpacking of its shape raises (TypeError,
+    ValueError, IndexError). `model_from_dict` checks the fields of a model file.
+    """
     transition = np.asarray(transition, dtype=float)
     observation = np.asarray(observation, dtype=float)
     prior = np.asarray(prior, dtype=float)
@@ -237,23 +242,61 @@ def model_to_dict(model: ControlledHMM, costs: CostModel) -> dict:
     }
 
 
+class ModelFormatError(ValueError):
+    """A model dict whose fields are not of the written format."""
+
+
+def _numbers(x) -> bool:
+    """A JSON number, or a list of them at any depth: no bool, string, null or object."""
+    return type(x) in (int, float) or (type(x) is list and all(map(_numbers, x)))
+
+
+def _field(d: dict, key: str, ranks: tuple[int, ...]) -> np.ndarray:
+    """Field `key` of a model dict as a float array of one of `ranks`; ModelFormatError if
+    it is missing, is not numbers, is ragged or has another rank. Values are not checked."""
+    if key not in d:
+        raise ModelFormatError(f"model field {key!r} is missing")
+    try:  # an object, a string, a ragged list or an integer beyond float raises
+        a = np.array(d[key], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim not in ranks or not _numbers(d[key]):
+        raise ModelFormatError(f"model field {key!r} is not an array of numbers of rank "
+                               + " or ".join(map(str, ranks)))
+    return a
+
+
 def model_from_dict(d: dict) -> tuple[ControlledHMM, CostModel]:
+    """The model and costs of a dict in the format `model_to_dict` writes.
+
+    ModelFormatError if it is not one: not an object, or a field missing, not numbers,
+    ragged or of the wrong rank. `initial_observation` and `stage_cost` may be left out
+    (B(u=0) and zero costs). The values are for `validate_model` and `validate_costs`.
+    """
+    if type(d) is not dict:
+        raise ModelFormatError("model is not an object")
     model = make_model(
-        prior=d["prior"],
-        transition=d["transition"],
-        observation=d["observation"],
-        initial_observation=d.get("initial_observation"),
+        prior=_field(d, "prior", (1,)),
+        transition=_field(d, "transition", (3,)),
+        observation=_field(d, "observation", (2, 3)),
+        initial_observation=(_field(d, "initial_observation", (2,))
+                             if "initial_observation" in d else None),
     )
+    if "horizon" not in d:
+        raise ModelFormatError("model field 'horizon' is missing")
     horizon = d["horizon"]
     if type(horizon) is not int:  # exact type: int() would run true as T=1 and 2.7 as T=2
         raise ValueError(f"model field 'horizon' must be an integer, got {horizon!r}")
-    stage = np.asarray(d.get("stage_cost", np.zeros((model.n_states, model.n_controls))), dtype=float)
-    if stage.shape == (0,):  # the empty table `model_to_dict` writes at T = 0
-        stage = stage.reshape(0, model.n_states, model.n_controls)
+    if "stage_cost" not in d:
+        stage = np.zeros((model.n_states, model.n_controls))
+    elif d["stage_cost"] == []:  # the empty table `model_to_dict` writes at T = 0
+        stage = np.zeros((0, model.n_states, model.n_controls))
+    else:
+        stage = _field(d, "stage_cost", (2, 3))
     costs = make_cost_model(
         horizon=horizon,
         stage_cost=stage,
-        terminal_cost=d["terminal_cost"],
+        terminal_cost=_field(d, "terminal_cost", (1,)),
     )
     return model, costs
 

@@ -158,6 +158,15 @@ def _envelope_hull(v: np.ndarray) -> HalfspaceIntersection:
         np.vstack([box, _envelope_halfspaces(v - v.min(axis=0))]), interior)
 
 
+def _first_copies(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first copy of each distinct row of `rows`, in row-sorted order."""
+    order = np.lexsort(rows.T[::-1])  # stable: of equal rows the lowest index leads
+    ordered = rows[order]
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[distinct]
+
+
 def prune(values: np.ndarray) -> np.ndarray:
     """Indices of the vectors that attain the min-envelope on a full-dimensional region.
 
@@ -173,11 +182,8 @@ def prune(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("prune requires a non-empty vector set")
-    order = np.lexsort(values.T[::-1])  # stable: equal rows keep their index order
-    v = values[order]
-    distinct = np.ones(len(v), dtype=bool)
-    distinct[1:] = (v[1:] != v[:-1]).any(axis=1)
-    idx, v = order[distinct], v[distinct]
+    idx = _first_copies(values)
+    v = values[idx]
     n_vec, n = v.shape
     if n_vec == 1 or n == 1:
         return idx[:1]
@@ -272,26 +278,19 @@ def _tree_backup(weights: np.ndarray, beliefs: np.ndarray, next_values: np.ndarr
     that some candidate uses.
     """
     n_controls, n_observations = weights.shape[:2]
-    n_beliefs = len(beliefs)
     controls = np.arange(n_controls)[:, None]
     projected = next_values @ weights                                  # (U, Y, m, N)
     picks = np.argmin(beliefs @ projected.swapaxes(-1, -2), axis=-1)   # (U, Y, L)
     used = np.zeros(len(next_values), dtype=bool)
     used[picks] = True
     minimal = projected[controls[:, None], np.arange(n_observations)[:, None], picks]
-    candidates = np.zeros((n_controls, n_beliefs, beliefs.shape[1]))
-    for y in range(n_observations):
-        candidates += minimal[:, y]  # 0 + x is x: the first term adds no rounding
+    candidates = minimal.sum(axis=1)  # adds y = 0, 1, ... in order, as `backup` sums them
     piece_picks = np.argmin(beliefs @ pieces.swapaxes(-1, -2), axis=-1)  # (U, L)
     candidates += pieces[controls, piece_picks]
     scores = (candidates[:, :, None, :] @ beliefs[:, :, None])[..., 0, 0]  # (U, L)
     chosen = np.argmax(scores <= scores.min(axis=0) + TIE_TOL, axis=0)  # lowest tied control
-    values = candidates[chosen, np.arange(n_beliefs)]
-    rows = np.column_stack([values, chosen])
-    order = np.lexsort(rows.T[::-1])  # stable: of equal rows the first choice leads
-    distinct = np.ones(n_beliefs, dtype=bool)
-    distinct[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
-    keep = np.sort(order[distinct])
+    values = candidates[chosen, np.arange(len(beliefs))]
+    keep = np.sort(_first_copies(np.column_stack([values, chosen])))
     return values[keep], chosen[keep], used
 
 

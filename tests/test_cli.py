@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import _oracles as oracle
 from active_smoothing import (
@@ -21,6 +25,7 @@ from active_smoothing.cli import (
     main,
     read_csv,
 )
+from active_smoothing.model import model_to_dict
 
 GRID_D2_EXACT_TOTAL = 1.8523955343318514
 
@@ -74,6 +79,64 @@ def test_validate_malformed_json_exits_two(tmp_path, capsys):
     assert main(["validate", "--model", str(path)]) == 2
     path.write_text(json.dumps({"prior": [1.0]}))
     assert main(["validate", "--model", str(path)]) == 2
+    path.write_text("[]")
+    assert main(["validate", "--model", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("prior", {}), ("terminal_cost", {}), ("observation", 0),
+    ("stage_cost", [[[0.0, 0.0, 0.0]], [[0.0, 0.0]]]), ("transition", [[[1.0]], [[{}]]]),
+    ("prior", [0.25, 0.25, 0.25, True]), ("prior", [0.25, 0.25, 0.25, "0.25"]),
+    ("prior", [0.25, 0.25, 0.25, 10**400]), ("initial_observation", None),
+], ids=["object-prior", "object-terminal-cost", "scalar-observation", "ragged-stage-cost",
+        "nested-object", "bool-entry", "string-entry", "beyond-float-entry",
+        "null-initial-observation"])
+def test_commands_refuse_an_unreadable_model_field_with_exit_two(tmp_path, capsys, field,
+                                                                  entry):
+    def set_field(d):
+        d[field] = entry
+    path = write_grid(tmp_path, set_field)
+    out = tmp_path / "r.csv"
+    for argv in (["validate", "--model", str(path)],
+                 ["simulate", "--model", str(path), "--policy", "always-east", "--runs", "5",
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: unreadable input file (model field {field!r} is not")
+    assert not out.exists()
+
+
+# one field of the written grid model deleted or set to another JSON value
+DELETED = object()
+MODEL_MUTATIONS = [DELETED, None, True, 2.7, -1, "x", [], {}, [[0.5], [0.5, 0.5]],
+                   float("nan"), 1e308]
+
+
+@given(field=st.sampled_from(sorted(model_to_dict(*build_grid_agent()))),
+       entry=st.sampled_from(MODEL_MUTATIONS))
+def test_a_mutated_model_file_exits_with_a_documented_code(tmp_path_factory, field, entry):
+    tmp = tmp_path_factory.mktemp("mutated")
+
+    def mutate(d):
+        if entry is DELETED:
+            del d[field]
+        else:
+            d[field] = entry
+    path = write_grid(tmp, mutate)
+    out = tmp / "r.csv"
+    for argv in (["validate", "--model", str(path)],
+                 ["simulate", "--model", str(path), "--policy", "always-east", "--runs", "5",
+                  "--out", str(out)]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)  # an exception escaping main is a traceback at the command line
+        assert code in (0, 1, 2)
+        err = stderr.getvalue()
+        if argv[0] == "validate" and not err:  # its report, on stdout
+            assert stdout.getvalue().endswith("ok\n" if code == 0 else "violation(s)\n")
+        else:
+            assert err == "" if code == 0 else err.startswith("error: ")
+        assert out.exists() == (argv[0] == "simulate" and code == 0)
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -468,6 +531,30 @@ def test_sweep_rows_and_exact_column(tmp_path):
     # the reported tangent bound dominates the achieved cost at every density
     for r in rows:
         assert float(r["bound_value"]) >= float(r["total_cost"]) - 1e-9
+
+
+def test_experiment_and_sweep_write_the_same_sweep_rows(tmp_path):
+    # one loop builds both commands' rows: experiment's main-density row reuses its
+    # table1.csv solve and record, sweep solves and evaluates every density itself
+    assert main(["experiment", "--seed", "12345", "--out", str(tmp_path / "exp")]) == 0
+    assert main(["sweep", "--seed", "12345", "--out", str(tmp_path / "sweep.csv")]) == 0
+    experiment_rows = (tmp_path / "exp" / "sweep.csv").read_text().splitlines()[1:]
+    sweep_rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(sweep_rows) == 1 + 5  # the header and the default densities 1-5
+    assert experiment_rows == sweep_rows
+
+
+def test_out_of_memory_exits_one_with_an_error_line(tmp_path, monkeypatch, capsys):
+    message = "Unable to allocate 9.04 GiB for an array with shape (17420, 17420, 4)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "solve", no_memory)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--base-points", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: out of memory ({message})\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("guard, exact", [(256, 1), (255, 0)])
