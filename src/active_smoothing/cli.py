@@ -43,7 +43,8 @@ from .sim import (
     _fixed_control,
     check_policy,
     compare_policies,
-    exact_policy_metrics,
+    compare_policies_exactly,
+    exact_policy_metrics,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.exact_policy_metrics by name
     exact_refusal,
     monte_carlo,
     rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
@@ -148,9 +149,10 @@ def _summary_row(name: str, s: MetricsSummary) -> list:
     return [name, *dataclasses.astuple(s)]
 
 
-def _resolve_policy(ref: str, model, costs):
+def _resolve_policy(ref: str, model, costs, model_fingerprint: str):
     """A --policy value is a builtin reference, which wins over a file of the same name and
-    is a usage error if malformed, or a policy JSON path; returns (name, policy)."""
+    is a usage error if malformed, or a policy JSON path, checked against the command's
+    `model_fingerprint`; returns (name, policy)."""
     try:
         if _builtin_control(ref) is not None:
             return ref, ref
@@ -162,7 +164,7 @@ def _resolve_policy(ref: str, model, costs):
             f"policy {ref!r} is neither a builtin (always-east, fixed:<k>) nor an existing file"
         )
     policy = load_policy(path)
-    check_policy(model, costs, policy)
+    check_policy(model, costs, policy, model_fingerprint)
     return path.stem, policy
 
 
@@ -208,8 +210,9 @@ def _solve(context: SolveContext, args, objective: str, density: int, config):
 
 
 def _evaluate(model, costs, pairs, exact: bool, args, config, trace_runs: int = 0):
-    """(name, summary) per (name, policy) pair, exact or by Monte Carlo on common random
-    numbers, and the `compare_policies` head of each policy's first `trace_runs` runs.
+    """(name, summary) per (name, policy) pair, from one pass over every policy, exact or by
+    Monte Carlo on common random numbers, and the `compare_policies` head of each policy's
+    first `trace_runs` runs.
 
     The Monte Carlo head comes out of the evaluating pass itself. Exact evaluation
     simulates nothing, so its head, None without `trace_runs`, is one lockstep pass of
@@ -218,8 +221,7 @@ def _evaluate(model, costs, pairs, exact: bool, args, config, trace_runs: int = 
     if not exact:
         return compare_policies(model, costs, pairs, args.runs, args.seed, config,
                                 trace_runs=trace_runs)
-    results = [(name, exact_policy_metrics(model, costs, policy_like, config, seed=args.seed))
-               for name, policy_like in pairs]
+    results = compare_policies_exactly(model, costs, pairs, config, seed=args.seed)
     if not trace_runs:
         return results, None
     return results, compare_policies(model, costs, pairs, trace_runs, args.seed, config,
@@ -235,17 +237,26 @@ def _sweep(context: SolveContext, args, objective: str, densities: list[int], co
            solved: dict | None = None) -> list[list]:
     """sweep.csv's rows: per density, its policy's cost, exact where `exact_refusal` allows
     and by Monte Carlo elsewhere, the reported bound and the stage sizes. A density that
-    `solved` maps to (policy, solve seconds, exact summary) is not solved or evaluated again."""
+    `solved` maps to (policy, solve seconds, exact summary) is not solved or evaluated again;
+    every other density is solved, then all of them are evaluated in one exact pass, or by
+    Monte Carlo one density at a time."""
     model, costs = context.model, context.cost_model
     exact = exact_refusal(model, costs.horizon) is None
+    solved = dict(solved or {})
+    fresh = {density: _solve(context, args, objective, density, config)
+             for density in dict.fromkeys(densities) if density not in solved}
+    pairs = [(str(density), policy) for density, (policy, _) in fresh.items()]
+    if not exact:
+        results = [(name, monte_carlo(model, costs, policy, args.runs, args.seed, config))
+                   for name, policy in pairs]
+    else:  # one pass, or none when every density came solved
+        results = (compare_policies_exactly(model, costs, pairs, config, seed=args.seed)
+                   if pairs else [])
+    for (density, (policy, elapsed)), (_, summary) in zip(fresh.items(), results):
+        solved[density] = policy, elapsed, summary
     rows = []
     for density in densities:
-        if density in (solved or {}):
-            policy, elapsed, summary = solved[density]
-        else:
-            policy, elapsed = _solve(context, args, objective, density, config)
-            summary = (exact_policy_metrics(model, costs, policy, config, seed=args.seed) if exact
-                       else monte_carlo(model, costs, policy, args.runs, args.seed, config))
+        policy, elapsed, summary = solved[density]
         rows.append([density, summary.total_cost, _reported_bound(model, policy, config),
                      ";".join(str(x) for x in policy.gamma_sizes()), int(exact)])
         print(f"d={density}: total_cost={rows[-1][1]!r} bound={rows[-1][2]!r} "
@@ -295,10 +306,11 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
-    pairs = [_resolve_policy(ref, model, costs) for ref in args.policy]
+    model_fingerprint = fingerprint(model, costs)
+    pairs = [_resolve_policy(ref, model, costs, model_fingerprint) for ref in args.policy]
     trace_runs = (1 if args.exact else MAX_TRACE_RUNS) if args.trace else 0
     results, head = _evaluate(model, costs, pairs, args.exact, args, config, trace_runs)
-    metadata = _config_dict(args, costs, fingerprint(model, costs),
+    metadata = _config_dict(args, costs, model_fingerprint,
                             **({"exact": True} if args.exact else {}))
     _write_csv(args.out, metadata, RESULTS_HEADER, [_summary_row(name, s) for name, s in results])
     for name, s in results:
@@ -352,23 +364,28 @@ def cmd_experiment(args) -> int:
     policies = [("active-smoothing", active), ("belief-sum", baseline), ("always-east", "always-east")]
     print(f"simulating {args.runs} runs per policy ...")
     results, head = _evaluate(model, costs, policies, False, args, config, trace_runs=1)
-    exact_results, _ = _evaluate(model, costs, policies, True, args, config)
-    rows = [_summary_row(name, s) for name, s in results + exact_results]
+    # the sweep's other densities join table1's policies in one exact pass
+    others = {d: _solve(context, args, "smoother", d, config)
+              for d in dict.fromkeys(densities) if d != d_main}
+    exact_results = compare_policies_exactly(
+        model, costs, policies + [(str(d), policy) for d, (policy, _) in others.items()],
+        config, seed=args.seed)
+    rows = [_summary_row(name, s) for name, s in results + exact_results[:len(policies)]]
     _write_csv(out_dir / "table1.csv", metadata, RESULTS_HEADER, rows)
     for name, s in results:
         print("  " + _summary_line(name, s))
 
     print(f"density sweep over {densities} ...")
-    sweep_rows = _sweep(context, args, "smoother", densities, config,
-                        {d_main: (active, active_s, exact_results[0][1])})
+    evaluated = {d: (policy, elapsed, summary) for (d, (policy, elapsed)), (_, summary)
+                 in zip(others.items(), exact_results[len(policies):])}
+    evaluated[d_main] = active, active_s, exact_results[0][1]
+    sweep_rows = _sweep(context, args, "smoother", densities, config, evaluated)
     _write_csv(out_dir / "sweep.csv", metadata, SWEEP_HEADER, sweep_rows)
 
     _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER, _trace_rows(policies, head),
                floats=False)
 
-    with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     print(f"artifacts written to {out_dir}")
     return 0
 

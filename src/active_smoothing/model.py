@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 COLUMN_TOL = 1e-12
+COST_LIMIT = 1e100  # largest cost entry; see validate_costs
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,15 @@ def validate_model(model: ControlledHMM) -> list[str]:
 
 
 def validate_costs(costs: CostModel, model: ControlledHMM) -> list[str]:
+    """Violations of the cost tables' shapes and entries, which must be nonnegative and at
+    most COST_LIMIT (so finite).
+
+    The bound keeps every statistic of an evaluation finite. A run's total cost, its
+    stage and terminal costs plus its smoother entropy of at most (T+1) log N, is below
+    2 (T+1) COST_LIMIT. So the total, its square, and the sums of either over R runs
+    that a mean and a standard error form stay below the float maximum whenever
+    R (T+1)^2 < 10^100, far past any horizon and run count that fit in memory.
+    """
     out = []
     t, n, u = costs.horizon, model.n_states, model.n_controls
     if costs.horizon < 0:
@@ -149,10 +159,9 @@ def validate_costs(costs: CostModel, model: ControlledHMM) -> list[str]:
         out.append(f"terminal_cost has shape {costs.terminal_cost.shape}, expected ({n},)")
     if out:
         return out
-    if not np.isfinite(costs.stage_cost).all() or (costs.stage_cost < 0).any():
-        out.append("stage_cost entries must be finite and nonnegative")
-    if not np.isfinite(costs.terminal_cost).all() or (costs.terminal_cost < 0).any():
-        out.append("terminal_cost entries must be finite and nonnegative")
+    for name, table in (("stage_cost", costs.stage_cost), ("terminal_cost", costs.terminal_cost)):
+        if not ((table >= 0.0) & (table <= COST_LIMIT)).all():  # NaN fails both
+            out.append(f"{name} entries must be finite and nonnegative, at most {COST_LIMIT:g}")
     return out
 
 
@@ -270,8 +279,9 @@ def model_from_dict(d: dict) -> tuple[ControlledHMM, CostModel]:
     """The model and costs of a dict in the format `model_to_dict` writes.
 
     ModelFormatError if it is not one: not an object, or a field missing, not numbers,
-    ragged or of the wrong rank. `initial_observation` and `stage_cost` may be left out
-    (B(u=0) and zero costs). The values are for `validate_model` and `validate_costs`.
+    ragged or of the wrong rank, or a horizon that is not an integer.
+    `initial_observation` and `stage_cost` may be left out (B(u=0) and zero costs).
+    The values are for `validate_model` and `validate_costs`.
     """
     if type(d) is not dict:
         raise ModelFormatError("model is not an object")
@@ -286,7 +296,7 @@ def model_from_dict(d: dict) -> tuple[ControlledHMM, CostModel]:
         raise ModelFormatError("model field 'horizon' is missing")
     horizon = d["horizon"]
     if type(horizon) is not int:  # exact type: int() would run true as T=1 and 2.7 as T=2
-        raise ValueError(f"model field 'horizon' must be an integer, got {horizon!r}")
+        raise ModelFormatError(f"model field 'horizon' is not an integer: {horizon!r}")
     if "stage_cost" not in d:
         stage = np.zeros((model.n_states, model.n_controls))
     elif d["stage_cost"] == []:  # the empty table `model_to_dict` writes at T = 0
@@ -302,9 +312,10 @@ def model_from_dict(d: dict) -> tuple[ControlledHMM, CostModel]:
 
 
 def save_model(path, model: ControlledHMM, costs: CostModel) -> None:
+    """Write the model and costs as JSON, encoded whole before the file is opened."""
+    text = json.dumps(model_to_dict(model, costs), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, costs), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> tuple[ControlledHMM, CostModel]:

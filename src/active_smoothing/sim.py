@@ -37,7 +37,10 @@ a comparison fingerprints the model and costs once for all its policies.
 Exact evaluation walks the observation tree breadth-first with the same rules,
 one level of (L, N) beliefs per stage grown by `belief.children`, as the
 solver's reachable levels are, and charges the smoother entropy in its
-belief-state form; it refuses above a size guard.
+belief-state form. Like a comparison, it walks every policy's tree in one
+lockstep pass, each policy a contiguous range of every level's rows, against
+one fingerprint; a single evaluation is a batch of one. It refuses above a
+size guard, which also bounds each pass.
 """
 from __future__ import annotations
 
@@ -240,6 +243,15 @@ def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like,
     return lambda beliefs, group, stage: np.full(len(group), control)
 
 
+def _rules(model: ControlledHMM, cost_model: CostModel, policies: list) -> list:
+    """One `_rows_rule` per (name, policy) pair, every value policy checked against one
+    fingerprint of (model, cost_model), computed only if some policy is a value policy."""
+    expected = (fingerprint(model, cost_model)
+                if any(isinstance(policy_like, ValuePolicy) for _, policy_like in policies)
+                else None)
+    return [_rows_rule(model, cost_model, policy_like, expected) for _, policy_like in policies]
+
+
 def _fixed_control(model: ControlledHMM, policy_like) -> int:
     """The control of an integer or builtin reference; ValueError if it is not one of the
     model's controls, naming the reference as given."""
@@ -257,9 +269,13 @@ def _fixed_control(model: ControlledHMM, policy_like) -> int:
     return control
 
 
-def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like) -> None:
+def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like,
+                 expected: str | None = None) -> None:
+    """PolicyModelMismatch unless a value policy fits (model, cost_model), whose fingerprint
+    is `expected`, computed here if not given; any other policy passes."""
     if isinstance(policy_like, ValuePolicy):
-        _check_value_policy(model, cost_model, policy_like, fingerprint(model, cost_model))
+        _check_value_policy(model, cost_model, policy_like,
+                            expected or fingerprint(model, cost_model))
 
 
 def _check_value_policy(model: ControlledHMM, cost_model: CostModel, policy_like: ValuePolicy,
@@ -557,11 +573,16 @@ def monte_carlo(model: ControlledHMM, cost_model: CostModel, policy_like, runs: 
 _joint_trajectory_entropy = None
 
 
+def _tree_terms(model: ControlledHMM, horizon: int) -> int:
+    """Y^(T+1) * N^2, the terms one policy's exact walk is guarded by."""
+    return model.n_observations ** (horizon + 1) * model.n_states ** 2
+
+
 def exact_refusal(model: ControlledHMM, horizon: int) -> str | None:
     """Why exact evaluation refuses, or None: Y^(T+1) * N^2 is over SIZE_GUARD. It bounds
     the entries of its largest arrays, a level's (L, N, N) joint predicted beliefs and
     (L, N, Y) likelihoods, L <= Y^T."""
-    terms = model.n_observations ** (horizon + 1) * model.n_states ** 2
+    terms = _tree_terms(model, horizon)
     if terms > SIZE_GUARD:
         return f"exact evaluation needs {terms} joint terms, over the {SIZE_GUARD} guard"
     return None
@@ -571,35 +592,84 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
                          config: EntropyConfig = DEFAULT_CONFIG,
                          seed: int = 0) -> MetricsSummary:
     """Exact expectations over the observation tree; ValueError if `exact_refusal` refuses.
+    A batch of one."""
+    return compare_policies_exactly(model, cost_model, [("", policy_like)], config, seed)[0][1]
 
-    Walks the tree breadth-first: level k holds the (L, N) beliefs of its L
-    nodes and their (L,) path probabilities, decides every row as Monte Carlo
-    does, predicts its joint once and expands it with `children`. The smoother
-    entropy is charged in its belief-state form,
-    E[sum_k H(x_k | x_{k+1}, data to k) + H(b_T)]: prob * the stage entropy
-    cost of that joint at each node and prob * H(b_T) at each leaf.
+
+def compare_policies_exactly(model: ControlledHMM, cost_model: CostModel,
+                             policies: list[tuple[str, object]],
+                             config: EntropyConfig = DEFAULT_CONFIG, seed: int = 0):
+    """One (name, exact summary) per named policy; ValueError if `exact_refusal` refuses.
+
+    Every policy is checked and its rule built by one `_rows_rule`, against one
+    fingerprint of (model, cost_model), and every policy's observation tree is
+    walked in the same breadth-first pass. A pass holds as many policies as
+    keep P * Y^(T+1) * N^2 within SIZE_GUARD, at least one, so the guard
+    bounds each pass's arrays as it bounds one policy's. A callable is called
+    stage by stage within its pass, so a stateful one's calls interleave with
+    the other policies' decisions by stage, as in `compare_policies`. Each
+    policy's summary equals its own `exact_policy_metrics`.
     """
-    decide = _rows_rule(model, cost_model, policy_like)
+    rules = _rules(model, cost_model, policies)
     refusal = exact_refusal(model, cost_model.horizon)
     if refusal:
         raise ValueError(refusal)
+    per_pass = max(1, SIZE_GUARD // _tree_terms(model, cost_model.horizon))
+    metrics = []
+    for first in range(0, len(rules), per_pass):
+        metrics += _exact_pass(model, cost_model, rules[first:first + per_pass], config)
+    return [(name, _summary(0, means, (0.0,) * 4, config, seed))
+            for (name, _), means in zip(policies, metrics)]
 
-    _, prob, beliefs = initial_level(model)
-    tbe = smoother = stage_c = 0.0
+
+def _exact_pass(model: ControlledHMM, cost_model: CostModel, decides: list,
+                config: EntropyConfig) -> list[tuple]:
+    """(terminal cost, total belief entropy, smoother entropy, total cost) expectations
+    per `_rows_rule`, over one breadth-first walk of every policy's observation tree.
+
+    Level k stacks every policy's (L_p, N) beliefs and (L_p,) path probabilities
+    as one (sum L_p, N) array, policy p's rows the range bounds[p]:bounds[p+1].
+    Each range is decided by its own rule, as Monte Carlo decides a group range;
+    the level's joints are predicted once and expanded with `children`, whose
+    (parent, observation) order keeps each policy's children one range. Every
+    row is computed with the operations of a single walk, and each expectation
+    is prob @ x over its policy's own range, so each summary keeps the bits it
+    has when its policy is walked alone. The smoother entropy is charged in its
+    belief-state form, E[sum_k H(x_k | x_{k+1}, data to k) + H(b_T)]: prob * the
+    stage entropy cost of that joint at each node and prob * H(b_T) at each leaf.
+    """
+    _, prob0, beliefs0 = initial_level(model)
+    n_policies = len(decides)
+    prob = np.tile(prob0, n_policies)
+    beliefs = np.tile(beliefs0, (n_policies, 1))
+    bounds = np.arange(n_policies + 1) * len(prob0)
+    ranges = list(map(slice, bounds[:-1], bounds[1:]))
+    tbe, smoother, stage_c = ([0.0] * n_policies for _ in range(3))
     for k in range(cost_model.horizon):
-        tbe += prob @ belief_entropy(beliefs, config)
-        controls = decide(beliefs, np.arange(len(beliefs)), k)
-        stage_c += prob @ (beliefs * cost_model.stage_cost[k].T[controls]).sum(axis=1)
+        entropy = belief_entropy(beliefs, config)
+        controls = np.empty(len(beliefs), dtype=int)
+        for rows, decide in zip(ranges, decides):
+            controls[rows] = decide(beliefs[rows], np.arange(rows.stop - rows.start), k)
+        stage = (beliefs * cost_model.stage_cost[k].T[controls]).sum(axis=1)
         joint = predict_joint(model, beliefs, controls)
-        smoother += prob @ _conditional_entropy(joint, config)  # stage_entropy_cost's bits
+        conditional = _conditional_entropy(joint, config)  # stage_entropy_cost's bits
+        for p, rows in enumerate(ranges):
+            tbe[p] += prob[rows] @ entropy[rows]
+            stage_c[p] += prob[rows] @ stage[rows]
+            smoother[p] += prob[rows] @ conditional[rows]
         parents, _, p_next, beliefs = children(model, joint, controls, stage=k)
         prob = prob[parents] * p_next
-    final_entropy = prob @ belief_entropy(beliefs, config)
-    terminal = prob @ (beliefs @ cost_model.terminal_cost)
-    smoother += final_entropy
-
-    return _summary(0, (terminal, tbe + final_entropy, smoother, smoother + stage_c + terminal),
-                    (0.0,) * 4, config, seed)
+        bounds = np.searchsorted(parents, bounds)
+        ranges = list(map(slice, bounds[:-1], bounds[1:]))
+    entropy = belief_entropy(beliefs, config)
+    metrics = []
+    for p, rows in enumerate(ranges):
+        final_entropy = prob[rows] @ entropy[rows]
+        terminal = prob[rows] @ (beliefs[rows] @ cost_model.terminal_cost)  # a gemv per range
+        total_smoother = smoother[p] + final_entropy
+        metrics.append((terminal, tbe[p] + final_entropy, total_smoother,
+                        total_smoother + stage_c[p] + terminal))
+    return metrics
 
 
 def compare_policies(model: ControlledHMM, cost_model: CostModel,
@@ -628,10 +698,7 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     `rollout` and no run is simulated twice.
     """
     _check_runs(runs)
-    expected = (fingerprint(model, cost_model)
-                if any(isinstance(policy_like, ValuePolicy) for _, policy_like in policies)
-                else None)
-    rules = [_rows_rule(model, cost_model, policy_like, expected) for _, policy_like in policies]
+    rules = _rules(model, cost_model, policies)
     t, n_head, n_policies = cost_model.horizon, min(trace_runs or 0, runs), len(rules)
     head = tuple(np.empty((n_policies, n_head, width), dtype=int) for width in (t + 1, t, t + 1))
     if not rules:

@@ -471,11 +471,11 @@ def policy_to_dict(policy: ValuePolicy) -> dict:
         "model_fingerprint": policy.model_fingerprint,
         "stages": [
             [
-                {
-                    "values": [float(x) for x in stage_set.values[i]],
-                    "action": None if stage_set.actions is None else int(stage_set.actions[i]),
-                }
-                for i in range(len(stage_set))
+                {"values": values, "action": action}
+                for values, action in zip(
+                    stage_set.values.astype(float, copy=False).tolist(),  # float(x) per entry
+                    [None] * len(stage_set) if stage_set.actions is None
+                    else stage_set.actions.astype(int, copy=False).tolist())
             ]
             for stage_set in policy.stages
         ],
@@ -558,12 +558,14 @@ def policy_from_dict(d: dict) -> ValuePolicy:
 
 
 def save_policy(path, policy: ValuePolicy, extra_metadata: dict | None = None) -> None:
+    """Write the policy as JSON, encoded whole before the file is opened, so a failed
+    encode leaves no truncated file."""
     payload = policy_to_dict(policy)
     if extra_metadata:
         payload["run_config"] = extra_metadata
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_policy(path) -> ValuePolicy:

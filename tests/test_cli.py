@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from active_smoothing.cli import (
     main,
     read_csv,
 )
-from active_smoothing.model import model_to_dict
+from active_smoothing.model import COST_LIMIT, model_to_dict
 
 GRID_D2_EXACT_TOTAL = 1.8523955343318514
 
@@ -64,8 +65,9 @@ def test_validate_rejects_a_non_integer_horizon(tmp_path, capsys, horizon):
     def set_horizon(d):
         d["horizon"] = horizon
     path = write_grid(tmp_path, set_horizon)
-    assert main(["validate", "--model", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: model field 'horizon' must be an integer")
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unreadable input file (model field 'horizon' is not an integer: {horizon!r})\n")
 
 
 def test_validate_missing_file_exits_two(tmp_path, capsys):
@@ -182,6 +184,33 @@ def test_commands_reject_invalid_models(tmp_path, monkeypatch, capsys, command, 
     # validate still gives its own report of the same file
     assert main(["validate", "--model", str(path)]) == 1
     assert "violation" in capsys.readouterr().out
+
+
+def test_costs_past_the_limit_are_refused_and_costs_at_it_give_finite_statistics(
+        tmp_path, capsys):
+    def huge_terminal_cost(d):
+        d["terminal_cost"] = [1e308] * 4
+    path = write_grid(tmp_path, huge_terminal_cost)
+    assert main(["validate", "--model", str(path)]) == 1
+    assert "terminal_cost entries must be finite and nonnegative, at most 1e+100" in (
+        capsys.readouterr().out)
+
+    def at_the_limit(d):
+        d["terminal_cost"] = [COST_LIMIT] * 4
+        d["stage_cost"] = [[[COST_LIMIT] * 3] * 4] * 3
+    path = write_grid(tmp_path, at_the_limit)
+    assert main(["validate", "--model", str(path)]) == 0
+    out = tmp_path / "r.csv"
+    for exact in ([], ["--exact"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in any mean or SE would raise
+            assert main(["simulate", "--model", str(path), "--policy", "always-east",
+                         "--policy", "fixed:0", "--runs", "50", "--out", str(out),
+                         *exact]) == 0
+        for row in read_csv(out)[1]:
+            numbers = [float(row[field]) for field in row if field not in ("policy", "log_base")]
+            assert np.isfinite(numbers).all()
+            assert float(row["total_cost"]) > 3 * COST_LIMIT
 
 
 # ------------------------------------------------------------------- solve --
@@ -476,10 +505,47 @@ def test_simulate_rejects_unreadable_policy_actions(
     assert not out.exists()
 
 
+# one top-level field of the written grid policy, or the values or action of one
+# stage's first entry (stage 3 is the terminal one)
+POLICY_TARGETS = ([(None, key) for key in ("base_point_density", "epsilon_interior", "log_base",
+                                           "model_fingerprint", "objective", "run_config",
+                                           "stages")]
+                  + [(k, key) for k in range(4) for key in ("values", "action")])
+
+
+@given(target=st.sampled_from(POLICY_TARGETS), entry=st.sampled_from(MODEL_MUTATIONS))
+def test_a_mutated_policy_file_exits_with_a_documented_code(tmp_path_factory, grid_d2_policy,
+                                                            target, entry):
+    tmp = tmp_path_factory.mktemp("mutated")
+    d = json.loads(json.dumps(grid_d2_policy))
+    stage, key = target
+    holder = d if stage is None else d["stages"][stage][0]
+    if entry is DELETED:
+        del holder[key]
+    else:
+        holder[key] = entry
+    path = tmp / "p.json"
+    path.write_text(json.dumps(d))
+    out = tmp / "r.csv"
+    for exact in ([], ["--exact"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--policy", str(path), "--runs", "5", "--out", str(out),
+                         *exact])  # an exception escaping main is a traceback
+        err = stderr.getvalue()
+        if code == 0:  # a mutation the policy does not read, or a value it accepts
+            assert err == "" and out.exists()
+            out.unlink()
+        else:
+            assert code in (1, 2)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
+
 def test_simulate_unknown_policy_exits_two(tmp_path, monkeypatch, capsys):
     # neither a builtin nor a file, or a malformed builtin: refused before any evaluation
     monkeypatch.chdir(tmp_path)
-    for name in ("compare_policies", "exact_policy_metrics"):
+    for name in ("compare_policies", "compare_policies_exactly"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("evaluated"))
     for ref in ("always-north", "fixed:abc", "fixed:", "fixed: 1", "fixed:1_0"):
         for exact in ([], ["--exact"]):
@@ -574,21 +640,73 @@ def test_size_guard_sets_exact_evaluation_and_the_sweep_together(tmp_path, monke
     assert int(rows[0]["exact"]) == exact
 
 
+def _spy_exact_passes(monkeypatch) -> list:
+    """Record each exact pass's policy names: one list per `cli.compare_policies_exactly`
+    call, and its passes' sizes after it."""
+    calls, batch, exact_pass = [], cli.compare_policies_exactly, sim._exact_pass
+
+    def recording_batch(model, costs, policies, *args, **kwargs):
+        calls.append([name for name, _ in policies])
+        return batch(model, costs, policies, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compare_policies_exactly", recording_batch)
+    monkeypatch.setattr(sim, "_exact_pass",
+                        lambda model, costs, decides, config: calls.append(len(decides))
+                        or exact_pass(model, costs, decides, config))
+    return calls
+
+
 def test_experiment_evaluates_each_policy_exactly_once(tmp_path, monkeypatch):
+    # one exact pass holds table1's three policies and the sweep's other densities;
     # sweep.csv's row at the main density reuses table1.csv's exact record of the policy
-    evaluated, exact = [], cli.exact_policy_metrics
-    monkeypatch.setattr(cli, "exact_policy_metrics",
-                        lambda *args, **kwargs: evaluated.append(args[2])
-                        or exact(*args, **kwargs))
-    densities = [1, 2, 3]
+    calls = _spy_exact_passes(monkeypatch)
     out = tmp_path / "exp"
-    assert main(["experiment", "--base-points", ",".join(map(str, densities)), "--runs", "10",
-                 "--out", str(out)]) == 0
-    assert len(evaluated) == 3 + (len(densities) - 1)
+    assert main(["experiment", "--runs", "10", "--out", str(out)]) == 0
+    assert calls == [["active-smoothing", "belief-sum", "always-east", "1", "2", "3", "4"], 7]
     _, table = read_csv(out / "table1.csv")
     _, sweep = read_csv(out / "sweep.csv")
     active = next(r for r in table if r["policy"] == "active-smoothing" and r["runs"] == "0")
     assert sweep[-1]["total_cost"] == active["total_cost"]
+
+
+@pytest.mark.parametrize("command, names", [
+    (["simulate", "--exact", "--policy", "always-east", "--policy", "fixed:1",
+      "--policy", "fixed:0", "--out", "r.csv"], ["always-east", "fixed:1", "fixed:0"]),
+    (["sweep", "--base-points", "3,1,2", "--out", "s.csv"], ["3", "1", "2"]),
+], ids=["simulate", "sweep"])
+def test_an_exact_command_makes_one_pass(tmp_path, monkeypatch, command, names):
+    monkeypatch.chdir(tmp_path)
+    calls = _spy_exact_passes(monkeypatch)
+    assert main(command) == 0
+    assert calls == [names, len(names)]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
+def test_simulate_fingerprints_once_and_once_per_pass(tmp_path, monkeypatch, capsys, exact):
+    # the command hashes once for its policy files and its run config; the evaluating
+    # pass hashes once for all of its policies
+    monkeypatch.chdir(tmp_path)
+    for objective in ("smoother", "belief-sum"):
+        assert main(["solve", "--objective", objective, "--base-points", "1",
+                     "--out", f"{objective}.json"]) == 0
+    hashed = []
+    for module in (cli, sim):
+        monkeypatch.setattr(module, "fingerprint",
+                            lambda *args, module=module: hashed.append(module.__name__)
+                            or fingerprint(*args))
+    argv = ["simulate", "--policy", "smoother.json", "--policy", "belief-sum.json",
+            "--policy", "always-east", "--runs", "20", *(["--exact"] if exact else [])]
+    assert main(argv + ["--out", "r.csv"]) == 0
+    assert hashed == ["active_smoothing.cli", "active_smoothing.sim"]
+    # a mismatched file exits 1 on the command's hash, before any evaluation
+    hashed.clear()
+    capsys.readouterr()
+    for name in ("compare_policies", "compare_policies_exactly"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("evaluated"))
+    assert main(argv + ["--horizon", "2", "--out", "mismatch.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: policy fingerprint ")
+    assert hashed == ["active_smoothing.cli"]
+    assert not (tmp_path / "mismatch.csv").exists()
 
 
 @pytest.mark.parametrize("command, solves", [

@@ -13,6 +13,7 @@ from active_smoothing import (
     StageSet,
     ValuePolicy,
     best_action,
+    build_grid_agent,
     check_policy,
     compare_policies,
     exact_policy_metrics,
@@ -273,6 +274,119 @@ def test_exact_evaluation_predicts_each_levels_joint_once(grid, monkeypatch, hor
         calls.clear()
         exact_policy_metrics(model, costs, policy_like)
         assert len(calls) == horizon
+
+
+def _own_walk(model, costs, policy_like, config=DEFAULT_CONFIG) -> tuple:
+    """One policy's exact (terminal, total belief entropy, smoother, total) expectations,
+    walked alone level by level as a single-policy evaluation does."""
+    decide = sim._rows_rule(model, costs, policy_like)
+    _, prob, beliefs = belief_module.initial_level(model)
+    tbe = smoother = stage_c = 0.0
+    for k in range(costs.horizon):
+        tbe += prob @ costs_module.belief_entropy(beliefs, config)
+        controls = decide(beliefs, np.arange(len(beliefs)), k)
+        stage_c += prob @ (beliefs * costs.stage_cost[k].T[controls]).sum(axis=1)
+        joint = belief_module.predict_joint(model, beliefs, controls)
+        smoother += prob @ costs_module._conditional_entropy(joint, config)
+        parents, _, p_next, beliefs = belief_module.children(model, joint, controls, stage=k)
+        prob = prob[parents] * p_next
+    final_entropy = prob @ costs_module.belief_entropy(beliefs, config)
+    terminal = prob @ (beliefs @ costs.terminal_cost)
+    smoother += final_entropy
+    return terminal, tbe + final_entropy, smoother, smoother + stage_c + terminal
+
+
+def _exact_cases():
+    """(model, costs, named policies) of the grid agent at T=3 and T=6 and of a model
+    whose kernels have zeros, each with value, fixed and callable policies."""
+    model, costs = build_grid_agent()
+    cases = []
+    for horizon in (3, 6):
+        c = make_cost_model(horizon, costs.stage_cost[0], costs.terminal_cost)
+        cases.append((model, c, [
+            ("smoother", solve(model, c, "smoother", generate_base_points(4, 2))),
+            ("belief-sum", solve(model, c, "belief-sum", generate_base_points(4, 1))),
+            ("east", "always-east"), ("fixed", 1),
+            ("callable", lambda b, k: int(np.argmax(b) + k) % 3)]))
+    rng = np.random.default_rng(30)
+    zero = oracle.zero_observation_model(rng, n_states=4, n_obs=3, n_controls=2)
+    assert (zero.observation == 0.0).any()
+    c = oracle.random_costs(rng, zero, 4)
+    cases.append((zero, c, [
+        ("smoother", solve(zero, c, "smoother", generate_base_points(4, 3))),
+        ("random", _random_value_policy(rng, zero, c)), ("fixed", "fixed:0"),
+        ("callable", lambda b, k: int(b[0] > 0.3))]))
+    return cases
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["grid-T3", "grid-T6", "zero-observations"])
+def test_one_exact_pass_equals_each_policys_own_walk(case):
+    model, costs, policies = _exact_cases()[case]
+    batch = sim.compare_policies_exactly(model, costs, policies, seed=7)
+    assert [name for name, _ in batch] == [name for name, _ in policies]
+    for (_, policy_like), (_, summary) in zip(policies, batch):
+        own = sim._summary(0, _own_walk(model, costs, policy_like), (0.0,) * 4,
+                           DEFAULT_CONFIG, 7)
+        assert summary == own
+        assert exact_policy_metrics(model, costs, policy_like, seed=7) == own
+
+
+@pytest.mark.parametrize("per_pass", [1, 2, 3])
+def test_a_lowered_size_guard_splits_the_policies_into_passes_with_equal_results(
+        monkeypatch, per_pass):
+    model, costs, policies = _exact_cases()[1]
+    whole = sim.compare_policies_exactly(model, costs, policies)
+    passes, exact_pass = [], sim._exact_pass
+    monkeypatch.setattr(sim, "_exact_pass",
+                        lambda m, c, decides, config: passes.append(len(decides))
+                        or exact_pass(m, c, decides, config))
+    # the grid agent at T=6: 2^7 observation paths of 4 x 4 joints per policy
+    monkeypatch.setattr(sim, "SIZE_GUARD", per_pass * 2 ** 7 * 16 + 1)
+    assert sim.compare_policies_exactly(model, costs, policies) == whole
+    assert passes == [per_pass] * (len(policies) // per_pass) + (
+        [len(policies) % per_pass] if len(policies) % per_pass else [])
+
+
+def test_exact_comparison_fingerprints_once_and_walks_every_policy_in_one_pass(
+        grid, grid_policies, monkeypatch):
+    model, costs = grid
+    hashed, passes, exact_pass = [], [], sim._exact_pass
+    monkeypatch.setattr(sim, "fingerprint", lambda *a: hashed.append(1) or fingerprint(*a))
+    monkeypatch.setattr(sim, "_exact_pass",
+                        lambda m, c, decides, config: passes.append(len(decides))
+                        or exact_pass(m, c, decides, config))
+    policies = [("a", grid_policies["smoother"]), ("b", grid_policies["belief-sum"]),
+                ("c", "always-east")]
+    sim.compare_policies_exactly(model, costs, policies)
+    assert (hashed, passes) == ([1], [3])
+    hashed.clear()
+    sim.compare_policies_exactly(model, costs, [("c", "always-east"), ("d", 1)])
+    assert hashed == []
+    assert sim.compare_policies_exactly(model, costs, []) == []
+    # a mismatch found against the shared fingerprint reads as check_policy's
+    other = make_cost_model(3, np.zeros((4, 3)), np.zeros(4))
+    with pytest.raises(PolicyModelMismatch) as want:
+        check_policy(model, other, grid_policies["belief-sum"])
+    with pytest.raises(PolicyModelMismatch) as got:
+        sim.compare_policies_exactly(model, other, policies)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_callable_is_called_per_row_in_row_order_within_its_range(grid):
+    model, costs = grid
+
+    def recording(calls):
+        def rule(belief, stage):
+            calls.append((stage, belief.tolist()))
+            return int(np.argmax(belief)) % 3
+        return rule
+
+    a, b, alone, walked = [], [], [], []
+    sim.compare_policies_exactly(model, costs, [("a", recording(a)), ("east", 2),
+                                                ("b", recording(b))])
+    exact_policy_metrics(model, costs, recording(alone))
+    _own_walk(model, costs, recording(walked))
+    assert a == b == alone == walked
 
 
 def test_monte_carlo_converges_to_exact(grid):

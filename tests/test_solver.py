@@ -727,6 +727,16 @@ def test_policy_save_load_round_trip(tmp_path, grid, rng):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_a_policy_that_fails_to_encode_writes_no_file(tmp_path, grid):
+    # the JSON text is encoded whole before the file is opened
+    model, costs = grid
+    policy = solve(model, costs, "smoother", generate_base_points(4, 1))
+    path = tmp_path / "policy.json"
+    with pytest.raises(TypeError, match="set"):
+        save_policy(path, policy, extra_metadata={"note": {1, 2}})
+    assert not path.exists()
+
+
 def test_terminal_actions_are_absent(grid):
     model, costs = grid
     policy = solve(model, costs, "smoother", generate_base_points(4, 1))
