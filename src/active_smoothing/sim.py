@@ -7,12 +7,13 @@ block's draws are one array computation over its keys.
 All runs of a block advance together, one stage at a time; a single rollout is
 a block of one. A policy comparison advances every policy in the same pass:
 row p * R + r is policy p's run start + r, and all policies share the block's
-uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats.
+uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats, and every block
+of a call takes its arrays as views of one workspace allocated for the largest.
 A row keeps only its states, stage-major (stage, P, R), and its stage costs,
-run-major, besides the current stage's (P, R) group ids, controls and codes;
-the controls and codes are filled in place. Each draw's (R,) column is
-compared against the (P, R) rows of every policy; stage 0 depends on the run
-alone and is sampled once per run. States and observations are sampled from
+stage-major (stage, P * R), besides the current stage's (P, R) group ids,
+controls and codes; the controls and codes are filled in place. Each draw's
+(R,) column is compared against the (P, R) rows of every policy; stage 0
+depends on the run alone and is sampled once per run. States and observations are sampled from
 CDF tables laid out as (outcome, code), code u * N + x: a row compares its
 uniform with the first K - 1 entries of its own column. Everything that
 follows from a row's policy and history is paid once per history group: rows
@@ -30,8 +31,8 @@ they are read.
 One forward filter pass gives both the beliefs and the realised smoother
 entropy, carried per group as the entropy of its past given each state. Every
 group is computed with the operations of a single run, and every per-run sum
-adds one run's terms in a C-ordered row, so results do not depend on the
-block it was simulated in or on the policies simulated beside it.
+adds one run's terms in the order numpy sums a C-ordered row, so results do not
+depend on the block it was simulated in or on the policies simulated beside it.
 Each entry point checks a policy and builds its rule in one `_rows_rule` call;
 a comparison fingerprints the model and costs once for all its policies.
 Exact evaluation walks the observation tree breadth-first with the same rules,
@@ -112,13 +113,15 @@ class RolloutBatch:
     array holds final group g's ancestor groups, observations, controls and
     belief entropies. `observations`, `controls`, `groups`, `beliefs`,
     `belief_entropies` and `record` gather rows from them on read. `states`
-    is a transposed view of a stage-major array.
+    and `stage_costs` are transposed views of stage-major arrays, which
+    `total_cost` sums a stage at a time in numpy's own order, so each row's total
+    has the bits of its record's.
     """
     seed: int
     start: int
     runs: int                     # runs per policy: the batch has P * runs rows
-    states: np.ndarray            # (R, T+1)
-    stage_costs: np.ndarray       # (R, T)
+    states: np.ndarray            # (R, T+1) view of a stage-major (T+1, R) array
+    stage_costs: np.ndarray       # (R, T) view of a stage-major (T, R) array
     terminal_cost: np.ndarray     # (R,)
     smoother_entropy: np.ndarray  # (R,)
     final_group: np.ndarray       # (R,) each row's history group at stage T
@@ -163,7 +166,7 @@ class RolloutBatch:
 
     @property
     def total_cost(self) -> np.ndarray:
-        return self.smoother_entropy + self.stage_costs.sum(axis=1) + self.terminal_cost
+        return self.smoother_entropy + _row_sums(self.stage_costs.T) + self.terminal_cost
 
     def record(self, row: int) -> RolloutRecord:
         final = self.final_group[row]
@@ -331,7 +334,8 @@ def _mul128(x: np.ndarray, mult: np.ndarray, hi: np.ndarray, lo: np.ndarray, w: 
     x *= mult
 
 
-def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
+def _uniforms(seed: int, start: int, stop: int, horizon: int,
+              workspace: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Row r: the 2 + 2T uniforms of run start + r, numpy's Philox(key=(seed, run)) stream.
 
     Philox4x64-10 (Salmon et al., SC 2011) is counter-based, so the whole block is one
@@ -344,20 +348,24 @@ def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
     one 64-bit product of a lane pair (`_mul128`). All array arithmetic is in place
     on uint64 arrays, which wrap mod 2^64 without a warning. The result is the
     transpose of a C-ordered (2 + 2T, R) array, so each draw's column is contiguous.
+    It is written into the draws' region of `workspace`, a `_workspace` for at least
+    R runs (one is made if not given), and the lanes and their scratch are views of
+    its shared region, dead once the result exists.
     """
     width, rows = 2 + 2 * horizon, stop - start
     shape = (2, (width + 3) // 4, rows)
+    draw_region, shared = _workspace(horizon, 0, rows) if workspace is None else workspace
+    (doubles,) = _views(draw_region, ((shape[1], 2, 2, rows), np.float64))
+    # even holds x0, x2 and odd x1, x3
+    key, even, odd, x_hi, x_lo, w, t = _views(shared, ((2, 1, rows), np.uint64),
+                                              *[(shape, np.uint64)] * 6)
     seed &= _MASK64
     counter = [j * _PHILOX_MULT[0] for j in range(1, shape[1] + 1)]  # j * M0, exact
     seed_product = seed * _PHILOX_MULT[0]
     mult = np.array(_PHILOX_MULT, dtype=np.uint64)[:, None, None]
     weyl = np.array(_PHILOX_WEYL, dtype=np.uint64)[:, None, None]
-    key = np.empty((2, 1, rows), dtype=np.uint64)  # round 1's keys
-    key[0] = (seed + _PHILOX_WEYL[0]) & _MASK64
+    key[0] = (seed + _PHILOX_WEYL[0]) & _MASK64  # round 1's keys
     key[1, 0] = np.uint64(start & _MASK64) + np.arange(rows, dtype=np.uint64)
-    even = np.empty(shape, dtype=np.uint64)  # x0, x2
-    odd = np.empty(shape, dtype=np.uint64)   # x1, x3
-    x_hi, x_lo, w, t = (np.empty(shape, dtype=np.uint64) for _ in range(4))
     # round 0 takes x = (j, 0, 0, 0) to (seed, 0, hi(j * M0) ^ run, lo(j * M0))
     np.bitwise_xor(np.array([p >> 64 for p in counter], dtype=np.uint64)[:, None], key[1],
                    out=odd[0])
@@ -376,16 +384,89 @@ def _uniforms(seed: int, start: int, stop: int, horizon: int) -> np.ndarray:
         odd ^= key
         even, odd = odd, even[::-1]
     # word 4j + i of a run is x_i of counter block j: (j, lane pair, even/odd) in order
-    doubles = np.empty((shape[1], 2, 2, rows))
     for i, lanes in enumerate((even, odd)):
         lanes >>= 11
         np.multiply(lanes.swapaxes(0, 1), 2.0 ** -53, out=doubles[:, :, i])
     return doubles.reshape(-1, rows)[:width].T
 
 
-def _check_runs(runs: int) -> None:
+def _workspace(horizon: int, n_policies: int, runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The memory of blocks of up to `runs` runs of `n_policies` policies: one np.empty of
+    bytes, split into the draws' region and one shared region.
+
+    `_uniforms` writes a block's draws into the first and takes its Philox lanes
+    and scratch from the second; once the draws exist that scratch is dead, and
+    `_advance` takes the block's states, stage costs, controls, u * N + x and codes
+    from the same shared region. So a comparison's blocks all reuse one
+    allocation, and its peak is the draws plus the larger of the two uses.
+    Every array is 8 bytes an element, so each view is aligned.
+    """
+    counter_blocks = (2 + 2 * horizon + 3) // 4
+    draw_words = 4 * counter_blocks
+    philox_words = 2 + 12 * counter_blocks           # keys, then six (2, c, R) lanes
+    block_words = n_policies * (2 * horizon + 4)     # states, stage costs, u, ux, code
+    workspace = np.empty(8 * runs * (draw_words + max(philox_words, block_words)),
+                         dtype=np.uint8)
+    return workspace[:8 * runs * draw_words], workspace[8 * runs * draw_words:]
+
+
+def _views(region: np.ndarray, *specs) -> list[np.ndarray]:
+    """C-ordered arrays of the given (shape, dtype) pairs, consecutive views of the byte
+    array `region` from its start."""
+    arrays, offset = [], 0
+    for shape, dtype in specs:
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        arrays.append(region[offset:offset + size].view(dtype).reshape(shape))
+        offset += size
+    return arrays
+
+
+def _row_sums(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the leading axis of the stage-major (K, ...) `terms`: each entry the bits
+    np.sum gives over that row's K terms laid out contiguously, written into `out` if given.
+
+    numpy reduces a contiguous row as 0 + its pairwise sum, which adds fewer than 8
+    terms in order, 8 to 128 terms into 8 accumulators (term i into i mod 8, up to
+    the last multiple of 8), combined as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7))
+    and followed by the rest in order, and more terms as two halves, the first the
+    largest multiple of 8 not over half. Each step here adds a whole column of rows,
+    so a block takes one vector operation per term instead of one inner-loop call
+    per row.
+    """
+    if out is None:
+        out = np.empty(terms.shape[1:])
+    out[...] = 0.0
+    if len(terms) < 8:
+        for term in terms:
+            out += term
+    else:
+        out += _pairwise_sum(terms)
+    return out
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of 8 or more terms over the leading axis, as `_row_sums` says."""
+    k = len(terms)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    whole = k - k % 8
+    acc = terms[:8].copy()
+    for i in range(8, whole, 8):
+        acc += terms[i:i + 8]
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    total = acc[0]
+    for term in terms[whole:]:
+        total += term
+    return total
+
+
+def _check_runs(runs: int, trace_runs: int | None = None) -> None:
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if trace_runs is not None and trace_runs < 0:
+        raise ValueError(f"trace_runs must be >= 0, got {trace_runs}")
 
 
 def _sample(table: np.ndarray, code: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -426,38 +507,43 @@ def _regroup(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: int,
-             start: int, uniforms: np.ndarray, config: EntropyConfig) -> RolloutBatch:
+             start: int, uniforms: np.ndarray, config: EntropyConfig,
+             workspace: tuple[np.ndarray, np.ndarray]) -> RolloutBatch:
     """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms.
 
     `decides` holds one `_rows_rule` per policy. Rows are policy-major: row
     p * R + r is policy p's run start + r and uses that run's uniforms, so the
     batch has P * R rows and is a plain `rollouts` batch when P = 1.
 
-    A row keeps only its states, stage-major (T+1, P, R), and its run-major
-    stage costs; each draw's (R,) column is compared against the (P, R) rows,
-    and stage 0 is sampled once per run. The current stage's group ids,
-    controls and codes are (P, R) arrays, the last two filled in place; the
-    observations are added into the codes as they are drawn. `group` gives each
-    row's history group at the current stage, numbered by its sorted code:
-    p * Y0 + the rank of its first observation among the Y0 observed at stage
-    0, then (group, control, next observation) after each stage, so a group's
-    code gives its parent, control and observation. Codes sort by policy
-    first, so each policy's groups are one contiguous range at every stage,
-    and a rule decides on its range alone. The beliefs, decisions, belief
-    entropies and (G, N) past entropies are computed per group, each with the
-    operations of a single run, and gathered from the parent groups at each
-    regroup. Each final group's ancestors, observations, controls and belief
-    entropies are laid out along its path once, after the last stage, as rows
-    of (G_T, T+1) and (G_T, T) paths. No (G, N, N) array outlives its stage.
+    A row keeps only its states, stage-major (T+1, P, R), and its stage costs,
+    stage-major (T, P * R); each draw's (R,) column is compared against the
+    (P, R) rows, and stage 0 is sampled once per run. The current stage's group
+    ids, controls and codes are (P, R) arrays, the last two filled in place;
+    the observations are added into the codes as they are drawn. The states,
+    stage costs, controls, u * N + x and codes are views of the shared region
+    of `workspace`, the `_workspace` that drew `uniforms`, so the batch's
+    states and stage costs hold only until the workspace is reused. `group`
+    gives each row's history group at the current stage, numbered by its sorted
+    code: p * Y0 + the rank of its first observation among the Y0 observed at
+    stage 0, then (group, control, next observation) after each stage, so a
+    group's code gives its parent, control and observation. Codes sort by
+    policy first, so each policy's groups are one contiguous range at every
+    stage, and a rule decides on its range alone. The beliefs, decisions,
+    belief entropies and (G, N) past entropies are computed per group, each
+    with the operations of a single run, and gathered from the parent groups at
+    each regroup. Each final group's ancestors, observations, controls and
+    belief entropies are laid out along its path once, after the last stage, as
+    rows of (G_T, T+1) and (G_T, T) paths. No (G, N, N) array outlives its
+    stage.
     """
     runs, t, n_policies = len(uniforms), cost_model.horizon, len(decides)
     draws = uniforms.T  # (2 + 2T, R): one draw per run, shared by every policy
     rows = n_policies * runs
-    states = np.empty((t + 1, n_policies, runs), dtype=int)
-    stage_costs = np.empty((rows, t))  # run-major: per-run sums keep numpy's pairwise order
-    u = np.empty((n_policies, runs), dtype=int)
-    ux = np.empty((n_policies, runs), dtype=int)  # u * N + x, x the current or next state
-    code = np.empty((n_policies, runs), dtype=np.intp)
+    shape = (n_policies, runs)
+    # ux is u * N + x, x the current or next state
+    states, stage_costs, u, ux, code = _views(
+        workspace[1], ((t + 1, *shape), int), ((t, rows), np.float64), (shape, int),
+        (shape, int), (shape, np.intp))
     stage_beliefs, stage_entropies = [], []
     parents, controls, observations = [], [], []  # per group of each stage
     n, u_count, y = model.n_states, model.n_controls, model.n_observations
@@ -483,7 +569,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
             u[p] = decide(group_beliefs[lo:hi], group[p] - lo, k)
         np.multiply(u, n, out=ux)
         ux += states[k]
-        stage_costs[:, k] = cost_model.stage_cost[k].T.ravel()[ux].ravel()
+        stage_costs[k] = cost_model.stage_cost[k].T.ravel()[ux].ravel()
         states[k + 1] = _sample(transition_cdf, ux, draws[2 + 2 * k])
         np.multiply(u, n, out=ux)
         ux += states[k + 1]
@@ -525,7 +611,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
         start=start,
         runs=runs,
         states=states.reshape(t + 1, rows).T,
-        stage_costs=stage_costs,
+        stage_costs=stage_costs.T,
         terminal_cost=cost_model.terminal_cost[states[t].ravel()],
         smoother_entropy=smoother[final_group],
         final_group=final_group,
@@ -541,8 +627,10 @@ def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int
              config: EntropyConfig = DEFAULT_CONFIG, start: int = 0) -> RolloutBatch:
     """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r)."""
     _check_runs(runs)
-    return _advance(model, cost_model, [_rows_rule(model, cost_model, policy_like)], seed,
-                    start, _uniforms(seed, start, start + runs, cost_model.horizon), config)
+    rules, t = [_rows_rule(model, cost_model, policy_like)], cost_model.horizon
+    workspace = _workspace(t, 1, runs)  # the batch's own: its arrays are views of it
+    return _advance(model, cost_model, rules, seed, start,
+                    _uniforms(seed, start, start + runs, t, workspace), config, workspace)
 
 
 def rollout(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int,
@@ -682,14 +770,18 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     block holds as many runs as fit ROLLOUT_CHUNK floats at (T+1)(N+8) floats
     per run and policy. That budget over-counts the per-row arrays (states and
     stage costs, with the stored group beliefs at most one per row) and bounds
-    them for any run count. The current stage's (G, N, N) joint and its
-    temporaries come on top, freed with the stage: at N=20, T=8 the peak is
-    about 7x the budget. Each policy is checked and its rule built by one
-    `_rows_rule`, against one fingerprint of (model, cost_model) per call. A
-    callable is called stage by stage within each block, so a stateful one's
-    calls interleave with the other policies' decisions by stage. Any other
-    policy's summary equals its own `monte_carlo`. Each block's per-run metrics
-    are written straight into one (P, 4, runs) array.
+    them for any run count. Every block takes its draws, states, stage costs,
+    controls and codes from one `_workspace` made once per call for the largest
+    block, and the draws' Philox scratch shares its region with those per-row
+    arrays. The current stage's (G, N, N) joint and its temporaries come on
+    top, freed with the stage: at N=20, T=8 the peak is about 7x the budget.
+    Each policy is checked and its rule built by one `_rows_rule`, against one
+    fingerprint of (model, cost_model) per call. A callable is called stage by
+    stage within each block, so a stateful one's calls interleave with the
+    other policies' decisions by stage. Any other policy's summary equals its
+    own `monte_carlo`. Each block's per-run metrics are written straight into
+    one (P, 4, runs) array; the stage costs, stage-major, are summed a stage at
+    a time by `_row_sums`, in numpy's order for each run.
 
     Given `trace_runs`, the result is (summaries, head): head holds the states
     (P, n, T+1), controls (P, n, T) and observations (P, n, T+1) of runs
@@ -697,19 +789,20 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     gathered from the leading block(s) of this pass, so they equal each run's
     `rollout` and no run is simulated twice.
     """
-    _check_runs(runs)
+    _check_runs(runs, trace_runs)
     rules = _rules(model, cost_model, policies)
     t, n_head, n_policies = cost_model.horizon, min(trace_runs or 0, runs), len(rules)
     head = tuple(np.empty((n_policies, n_head, width), dtype=int) for width in (t + 1, t, t + 1))
     if not rules:
         return [] if trace_runs is None else ([], head)
     block = max(1, ROLLOUT_CHUNK // (n_policies * (t + 1) * (model.n_states + 8)))
+    workspace = _workspace(t, n_policies, min(block, runs))
     per_run = np.empty((n_policies, 4, runs))  # terminal, belief entropies, smoother, total
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         shape = (n_policies, stop - start)
         batch = _advance(model, cost_model, rules, seed, start,
-                         _uniforms(seed, start, stop, t), config)
+                         _uniforms(seed, start, stop, t, workspace), config, workspace)
         terminal, tbe, smoother, total = per_run[:, :, start:stop].swapaxes(0, 1)  # each (P, R)
         final = batch.final_group.reshape(shape)
         terminal[...] = batch.terminal_cost.reshape(shape)
@@ -717,7 +810,7 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
         smoother[...] = batch.smoother_entropy.reshape(shape)
         # stage sum + smoother is smoother + stage sum bit for bit, so this adds
         # (smoother + stage sum) + terminal, as `RolloutBatch.total_cost` does
-        batch.stage_costs.reshape(*shape, t).sum(axis=2, out=total)
+        _row_sums(batch.stage_costs.T.reshape(t, *shape), out=total)
         total += smoother
         total += terminal
         if start < n_head:  # gather only the head rows: batch row p * R + r is run start + r

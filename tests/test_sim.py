@@ -189,6 +189,13 @@ def test_rollouts_reject_fewer_than_one_run(grid):
             rollouts(model, costs, "always-east", seed=9, runs=runs)
 
 
+def test_compare_policies_refuses_a_negative_trace_count_before_any_draw(grid, monkeypatch):
+    model, costs = grid
+    monkeypatch.setattr(sim, "_uniforms", lambda *args: pytest.fail("drew uniforms"))
+    with pytest.raises(ValueError, match="trace_runs must be >= 0, got -2$"):
+        compare_policies(model, costs, [("e", "always-east")], 5, 1, trace_runs=-2)
+
+
 def test_common_random_numbers_align_trajectories(grid):
     model, costs = grid
     out = compare_policies(model, costs, [("a", "always-east"), ("b", 2)],
@@ -684,6 +691,68 @@ def test_block_memory_of_an_experiment_block_stays_under_half_the_budget(grid):
     assert peak <= 0.5 * sim.ROLLOUT_CHUNK * 8
 
 
+def test_every_block_of_a_comparison_reuses_one_workspace(grid, grid_policies, monkeypatch):
+    model, costs = grid
+    policies = [("smoother", grid_policies["smoother"]), ("east", "always-east")]
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(40, len(policies), model, costs))
+    draws, states, advance = [], [], sim._advance
+
+    def spy(*args):
+        batch = advance(*args)
+        draws.append(args[5])
+        states.append(batch.states)
+        return batch
+
+    monkeypatch.setattr(sim, "_advance", spy)
+    compare_policies(model, costs, policies, 100, seed=4)
+    assert [len(d) for d in draws] == [40, 40, 20]
+    assert all(np.shares_memory(states[0], other) for other in states[1:])
+    assert all(np.shares_memory(draws[0], other) for other in draws[1:])
+    assert not np.shares_memory(draws[0], states[0])
+
+
+def test_a_rollout_batch_keeps_its_memory_through_later_simulations(grid, grid_policies):
+    model, costs = grid
+    rng = np.random.default_rng(34)
+    other = oracle.random_model(rng, n_states=4, n_obs=3, n_controls=2)
+    other_costs = oracle.random_costs(rng, other, 9)
+    batch = rollouts(other, other_costs, 1, 6, 50)
+    kept = [getattr(batch, field).copy() for field in ("states", "stage_costs", "total_cost")]
+    assert (kept[1] > 0).all()  # nonzero costs, so an overwrite would show
+    later = rollouts(other, other_costs, 0, 7, 50)
+    compare_policies(other, other_costs, [("zero", 0), ("one", 1)], 120, seed=8)
+    compare_policies(model, costs, [("east", "always-east")], 300, seed=9)
+    assert not np.shares_memory(batch.states, later.states)
+    for field, want in zip(("states", "stage_costs", "total_cost"), kept):
+        np.testing.assert_array_equal(getattr(batch, field), want, err_msg=field)
+
+
+_ROW_SUM_TERMS = [*range(41), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 513]
+
+
+@pytest.mark.parametrize("terms", _ROW_SUM_TERMS)
+def test_row_sums_equal_numpys_sums_of_the_run_major_rows(terms):
+    rng = np.random.default_rng(terms)
+    rows = (rng.choice([-1.0, 1.0], size=(200, terms))
+            * 10.0 ** rng.uniform(-8.0, 8.0, size=(200, terms)))
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[:3] = -0.0  # all negative zeros: numpy's sum is +0.0
+    rows[3, ::2] = 0.0
+    want = rows.sum(axis=-1)
+    stage_major = np.ascontiguousarray(rows.T)
+    got = sim._row_sums(stage_major)
+    out = np.full((2, 100), np.nan)
+    assert sim._row_sums(stage_major.reshape(terms, 2, 100), out=out) is out
+    for sums in (got, out.ravel()):
+        np.testing.assert_array_equal(sums.view(np.uint64), want.view(np.uint64))
+    running = np.zeros(len(rows))
+    for term in stage_major:
+        running += term
+    # from 8 terms on numpy's order is not a running sum, and these rows show it
+    assert np.array_equal(running.view(np.uint64), want.view(np.uint64)) == (terms < 8)
+
+
 def _random_value_policy(rng, model, costs) -> ValuePolicy:
     """Five random vectors with random controls at each stage, fingerprinted for (model, costs)."""
     stages = tuple(StageSet(values=rng.normal(size=(5, model.n_states)),
@@ -887,8 +956,10 @@ def test_a_group_is_a_history(grid, grid_policies, horizon):
     runs, start, seed = 60, 4, 19
     for case_model, case_costs, policies in cases:
         rules = [sim._rows_rule(case_model, case_costs, policy) for policy in policies]
+        workspace = sim._workspace(horizon, len(rules), runs)
         batch = sim._advance(case_model, case_costs, rules, seed, start,
-                             sim._uniforms(seed, start, start + runs, horizon), DEFAULT_CONFIG)
+                             sim._uniforms(seed, start, start + runs, horizon, workspace),
+                             DEFAULT_CONFIG, workspace)
         assert len(batch) == len(policies) * runs
         policy = np.repeat(np.arange(len(policies)), runs)[:, None]
         groups, observations, controls = batch.groups, batch.observations, batch.controls
