@@ -46,7 +46,7 @@ from .sim import (
     compare_policies_exactly,
     exact_policy_metrics,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.exact_policy_metrics by name
     exact_refusal,
-    monte_carlo,
+    monte_carlo,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.monte_carlo by name
     rollout,  # noqa: F401  kept importable: the benchmark's tracer wraps cli.rollout by name
 )
 from .solver import (
@@ -233,31 +233,16 @@ def _summary_line(name: str, s) -> str:
             f"smoother={s.smoother_entropy:.4f} total={s.total_cost:.4f}")
 
 
-def _sweep(context: SolveContext, args, objective: str, densities: list[int], config,
-           solved: dict | None = None) -> list[list]:
-    """sweep.csv's rows: per density, its policy's cost, exact where `exact_refusal` allows
-    and by Monte Carlo elsewhere, the reported bound and the stage sizes. A density that
-    `solved` maps to (policy, solve seconds, exact summary) is not solved or evaluated again;
-    every other density is solved, then all of them are evaluated in one exact pass, or by
-    Monte Carlo one density at a time."""
-    model, costs = context.model, context.cost_model
-    exact = exact_refusal(model, costs.horizon) is None
-    solved = dict(solved or {})
-    fresh = {density: _solve(context, args, objective, density, config)
-             for density in dict.fromkeys(densities) if density not in solved}
-    pairs = [(str(density), policy) for density, (policy, _) in fresh.items()]
-    if not exact:
-        results = [(name, monte_carlo(model, costs, policy, args.runs, args.seed, config))
-                   for name, policy in pairs]
-    else:  # one pass, or none when every density came solved
-        results = (compare_policies_exactly(model, costs, pairs, config, seed=args.seed)
-                   if pairs else [])
-    for (density, (policy, elapsed)), (_, summary) in zip(fresh.items(), results):
-        solved[density] = policy, elapsed, summary
+def _sweep(model, config, densities: list[int], solves: dict, summaries: dict,
+           exact: bool) -> list[list]:
+    """sweep.csv's rows, each also printed: per density, the cost of its policy that
+    `summaries` records under str(density), exact or by Monte Carlo as `exact` says, the
+    reported bound and the stage sizes; `solves` maps a density to (policy, solve seconds)."""
     rows = []
     for density in densities:
-        policy, elapsed, summary = solved[density]
-        rows.append([density, summary.total_cost, _reported_bound(model, policy, config),
+        policy, elapsed = solves[density]
+        rows.append([density, summaries[str(density)].total_cost,
+                     _reported_bound(model, policy, config),
                      ";".join(str(x) for x in policy.gamma_sizes()), int(exact)])
         print(f"d={density}: total_cost={rows[-1][1]!r} bound={rows[-1][2]!r} "
               f"gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
@@ -326,7 +311,12 @@ def cmd_sweep(args) -> int:
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
     context = SolveContext(model, costs)
-    rows = _sweep(context, args, args.objective, densities, config)
+    solves = {density: _solve(context, args, args.objective, density, config)
+              for density in dict.fromkeys(densities)}
+    exact = exact_refusal(model, costs.horizon) is None
+    results, _ = _evaluate(model, costs, [(str(d), policy) for d, (policy, _) in solves.items()],
+                           exact, args, config)
+    rows = _sweep(model, config, densities, solves, dict(results), exact)
     _write_csv(args.out, _config_dict(args, costs, context.model_fingerprint), SWEEP_HEADER,
                rows)
     return 0
@@ -367,19 +357,19 @@ def cmd_experiment(args) -> int:
     # the sweep's other densities join table1's policies in one exact pass
     others = {d: _solve(context, args, "smoother", d, config)
               for d in dict.fromkeys(densities) if d != d_main}
-    exact_results = compare_policies_exactly(
+    exact_results, _ = _evaluate(
         model, costs, policies + [(str(d), policy) for d, (policy, _) in others.items()],
-        config, seed=args.seed)
+        True, args, config)
     rows = [_summary_row(name, s) for name, s in results + exact_results[:len(policies)]]
     _write_csv(out_dir / "table1.csv", metadata, RESULTS_HEADER, rows)
     for name, s in results:
         print("  " + _summary_line(name, s))
 
     print(f"density sweep over {densities} ...")
-    evaluated = {d: (policy, elapsed, summary) for (d, (policy, elapsed)), (_, summary)
-                 in zip(others.items(), exact_results[len(policies):])}
-    evaluated[d_main] = active, active_s, exact_results[0][1]
-    sweep_rows = _sweep(context, args, "smoother", densities, config, evaluated)
+    # the main density's row reuses table1's exact record of its smoother policy
+    summaries = {**dict(exact_results), str(d_main): exact_results[0][1]}
+    sweep_rows = _sweep(model, config, densities, {**others, d_main: (active, active_s)},
+                        summaries, True)
     _write_csv(out_dir / "sweep.csv", metadata, SWEEP_HEADER, sweep_rows)
 
     _write_csv(out_dir / "realisations.csv", metadata, TRACE_HEADER, _trace_rows(policies, head),

@@ -45,7 +45,7 @@ size guard, which also bounds each pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,15 +113,16 @@ class RolloutBatch:
     array holds final group g's ancestor groups, observations, controls and
     belief entropies. `observations`, `controls`, `groups`, `beliefs`,
     `belief_entropies` and `record` gather rows from them on read. `states`
-    and `stage_costs` are transposed views of stage-major arrays, which
-    `total_cost` sums a stage at a time in numpy's own order, so each row's total
-    has the bits of its record's.
+    and `stage_costs` are laid out stage-major, as transposes of C-ordered
+    (T+1, R) and (T, R) arrays, and `total_cost` sums the stage costs by
+    `_row_sums`, in numpy's own order, so each row's total has the bits of its
+    record's.
     """
     seed: int
     start: int
     runs: int                     # runs per policy: the batch has P * runs rows
-    states: np.ndarray            # (R, T+1) view of a stage-major (T+1, R) array
-    stage_costs: np.ndarray       # (R, T) view of a stage-major (T, R) array
+    states: np.ndarray            # (R, T+1), the transpose of a (T+1, R) array
+    stage_costs: np.ndarray       # (R, T), the transpose of a (T, R) array
     terminal_cost: np.ndarray     # (R,)
     smoother_entropy: np.ndarray  # (R,)
     final_group: np.ndarray       # (R,) each row's history group at stage T
@@ -335,7 +336,7 @@ def _mul128(x: np.ndarray, mult: np.ndarray, hi: np.ndarray, lo: np.ndarray, w: 
 
 
 def _uniforms(seed: int, start: int, stop: int, horizon: int,
-              workspace: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+              workspace: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Row r: the 2 + 2T uniforms of run start + r, numpy's Philox(key=(seed, run)) stream.
 
     Philox4x64-10 (Salmon et al., SC 2011) is counter-based, so the whole block is one
@@ -349,12 +350,12 @@ def _uniforms(seed: int, start: int, stop: int, horizon: int,
     on uint64 arrays, which wrap mod 2^64 without a warning. The result is the
     transpose of a C-ordered (2 + 2T, R) array, so each draw's column is contiguous.
     It is written into the draws' region of `workspace`, a `_workspace` for at least
-    R runs (one is made if not given), and the lanes and their scratch are views of
-    its shared region, dead once the result exists.
+    R runs, and the lanes and their scratch are views of its shared region, dead once
+    the result exists.
     """
     width, rows = 2 + 2 * horizon, stop - start
     shape = (2, (width + 3) // 4, rows)
-    draw_region, shared = _workspace(horizon, 0, rows) if workspace is None else workspace
+    draw_region, shared = workspace
     (doubles,) = _views(draw_region, ((shape[1], 2, 2, rows), np.float64))
     # even holds x0, x2 and odd x1, x3
     key, even, odd, x_hi, x_lo, w, t = _views(shared, ((2, 1, rows), np.uint64),
@@ -426,40 +427,18 @@ def _row_sums(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.sum gives over that row's K terms laid out contiguously, written into `out` if given.
 
     numpy reduces a contiguous row as 0 + its pairwise sum, which adds fewer than 8
-    terms in order, 8 to 128 terms into 8 accumulators (term i into i mod 8, up to
-    the last multiple of 8), combined as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7))
-    and followed by the rest in order, and more terms as two halves, the first the
-    largest multiple of 8 not over half. Each step here adds a whole column of rows,
-    so a block takes one vector operation per term instead of one inner-loop call
-    per row.
+    terms in order. There each step here adds a whole column of rows: one vector
+    operation per term instead of one inner-loop call per row. From 8 terms on,
+    np.sum itself reduces a run-major copy.
     """
+    if len(terms) >= 8:
+        return np.sum(np.moveaxis(terms, 0, -1).copy(), axis=-1, out=out)
     if out is None:
         out = np.empty(terms.shape[1:])
     out[...] = 0.0
-    if len(terms) < 8:
-        for term in terms:
-            out += term
-    else:
-        out += _pairwise_sum(terms)
+    for term in terms:
+        out += term
     return out
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of 8 or more terms over the leading axis, as `_row_sums` says."""
-    k = len(terms)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    whole = k - k % 8
-    acc = terms[:8].copy()
-    for i in range(8, whole, 8):
-        acc += terms[i:i + 8]
-    while len(acc) > 1:
-        acc = acc[0::2] + acc[1::2]
-    total = acc[0]
-    for term in terms[whole:]:
-        total += term
-    return total
 
 
 def _check_runs(runs: int, trace_runs: int | None = None) -> None:
@@ -625,12 +604,17 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
 
 def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int, runs: int,
              config: EntropyConfig = DEFAULT_CONFIG, start: int = 0) -> RolloutBatch:
-    """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r)."""
+    """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r).
+
+    The batch's states and stage costs are copied out of the block's workspace, in
+    its stage-major layout, so the workspace, draws included, is freed on return.
+    """
     _check_runs(runs)
     rules, t = [_rows_rule(model, cost_model, policy_like)], cost_model.horizon
-    workspace = _workspace(t, 1, runs)  # the batch's own: its arrays are views of it
-    return _advance(model, cost_model, rules, seed, start,
-                    _uniforms(seed, start, start + runs, t, workspace), config, workspace)
+    workspace = _workspace(t, 1, runs)
+    batch = _advance(model, cost_model, rules, seed, start,
+                     _uniforms(seed, start, start + runs, t, workspace), config, workspace)
+    return replace(batch, states=np.copy(batch.states), stage_costs=np.copy(batch.stage_costs))
 
 
 def rollout(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int,
@@ -779,9 +763,11 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     fingerprint of (model, cost_model) per call. A callable is called stage by
     stage within each block, so a stateful one's calls interleave with the
     other policies' decisions by stage. Any other policy's summary equals its
-    own `monte_carlo`. Each block's per-run metrics are written straight into
-    one (P, 4, runs) array; the stage costs, stage-major, are summed a stage at
-    a time by `_row_sums`, in numpy's order for each run.
+    own `monte_carlo`, so a pass over several policies keeps each one's bits.
+    Each block's per-run metrics are written straight into one (P, 4, runs)
+    array; the stage costs, stage-major, are summed by `_row_sums` in numpy's
+    order for each run: a stage at a time below 8 stages, and by np.sum over a
+    run-major copy from 8 on.
 
     Given `trace_runs`, the result is (summaries, head): head holds the states
     (P, n, T+1), controls (P, n, T) and observations (P, n, T+1) of runs

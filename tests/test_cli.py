@@ -681,6 +681,42 @@ def test_an_exact_command_makes_one_pass(tmp_path, monkeypatch, command, names):
     assert calls == [names, len(names)]
 
 
+def test_a_monte_carlo_sweep_makes_one_pass(tmp_path, monkeypatch):
+    # the grid agent at T=3 needs 256 joint terms, so under a guard of 255 the sweep
+    # evaluates every density in one Monte Carlo pass, hashing the model once in it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sim, "SIZE_GUARD", 255)
+    calls, hashed, compare = [], [], cli.compare_policies
+
+    def recording_compare(model, costs, policies, *args, **kwargs):
+        calls.append([name for name, _ in policies])
+        return compare(model, costs, policies, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compare_policies", recording_compare)
+    for name in ("monte_carlo", "compare_policies_exactly"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("evaluated apart"))
+    monkeypatch.setattr(sim, "fingerprint", lambda *args: hashed.append(1) or fingerprint(*args))
+    assert main(["sweep", "--base-points", "3,1,2", "--runs", "50", "--out", "s.csv"]) == 0
+    assert calls == [["3", "1", "2"]]
+    assert hashed == [1]
+
+
+def test_a_monte_carlo_sweeps_rows_are_each_densitys_own_monte_carlo(tmp_path, monkeypatch):
+    # the joint pass of three policies advances three blocks, each density alone one
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sim, "SIZE_GUARD", 255)
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", 3 * (3 + 1) * (4 + 8) * 100)
+    assert main(["sweep", "--base-points", "3,1,2", "--runs", "300", "--seed", "4",
+                 "--out", "s.csv"]) == 0
+    _, rows = read_csv(tmp_path / "s.csv")
+    model, costs = build_grid_agent()
+    assert [row["density"] for row in rows] == ["3", "1", "2"]
+    for row in rows:
+        assert main(["solve", "--base-points", row["density"], "--out", "p.json"]) == 0
+        alone = sim.monte_carlo(model, costs, load_policy("p.json"), 300, 4)
+        assert (row["total_cost"], row["exact"]) == (repr(alone.total_cost), "0")
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
 def test_simulate_fingerprints_once_and_once_per_pass(tmp_path, monkeypatch, capsys, exact):
     # the command hashes once for its policy files and its run config; the evaluating

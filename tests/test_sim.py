@@ -727,6 +727,26 @@ def test_a_rollout_batch_keeps_its_memory_through_later_simulations(grid, grid_p
         np.testing.assert_array_equal(getattr(batch, field), want, err_msg=field)
 
 
+def test_a_rollout_batch_owns_its_states_and_stage_costs(grid):
+    # the block's workspace also holds the draws and the Philox scratch: a batch kept
+    # for long would keep all of it alive through views
+    model, costs = grid
+    costs = make_cost_model(6, costs.stage_cost[0], costs.terminal_cost)
+    batch = rollouts(model, costs, "always-east", 6, 3000)
+    owned = 0
+    for field in ("states", "stage_costs"):
+        array = owner = getattr(batch, field)
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == array.nbytes, field
+        owned += owner.nbytes
+    assert owned == 3000 * (7 + 6) * 8
+    assert not np.shares_memory(batch.states, batch.stage_costs)
+    one = rollout(model, costs, "always-east", 6, run_index=2999)
+    assert batch.states[-1].tolist() == one.states.tolist()
+    assert batch.total_cost[-1] == one.total_cost
+
+
 _ROW_SUM_TERMS = [*range(41), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 513]
 
 
@@ -859,7 +879,8 @@ def test_fingerprint_runs_once_per_comparison(grid, grid_policies, grid_blocks, 
 def test_uniforms_equal_numpy_philox_bit_for_bit(seed, start, horizon):
     # 2 + 2T words fill the last counter block of four fully at T = 1, partly at even T
     runs = np.uint64(start & _MASK64) + np.arange(5, dtype=np.uint64)  # wraps past 2^64
-    got = sim._uniforms(seed, start, start + len(runs), horizon)
+    got = sim._uniforms(seed, start, start + len(runs), horizon,
+                        sim._workspace(horizon, 0, len(runs)))
     want = np.stack([oracle.run_uniforms(seed, int(run), 2 + 2 * horizon) for run in runs])
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
