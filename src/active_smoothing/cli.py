@@ -209,10 +209,12 @@ def _solve(context: SolveContext, args, objective: str, density: int, config):
     return policy, time.perf_counter() - start
 
 
-def _evaluate(model, costs, pairs, exact: bool, args, config, trace_runs: int = 0):
+def _evaluate(model, costs, pairs, exact: bool, args, config, model_fingerprint: str,
+              trace_runs: int = 0):
     """(name, summary) per (name, policy) pair, from one pass over every policy, exact or by
     Monte Carlo on common random numbers, and the `compare_policies` head of each policy's
-    first `trace_runs` runs.
+    first `trace_runs` runs. Every value policy is checked against the command's
+    `model_fingerprint`, so a command fingerprints its model once.
 
     The Monte Carlo head comes out of the evaluating pass itself. Exact evaluation
     simulates nothing, so its head, None without `trace_runs`, is one lockstep pass of
@@ -220,12 +222,13 @@ def _evaluate(model, costs, pairs, exact: bool, args, config, trace_runs: int = 
     """
     if not exact:
         return compare_policies(model, costs, pairs, args.runs, args.seed, config,
-                                trace_runs=trace_runs)
-    results = compare_policies_exactly(model, costs, pairs, config, seed=args.seed)
+                                trace_runs=trace_runs, model_fingerprint=model_fingerprint)
+    results = compare_policies_exactly(model, costs, pairs, config, seed=args.seed,
+                                       model_fingerprint=model_fingerprint)
     if not trace_runs:
         return results, None
     return results, compare_policies(model, costs, pairs, trace_runs, args.seed, config,
-                                     trace_runs=trace_runs)[1]
+                                     trace_runs=trace_runs, model_fingerprint=model_fingerprint)[1]
 
 
 def _summary_line(name: str, s) -> str:
@@ -294,7 +297,8 @@ def cmd_simulate(args) -> int:
     model_fingerprint = fingerprint(model, costs)
     pairs = [_resolve_policy(ref, model, costs, model_fingerprint) for ref in args.policy]
     trace_runs = (1 if args.exact else MAX_TRACE_RUNS) if args.trace else 0
-    results, head = _evaluate(model, costs, pairs, args.exact, args, config, trace_runs)
+    results, head = _evaluate(model, costs, pairs, args.exact, args, config, model_fingerprint,
+                              trace_runs)
     metadata = _config_dict(args, costs, model_fingerprint,
                             **({"exact": True} if args.exact else {}))
     _write_csv(args.out, metadata, RESULTS_HEADER, [_summary_row(name, s) for name, s in results])
@@ -315,7 +319,7 @@ def cmd_sweep(args) -> int:
               for density in dict.fromkeys(densities)}
     exact = exact_refusal(model, costs.horizon) is None
     results, _ = _evaluate(model, costs, [(str(d), policy) for d, (policy, _) in solves.items()],
-                           exact, args, config)
+                           exact, args, config, context.model_fingerprint)
     rows = _sweep(model, config, densities, solves, dict(results), exact)
     _write_csv(args.out, _config_dict(args, costs, context.model_fingerprint), SWEEP_HEADER,
                rows)
@@ -353,13 +357,14 @@ def cmd_experiment(args) -> int:
 
     policies = [("active-smoothing", active), ("belief-sum", baseline), ("always-east", "always-east")]
     print(f"simulating {args.runs} runs per policy ...")
-    results, head = _evaluate(model, costs, policies, False, args, config, trace_runs=1)
+    results, head = _evaluate(model, costs, policies, False, args, config,
+                              context.model_fingerprint, trace_runs=1)
     # the sweep's other densities join table1's policies in one exact pass
     others = {d: _solve(context, args, "smoother", d, config)
               for d in dict.fromkeys(densities) if d != d_main}
     exact_results, _ = _evaluate(
         model, costs, policies + [(str(d), policy) for d, (policy, _) in others.items()],
-        True, args, config)
+        True, args, config, context.model_fingerprint)
     rows = [_summary_row(name, s) for name, s in results + exact_results[:len(policies)]]
     _write_csv(out_dir / "table1.csv", metadata, RESULTS_HEADER, rows)
     for name, s in results:

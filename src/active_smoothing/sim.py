@@ -34,7 +34,8 @@ group is computed with the operations of a single run, and every per-run sum
 adds one run's terms in the order numpy sums a C-ordered row, so results do not
 depend on the block it was simulated in or on the policies simulated beside it.
 Each entry point checks a policy and builds its rule in one `_rows_rule` call;
-a comparison fingerprints the model and costs once for all its policies.
+a comparison fingerprints the model and costs once for all its policies, or
+takes the fingerprint its caller already holds.
 Exact evaluation walks the observation tree breadth-first with the same rules,
 one level of (L, N) beliefs per stage grown by `belief.children`, as the
 solver's reachable levels are, and charges the smoother entropy in its
@@ -247,12 +248,14 @@ def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like,
     return lambda beliefs, group, stage: np.full(len(group), control)
 
 
-def _rules(model: ControlledHMM, cost_model: CostModel, policies: list) -> list:
+def _rules(model: ControlledHMM, cost_model: CostModel, policies: list,
+           expected: str | None = None) -> list:
     """One `_rows_rule` per (name, policy) pair, every value policy checked against one
-    fingerprint of (model, cost_model), computed only if some policy is a value policy."""
-    expected = (fingerprint(model, cost_model)
-                if any(isinstance(policy_like, ValuePolicy) for _, policy_like in policies)
-                else None)
+    fingerprint of (model, cost_model): `expected` if given, else computed here, only if
+    some policy is a value policy."""
+    if expected is None and any(isinstance(policy_like, ValuePolicy)
+                                for _, policy_like in policies):
+        expected = fingerprint(model, cost_model)
     return [_rows_rule(model, cost_model, policy_like, expected) for _, policy_like in policies]
 
 
@@ -670,19 +673,21 @@ def exact_policy_metrics(model: ControlledHMM, cost_model: CostModel, policy_lik
 
 def compare_policies_exactly(model: ControlledHMM, cost_model: CostModel,
                              policies: list[tuple[str, object]],
-                             config: EntropyConfig = DEFAULT_CONFIG, seed: int = 0):
+                             config: EntropyConfig = DEFAULT_CONFIG, seed: int = 0, *,
+                             model_fingerprint: str | None = None):
     """One (name, exact summary) per named policy; ValueError if `exact_refusal` refuses.
 
     Every policy is checked and its rule built by one `_rows_rule`, against one
-    fingerprint of (model, cost_model), and every policy's observation tree is
-    walked in the same breadth-first pass. A pass holds as many policies as
-    keep P * Y^(T+1) * N^2 within SIZE_GUARD, at least one, so the guard
-    bounds each pass's arrays as it bounds one policy's. A callable is called
-    stage by stage within its pass, so a stateful one's calls interleave with
-    the other policies' decisions by stage, as in `compare_policies`. Each
-    policy's summary equals its own `exact_policy_metrics`.
+    fingerprint of (model, cost_model), `model_fingerprint` if the caller holds
+    it, and every policy's observation tree is walked in the same breadth-first
+    pass. A pass holds as many policies as keep P * Y^(T+1) * N^2 within
+    SIZE_GUARD, at least one, so the guard bounds each pass's arrays as it
+    bounds one policy's. A callable is called stage by stage within its pass,
+    so a stateful one's calls interleave with the other policies' decisions by
+    stage, as in `compare_policies`. Each policy's summary equals its own
+    `exact_policy_metrics`.
     """
-    rules = _rules(model, cost_model, policies)
+    rules = _rules(model, cost_model, policies, model_fingerprint)
     refusal = exact_refusal(model, cost_model.horizon)
     if refusal:
         raise ValueError(refusal)
@@ -746,7 +751,8 @@ def _exact_pass(model: ControlledHMM, cost_model: CostModel, decides: list,
 
 def compare_policies(model: ControlledHMM, cost_model: CostModel,
                      policies: list[tuple[str, object]], runs: int, seed: int,
-                     config: EntropyConfig = DEFAULT_CONFIG, *, trace_runs: int | None = None):
+                     config: EntropyConfig = DEFAULT_CONFIG, *, trace_runs: int | None = None,
+                     model_fingerprint: str | None = None):
     """One (name, summary) per named policy, on common random numbers across policies.
 
     Every policy advances in the same lockstep pass, one block of runs at a
@@ -760,10 +766,11 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     arrays. The current stage's (G, N, N) joint and its temporaries come on
     top, freed with the stage: at N=20, T=8 the peak is about 7x the budget.
     Each policy is checked and its rule built by one `_rows_rule`, against one
-    fingerprint of (model, cost_model) per call. A callable is called stage by
-    stage within each block, so a stateful one's calls interleave with the
-    other policies' decisions by stage. Any other policy's summary equals its
-    own `monte_carlo`, so a pass over several policies keeps each one's bits.
+    fingerprint of (model, cost_model) per call, `model_fingerprint` if the
+    caller holds it. A callable is called stage by stage within each block, so
+    a stateful one's calls interleave with the other policies' decisions by
+    stage. Any other policy's summary equals its own `monte_carlo`, so a pass
+    over several policies keeps each one's bits.
     Each block's per-run metrics are written straight into one (P, 4, runs)
     array; the stage costs, stage-major, are summed by `_row_sums` in numpy's
     order for each run: a stage at a time below 8 stages, and by np.sum over a
@@ -776,7 +783,7 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     `rollout` and no run is simulated twice.
     """
     _check_runs(runs, trace_runs)
-    rules = _rules(model, cost_model, policies)
+    rules = _rules(model, cost_model, policies, model_fingerprint)
     t, n_head, n_policies = cost_model.horizon, min(trace_runs or 0, runs), len(rules)
     head = tuple(np.empty((n_policies, n_head, width), dtype=int) for width in (t + 1, t, t + 1))
     if not rules:

@@ -27,24 +27,32 @@ Littman & Zhang, UAI 1997). A global stage is always the exact pruned backup,
 however many vectors its cross-sums hold: no step approximates.
 
 `prune` keeps exactly the vectors that attain the minimum on a
-full-dimensional region of the simplex. It builds the envelope polytope
+full-dimensional region of the simplex. A vector that ties the envelope only
+on a lower-dimensional face is dropped. A set of at most N+1 distinct rows is
+first tried by a pointwise proof that skips the Qhull build (`_proved_kept`):
+rows a margin above another in every entry are dropped (Monahan, Management
+Science 1982), and the rest are kept when each is the least at a vertex of the
+simplex by the margin. Every other set builds the envelope polytope
 {(p, z): p on the simplex, z below every vector} once, as one Qhull halfspace
 intersection over all rows, and keeps the vectors whose halfspaces are facets
-of it. A vector that ties the envelope only on a lower-dimensional face is
-dropped. Qhull gets the distinct rows sorted by value, so it sees the same
-input however the rows are ordered, and the kept set is a function of the set
-of rows, near-copies included. The build runs on the rows minus their column
-minima. That subtracts one linear function of p from every row, which leaves
-the facets as they are, and keeps large or uneven costs from costing Qhull its
-precision. A Qhull failure is an error; there is no second prune path.
+of it, so a prune makes at most one Qhull build. Qhull gets the distinct rows
+sorted by value, so it sees the same input however the rows are ordered, and
+the kept set is a function of the set of rows, near-copies included. The proof
+and the build both run on the rows minus their column minima. That subtracts
+one linear function of p from every row, which leaves the facets as they are,
+and keeps large or uneven costs from costing Qhull its precision. A Qhull
+failure is an error: a set the proof leaves to Qhull has no other way to be
+pruned.
 
 scipy loads on first use. This module is its only user, and filtering, Monte
 Carlo, exact evaluation, `simulate`, `validate` and a solve whose stages are
 all on the tree need numpy alone, so importing the package costs none of
 scipy's import time or memory. `scipy.spatial` loads at the first Qhull build,
-and no other scipy module loads. `HalfspaceIntersection` and `QhullError` stay
-module attributes (read through the module `__getattr__`), so a value set on
-the module, as a test or a tracer does, is the one the solver calls.
+and no other scipy module loads. A d=1 `smoother` solve makes no build at any
+horizon, since the proof settles every one of its prunes. `HalfspaceIntersection`
+and `QhullError` stay module attributes (read through the module `__getattr__`),
+so a value set on the module, as a test or a tracer does, is the one the solver
+calls.
 """
 from __future__ import annotations
 
@@ -74,6 +82,7 @@ from .pwl import (
 
 OBJECTIVES = ("smoother", "belief-sum", "costs-only")
 TIE_TOL = 1e-12
+PROOF_MARGIN = 1e-9  # relative margin of prune's pointwise proof, far above Qhull's rounding
 TREE_LEVEL_CAP = 500  # beliefs in a level of the reachable tree; deeper stages back up globally
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 _SCIPY_NAMES = {
@@ -134,20 +143,20 @@ def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
     return np.hstack([-reduced, np.ones((len(rows), 1)), -rows[:, m:]])
 
 
-def _envelope_hull(v: np.ndarray) -> HalfspaceIntersection:
-    """Polytope {(p, z): p projected simplex, -1 <= z <= min over rows of the shifted v}.
+def _envelope_hull(shifted: np.ndarray) -> HalfspaceIntersection:
+    """Polytope {(p, z): p projected simplex, -1 <= z <= min over rows of `shifted`}.
 
-    Subtracting the column minima subtracts the same linear function of p from
-    every row, so the facets are those of the rows as given, while Qhull sees
-    entries that start at 0 in every column, however large or uneven the rows'
-    offsets. Its halfspaces are the N+1 box rows (p_i >= 0, sum p <= 1,
-    z >= -1) followed by one per row of `v`. A row's halfspace is a facet of
-    the polytope exactly when the row attains the envelope on a
-    full-dimensional region of the simplex. The floor sits one unit below
-    every shifted row, and the interior point at the barycentre midway
-    between the floor and 0, so it is strictly inside.
+    `shifted` holds the rows minus their column minima. Subtracting them
+    subtracts the same linear function of p from every row, so the facets are
+    those of the rows as given, while Qhull sees entries that start at 0 in
+    every column, however large or uneven the rows' offsets. Its halfspaces are
+    the N+1 box rows (p_i >= 0, sum p <= 1, z >= -1) followed by one per row. A
+    row's halfspace is a facet of the polytope exactly when the row attains the
+    envelope on a full-dimensional region of the simplex. The floor sits one
+    unit below every shifted row, and the interior point at the barycentre
+    midway between the floor and 0, so it is strictly inside.
     """
-    n = v.shape[1]
+    n = shifted.shape[1]
     m = n - 1
     box = np.zeros((m + 2, m + 2))
     box[:m, :m] = -np.eye(m)                       # -p_i <= 0
@@ -155,7 +164,33 @@ def _envelope_hull(v: np.ndarray) -> HalfspaceIntersection:
     box[m + 1, m], box[m + 1, m + 1] = -1.0, -1.0  # z >= -1
     interior = np.concatenate([np.full(m, 1.0 / n), [-0.5]])
     return __getattr__("HalfspaceIntersection")(
-        np.vstack([box, _envelope_halfspaces(v - v.min(axis=0))]), interior)
+        np.vstack([box, _envelope_halfspaces(shifted)]), interior)
+
+
+def _proved_kept(shifted: np.ndarray) -> np.ndarray | None:
+    """The rows of `shifted` (distinct, minus their column minima) that `prune` keeps,
+    when pointwise comparison proves them; None when it does not.
+
+    A row is dropped when some other row lies at least the margin below it in
+    every entry: its halfspace misses the envelope polytope by that margin. The
+    rows left then have the envelope of all rows. One such row is the envelope.
+    Several are kept only when each is the least at some vertex of the simplex,
+    by the margin, so that each attains the envelope near its vertex. The margin
+    is PROOF_MARGIN times 1 + the largest entry, far above the rounding Qhull
+    works to. Every other set goes to Qhull: near-copies, slivers thinner than
+    the margin, rows least only inside the simplex, and rows that tie another
+    on a face of the simplex, whose halfspaces touch the polytope on a face,
+    where Qhull may keep or drop them.
+    """
+    margin = PROOF_MARGIN * (1.0 + shifted.max())
+    clear = shifted[:, None, :] - shifted[None, :, :] >= margin  # row j clear above row i at c
+    kept = np.flatnonzero(~clear.all(axis=2).any(axis=1))
+    if len(kept) > 1:
+        clear = clear[np.ix_(kept, kept)]
+        clear[np.diag_indices(len(kept))] = True  # no row is its own rival
+        if not clear.all(axis=0).any(axis=1).all():  # each row least by the margin at a vertex
+            return None
+    return kept
 
 
 def _first_copies(rows: np.ndarray) -> np.ndarray:
@@ -171,25 +206,36 @@ def prune(values: np.ndarray) -> np.ndarray:
     """Indices of the vectors that attain the min-envelope on a full-dimensional region.
 
     The rows are sorted by value and only exact copies are dropped (the lowest
-    index survives). Qhull builds the envelope polytope (`_envelope_hull`) once
-    over the distinct rows in that order, the same input for every order of the
-    rows, and the kept rows are those whose halfspaces are facets of it. A row
-    that ties the envelope only on a lower-dimensional face is dropped. The
-    min-envelope of the kept rows equals that of all rows. The build runs on
-    the rows minus their column minima, which keeps the same facets; a Qhull
-    failure raises ValueError (exit 1 at the command line).
+    index survives). A row that ties the envelope only on a lower-dimensional
+    face is dropped, and the min-envelope of the kept rows equals that of all
+    rows. Every decision is made on the distinct rows minus their column
+    minima, which keeps the same facets. A set of at most N+1 distinct rows is
+    first tried by pointwise comparison (`_proved_kept`): where pointwise
+    domination and vertex witnesses prove the kept rows, no Qhull build runs.
+    Any other set builds the envelope polytope (`_envelope_hull`) once, over the
+    distinct rows in sorted order, the same input for every order of the rows,
+    and the kept rows are those whose halfspaces are facets of it. So a prune
+    makes at most one Qhull build. The proof decides only sets whose answer is
+    clear of Qhull's rounding by its margin, and keeps the rows Qhull keeps
+    there. A Qhull failure raises ValueError (exit 1 at the command line).
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("prune requires a non-empty vector set")
+    if len(values) == 1:
+        return np.zeros(1, dtype=np.intp)
     idx = _first_copies(values)
     v = values[idx]
     n_vec, n = v.shape
     if n_vec == 1 or n == 1:
         return idx[:1]
+    shifted = v - v.min(axis=0)
+    kept = _proved_kept(shifted) if n_vec <= n + 1 else None
+    if kept is not None:
+        return np.sort(idx[kept])
 
     try:
-        hull = _envelope_hull(v)
+        hull = _envelope_hull(shifted)
     except __getattr__("QhullError") as exc:
         raise ValueError(f"Qhull could not build the envelope of {n_vec} vectors "
                          f"in N={n}") from exc

@@ -695,7 +695,9 @@ def test_a_monte_carlo_sweep_makes_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "compare_policies", recording_compare)
     for name in ("monte_carlo", "compare_policies_exactly"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("evaluated apart"))
-    monkeypatch.setattr(sim, "fingerprint", lambda *args: hashed.append(1) or fingerprint(*args))
+    for module in (cli, sim, solver):
+        monkeypatch.setattr(module, "fingerprint",
+                            lambda *args: hashed.append(1) or fingerprint(*args))
     assert main(["sweep", "--base-points", "3,1,2", "--runs", "50", "--out", "s.csv"]) == 0
     assert calls == [["3", "1", "2"]]
     assert hashed == [1]
@@ -718,22 +720,26 @@ def test_a_monte_carlo_sweeps_rows_are_each_densitys_own_monte_carlo(tmp_path, m
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
-def test_simulate_fingerprints_once_and_once_per_pass(tmp_path, monkeypatch, capsys, exact):
-    # the command hashes once for its policy files and its run config; the evaluating
-    # pass hashes once for all of its policies
+def test_simulate_fingerprints_once(tmp_path, monkeypatch, capsys, exact):
+    # the command hashes once for its policy files and its run config, and the evaluating
+    # pass checks every policy against that hash
     monkeypatch.chdir(tmp_path)
     for objective in ("smoother", "belief-sum"):
         assert main(["solve", "--objective", objective, "--base-points", "1",
                      "--out", f"{objective}.json"]) == 0
     hashed = []
-    for module in (cli, sim):
+    for module in (cli, sim, solver):
         monkeypatch.setattr(module, "fingerprint",
                             lambda *args, module=module: hashed.append(module.__name__)
                             or fingerprint(*args))
     argv = ["simulate", "--policy", "smoother.json", "--policy", "belief-sum.json",
             "--policy", "always-east", "--runs", "20", *(["--exact"] if exact else [])]
     assert main(argv + ["--out", "r.csv"]) == 0
-    assert hashed == ["active_smoothing.cli", "active_smoothing.sim"]
+    assert hashed == ["active_smoothing.cli"]
+    # a traced run's head pass checks against the same hash
+    hashed.clear()
+    assert main(argv + ["--out", "t.csv", "--trace", "t-trace.csv"]) == 0
+    assert hashed == ["active_smoothing.cli"]
     # a mismatched file exits 1 on the command's hash, before any evaluation
     hashed.clear()
     capsys.readouterr()
@@ -753,7 +759,7 @@ def test_simulate_fingerprints_once_and_once_per_pass(tmp_path, monkeypatch, cap
 def test_a_solving_command_enumerates_and_fingerprints_once(tmp_path, monkeypatch, command,
                                                             solves):
     # one context for every solve of the command, whose work runs inside the first
-    # solve, and the run config reads the context's hash
+    # solve, and the run config and every evaluating pass read the context's hash
     monkeypatch.chdir(tmp_path)
     contexts, enumerated, hashed = [], [], []
     solve, levels, fingerprint_ = cli.solve, solver._reachable_levels, solver.fingerprint
@@ -765,7 +771,7 @@ def test_a_solving_command_enumerates_and_fingerprints_once(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "solve", recording_solve)
     monkeypatch.setattr(solver, "_reachable_levels",
                         lambda *args: enumerated.append(len(contexts)) or levels(*args))
-    for module in (cli, solver):
+    for module in (cli, sim, solver):
         monkeypatch.setattr(module, "fingerprint",
                             lambda *args: hashed.append(len(contexts)) or fingerprint_(*args))
     assert main(command) == 0

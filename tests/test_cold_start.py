@@ -67,6 +67,33 @@ def test_default_solve_and_experiment_load_no_scipy(tmp_path):
 
 # At T=6 the stages past the reachable tree's cap back up globally, with Qhull.
 
+def test_d1_smoother_solves_load_no_scipy_and_belief_sum_still_does(tmp_path):
+    # at d=1 every prune of a smoother solve is settled by pointwise comparison; a d=1
+    # belief-sum solve at T=6 still makes 6 Qhull builds, so it loads scipy.spatial
+    out = fresh(f"""
+        import json, sys
+        from active_smoothing import cli, solver
+        real, builds = solver._envelope_hull, []
+
+        def counting(*args):
+            builds.append(1)
+            return real(*args)
+
+        solver._envelope_hull = counting
+        runs = {{}}
+        for horizon in ("6", "7", "20"):
+            code = cli.main(["solve", "--horizon", horizon, "--base-points", "1",
+                             "--out", "p.json"])
+            runs[horizon] = [code, len(builds), {SCIPY_MODULES}]
+        code = cli.main(["solve", "--horizon", "6", "--objective", "belief-sum",
+                         "--base-points", "1", "--out", "p.json"])
+        runs["belief-sum"] = [code, len(builds), "scipy.spatial" in sys.modules]
+        print(json.dumps(runs))
+    """, tmp_path)
+    assert out == {"6": [0, 0, []], "7": [0, 0, []], "20": [0, 0, []],
+                   "belief-sum": [0, 6, True]}
+
+
 def test_solve_loads_qhull_but_not_linprog(tmp_path):
     out = fresh("""
         import json, sys

@@ -369,6 +369,10 @@ def test_exact_comparison_fingerprints_once_and_walks_every_policy_in_one_pass(
     hashed.clear()
     sim.compare_policies_exactly(model, costs, [("c", "always-east"), ("d", 1)])
     assert hashed == []
+    # a caller that holds the fingerprint passes it, and nothing is hashed
+    sim.compare_policies_exactly(model, costs, policies,
+                                 model_fingerprint=fingerprint(model, costs))
+    assert hashed == []
     assert sim.compare_policies_exactly(model, costs, []) == []
     # a mismatch found against the shared fingerprint reads as check_policy's
     other = make_cost_model(3, np.zeros((4, 3)), np.zeros(4))
@@ -860,6 +864,10 @@ def test_fingerprint_runs_once_per_comparison(grid, grid_policies, grid_blocks, 
     assert len(calls) == 1
     calls.clear()
     compare_policies(model, costs, [("c", "always-east"), ("d", 1)], 10, seed=1)
+    assert calls == []
+    # a caller that holds the fingerprint passes it, and nothing is hashed
+    compare_policies(model, costs, [("a", grid_policies["smoother"])], 10, seed=1,
+                     model_fingerprint=fingerprint(model, costs))
     assert calls == []
     # a mismatch found against the shared fingerprint reads as check_policy's
     other = make_cost_model(3, np.zeros((4, 3)), np.zeros(4))

@@ -127,12 +127,62 @@ def test_prune_lp_builds_one_polytope(rng, monkeypatch):
     assert calls == {"build": 1, "add": 0}
 
 
+@pytest.fixture()
+def qhull_builds(monkeypatch):
+    """A list that grows by one per Qhull build the solver makes."""
+    real, builds = solver_module.HalfspaceIntersection, []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "HalfspaceIntersection", counting)
+    return builds
+
+
+def test_prune_returns_a_single_row_before_deduplicating(qhull_builds, monkeypatch):
+    monkeypatch.setattr(solver_module, "_first_copies",
+                        lambda rows: pytest.fail("deduplicated one row"))
+    np.testing.assert_array_equal(prune(np.array([[3.0, 1.0, 2.0]])), [0])
+    assert qhull_builds == []
+
+
+def test_prune_keeps_one_survivor_of_pointwise_domination_without_qhull(qhull_builds):
+    # rows 1 and 2 lie above row 0 in every entry: row 0 is the envelope
+    values = np.array([[1.0, 2.0, 0.5], [1.5, 2.5, 0.75], [1.0 + 1e-6, 4.0, 0.6]])
+    np.testing.assert_array_equal(prune(values), [0])
+    np.testing.assert_array_equal(prune(values[::-1]), [2])
+    assert qhull_builds == []
+
+
+def test_prune_keeps_vertex_witnesses_without_qhull(qhull_builds):
+    # rows 0 and 2 are each the least at a vertex, row 1 lies above row 2 everywhere
+    values = np.array([[0.0, 1.0, 1.0], [1.5, 0.5, 1.5], [1.0, 0.0, 0.5]])
+    np.testing.assert_array_equal(prune(values), [0, 2])
+    assert qhull_builds == []
+
+
+@pytest.mark.parametrize("values, kept", [
+    # the third row is least only inside the simplex
+    (np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.4]]), [0, 1, 2]),
+    # the second row ties the first on the face p_2 = 0 and lies above it elsewhere
+    (np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 0.0]]), [0, 2]),
+    # more than N+1 distinct rows
+    (np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 3.0]]), [0, 1]),
+], ids=["inner-winner", "face-tie", "over-n-plus-one"])
+def test_prune_builds_qhull_when_pointwise_comparison_proves_nothing(qhull_builds, values,
+                                                                     kept):
+    np.testing.assert_array_equal(prune(values), kept)
+    assert len(qhull_builds) == 1
+
+
 def _raise_qhull(*args, **kwargs):
     raise QhullError("forced failure")
 
 
 def test_prune_raises_a_named_error_when_qhull_fails(rng, monkeypatch):
-    # there is no second prune path: the set's size and N go into the error
+    # a set that reaches Qhull has no other way to be pruned: the set's size and N go
+    # into the error
     monkeypatch.setattr(solver_module, "HalfspaceIntersection", _raise_qhull)
     tangents = _clustered_tangents(rng, 4, 40)
     values = np.vstack([tangents, tangents[:10] + 0.5])
