@@ -196,16 +196,21 @@ def _reported_bound(model, policy, config) -> float:
     return total
 
 
-def _solve(context: SolveContext, args, objective: str, density: int, config):
+def _solve(context: SolveContext, lattices: dict, args, objective: str, density: int,
+           config):
     """The policy solved on the `density` lattice, and the seconds the solve took.
 
     Every solve of a command gets the command's one `context`, through `solve`
     itself, so the work the context shares runs inside the first solve.
+    `lattices` maps a density to the command's one base-point set of it, built
+    on first use, so solves at one density share it and its terminal tangents.
     """
     model = context.model
-    base_points = generate_base_points(model.n_states, density, args.epsilon)
+    if density not in lattices:
+        lattices[density] = generate_base_points(model.n_states, density, args.epsilon)
     start = time.perf_counter()
-    policy = solve(model, context.cost_model, objective, base_points, config, context=context)
+    policy = solve(model, context.cost_model, objective, lattices[density], config,
+                   context=context)
     return policy, time.perf_counter() - start
 
 
@@ -282,7 +287,7 @@ def cmd_solve(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     context = SolveContext(model, costs)
-    policy, elapsed = _solve(context, args, args.objective, args.base_points, config)
+    policy, elapsed = _solve(context, {}, args, args.objective, args.base_points, config)
     save_policy(args.out, policy,
                 extra_metadata=_config_dict(args, costs, context.model_fingerprint))
     for k, size in enumerate(policy.gamma_sizes()):
@@ -315,7 +320,7 @@ def cmd_sweep(args) -> int:
     config = EntropyConfig(args.log_base)
     densities = _parse_densities(args.base_points)
     context = SolveContext(model, costs)
-    solves = {density: _solve(context, args, args.objective, density, config)
+    solves = {density: _solve(context, {}, args, args.objective, density, config)
               for density in dict.fromkeys(densities)}
     exact = exact_refusal(model, costs.horizon) is None
     results, _ = _evaluate(model, costs, [(str(d), policy) for d, (policy, _) in solves.items()],
@@ -338,11 +343,12 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    context = SolveContext(model, costs)
+    context, lattices = SolveContext(model, costs), {}
     solved = {}
     for objective in ("smoother", "belief-sum"):
         print(f"solving {objective} objective at d={d_main} ...")
-        policy, elapsed = solved[objective] = _solve(context, args, objective, d_main, config)
+        policy, elapsed = solved[objective] = _solve(context, lattices, args, objective, d_main,
+                                                     config)
         print(f"  gammas={policy.gamma_sizes()} ({elapsed:.2f}s)")
     (active, active_s), (baseline, _) = solved["smoother"], solved["belief-sum"]
 
@@ -360,7 +366,7 @@ def cmd_experiment(args) -> int:
     results, head = _evaluate(model, costs, policies, False, args, config,
                               context.model_fingerprint, trace_runs=1)
     # the sweep's other densities join table1's policies in one exact pass
-    others = {d: _solve(context, args, "smoother", d, config)
+    others = {d: _solve(context, lattices, args, "smoother", d, config)
               for d in dict.fromkeys(densities) if d != d_main}
     exact_results, _ = _evaluate(
         model, costs, policies + [(str(d), policy) for d, (policy, _) in others.items()],

@@ -28,16 +28,19 @@ however many vectors its cross-sums hold: no step approximates.
 
 `prune` keeps exactly the vectors that attain the minimum on a
 full-dimensional region of the simplex. A vector that ties the envelope only
-on a lower-dimensional face is dropped. A set of at most N+1 distinct rows is
-first tried by a pointwise proof that skips the Qhull build (`_proved_kept`):
-rows a margin above another in every entry are dropped (Monahan, Management
-Science 1982), and the rest are kept when each is the least at a vertex of the
-simplex by the margin. Every other set builds the envelope polytope
-{(p, z): p on the simplex, z below every vector} once, as one Qhull halfspace
-intersection over all rows, and keeps the vectors whose halfspaces are facets
-of it, so a prune makes at most one Qhull build. Qhull gets the distinct rows
-sorted by value, so it sees the same input however the rows are ordered, and
-the kept set is a function of the set of rows, near-copies included. The proof
+on a lower-dimensional face is dropped. A set of at most 2(N+1) distinct rows
+is first tried by a pointwise proof that skips the Qhull build
+(`_proved_kept`): a row least by a margin at a witness point of a fixed simplex
+lattice is kept, as in the witness method (Cassandra, Littman & Zhang), and a
+row a margin above a mixture of two kept rows in every entry is dropped, which
+with a row mixed with itself is Monahan's filter (Management Science 1982).
+When every row has one of the two certificates, that settles the set. Every
+other set builds the envelope polytope {(p, z): p on the simplex, z below
+every vector} once, as one Qhull halfspace intersection over all rows, and
+keeps the vectors whose halfspaces are facets of it, so a prune makes at most
+one Qhull build. Qhull gets the distinct rows sorted by value, so it sees the
+same input however the rows are ordered, and the kept set is a function of
+the set of rows, near-copies included. The proof
 and the build both run on the rows minus their column minima. That subtracts
 one linear function of p from every row, which leaves the facets as they are,
 and keeps large or uneven costs from costing Qhull its precision. A Qhull
@@ -49,10 +52,10 @@ Carlo, exact evaluation, `simulate`, `validate` and a solve whose stages are
 all on the tree need numpy alone, so importing the package costs none of
 scipy's import time or memory. `scipy.spatial` loads at the first Qhull build,
 and no other scipy module loads. A d=1 `smoother` solve makes no build at any
-horizon, since the proof settles every one of its prunes. `HalfspaceIntersection`
-and `QhullError` stay module attributes (read through the module `__getattr__`),
-so a value set on the module, as a test or a tracer does, is the one the solver
-calls.
+horizon, nor a d=1 `belief-sum` solve at T=6, since the proof settles every
+one of their prunes. `HalfspaceIntersection` and `QhullError` stay module
+attributes (read through the module `__getattr__`), so a value set on the
+module, as a test or a tracer does, is the one the solver calls.
 """
 from __future__ import annotations
 
@@ -76,6 +79,7 @@ from .pwl import (
     BasePointSet,
     conditional_entropy_tangents,
     evaluate_pwl,
+    simplex_lattice,
     stage_tangent_alphas,
     terminal_tangent_alphas,
 )
@@ -83,6 +87,8 @@ from .pwl import (
 OBJECTIVES = ("smoother", "belief-sum", "costs-only")
 TIE_TOL = 1e-12
 PROOF_MARGIN = 1e-9  # relative margin of prune's pointwise proof, far above Qhull's rounding
+WITNESS_CAP = 500  # most witness points of the proof; a larger N gets a coarser lattice
+MIXTURE_BUDGET = 1 << 20  # most (row, pair, entry) terms of the proof's mixtures
 TREE_LEVEL_CAP = 500  # beliefs in a level of the reachable tree; deeper stages back up globally
 _NO_ACTION = np.int64(np.iinfo(np.int64).max)  # above every control: never a tied minimum
 _SCIPY_NAMES = {
@@ -167,30 +173,60 @@ def _envelope_hull(shifted: np.ndarray) -> HalfspaceIntersection:
         np.vstack([box, _envelope_halfspaces(shifted)]), interior)
 
 
+@functools.lru_cache(maxsize=None)
+def _witness_points(n: int) -> np.ndarray:
+    """(N, K) witness points of `_proved_kept`, one per column: the simplex lattice in
+    steps of 1/4, vertices included (35 points at N=4), or the finest coarser lattice
+    of at most WITNESS_CAP points, down to the N vertices alone."""
+    levels = 5
+    while levels > 2 and math.comb(levels + n - 2, n - 1) > WITNESS_CAP:
+        levels -= 1
+    return _read_only(simplex_lattice(n, levels).T.copy())
+
+
 def _proved_kept(shifted: np.ndarray) -> np.ndarray | None:
     """The rows of `shifted` (distinct, minus their column minima) that `prune` keeps,
-    when pointwise comparison proves them; None when it does not.
+    when two certificates settle every row; None when they do not.
 
-    A row is dropped when some other row lies at least the margin below it in
-    every entry: its halfspace misses the envelope polytope by that margin. The
-    rows left then have the envelope of all rows. One such row is the envelope.
-    Several are kept only when each is the least at some vertex of the simplex,
-    by the margin, so that each attains the envelope near its vertex. The margin
-    is PROOF_MARGIN times 1 + the largest entry, far above the rounding Qhull
+    A row is kept when it is the least at a witness point (`_witness_points`)
+    by the margin, so that it attains the envelope on a region around that
+    point. A row is dropped when it lies at least the margin above
+    lam r_a + (1 - lam) r_b in every entry, for kept rows a and b (a = b
+    included) and some lam in [0, 1]: then it lies the margin above the
+    envelope everywhere, and its halfspace misses the envelope polytope by that
+    margin. Per row and pair, lam is the midpoint of the interval that the
+    entries allow, and the mixture is then checked by evaluation. The margin is
+    PROOF_MARGIN times 1 + the largest entry, far above the rounding Qhull
     works to. Every other set goes to Qhull: near-copies, slivers thinner than
-    the margin, rows least only inside the simplex, and rows that tie another
-    on a face of the simplex, whose halfspaces touch the polytope on a face,
-    where Qhull may keep or drop them.
+    the margin, rows that tie another on a face of the simplex (whose
+    halfspaces touch the polytope on a face, where Qhull may keep or drop
+    them), rows that only a mixture of three or more rows lies below, rows least
+    only between the witness points, and sets whose mixtures would take more
+    than MIXTURE_BUDGET entries.
     """
     margin = PROOF_MARGIN * (1.0 + shifted.max())
-    clear = shifted[:, None, :] - shifted[None, :, :] >= margin  # row j clear above row i at c
-    kept = np.flatnonzero(~clear.all(axis=2).any(axis=1))
-    if len(kept) > 1:
-        clear = clear[np.ix_(kept, kept)]
-        clear[np.diag_indices(len(kept))] = True  # no row is its own rival
-        if not clear.all(axis=0).any(axis=1).all():  # each row least by the margin at a vertex
-            return None
-    return kept
+    at = shifted @ _witness_points(shifted.shape[1])  # (m, K): every row at every witness
+    close = at < at.min(axis=0) + margin  # the rows within the margin of the least
+    witnessed = close[:, close.sum(axis=0) == 1].any(axis=1)
+    if witnessed.all():
+        return np.arange(len(shifted))
+    kept, rest = shifted[witnessed], shifted[~witnessed]
+    if rest.size * len(kept) ** 2 > MIXTURE_BUDGET:
+        return None
+    # rows r (axis 0) against mixtures b + lam (a - b) of kept rows a (axis 1) and b (axis 2)
+    gap = rest[:, None, None, :] - margin - kept
+    slope = kept[:, None, :] - kept
+    # per entry, lam <= bound or lam >= bound; a tiny slope overflows a bound to infinity,
+    # and infinite ends of opposite sign make lam nan, which fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = gap / np.where(slope == 0, 1.0, slope)
+        lam = (np.where(slope < 0, bound, 0.0).max(axis=-1)
+               + np.where(slope > 0, bound, 1.0).min(axis=-1)) / 2
+    rise = lam.clip(0.0, 1.0)[..., None] * slope
+    # the check, evaluated: r - margin >= b + lam (a - b) in every entry
+    if not (gap >= rise).all(axis=-1).any(axis=(1, 2)).all():
+        return None
+    return np.flatnonzero(witnessed)
 
 
 def _first_copies(rows: np.ndarray) -> np.ndarray:
@@ -209,15 +245,16 @@ def prune(values: np.ndarray) -> np.ndarray:
     index survives). A row that ties the envelope only on a lower-dimensional
     face is dropped, and the min-envelope of the kept rows equals that of all
     rows. Every decision is made on the distinct rows minus their column
-    minima, which keeps the same facets. A set of at most N+1 distinct rows is
-    first tried by pointwise comparison (`_proved_kept`): where pointwise
-    domination and vertex witnesses prove the kept rows, no Qhull build runs.
-    Any other set builds the envelope polytope (`_envelope_hull`) once, over the
-    distinct rows in sorted order, the same input for every order of the rows,
-    and the kept rows are those whose halfspaces are facets of it. So a prune
-    makes at most one Qhull build. The proof decides only sets whose answer is
-    clear of Qhull's rounding by its margin, and keeps the rows Qhull keeps
-    there. A Qhull failure raises ValueError (exit 1 at the command line).
+    minima, which keeps the same facets. A set of at most 2(N+1) distinct rows
+    is first tried by pointwise comparison (`_proved_kept`): where witness
+    points prove every kept row and two-row mixtures every dropped one, no
+    Qhull build runs. Any other set builds the envelope polytope
+    (`_envelope_hull`) once, over the distinct rows in sorted order, the same
+    input for every order of the rows, and the kept rows are those whose
+    halfspaces are facets of it. So a prune makes at most one Qhull build. The
+    proof decides only sets whose answer is clear of Qhull's rounding by its
+    margin, and keeps the rows Qhull keeps there. A Qhull failure raises
+    ValueError (exit 1 at the command line).
     """
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
@@ -230,7 +267,7 @@ def prune(values: np.ndarray) -> np.ndarray:
     if n_vec == 1 or n == 1:
         return idx[:1]
     shifted = v - v.min(axis=0)
-    kept = _proved_kept(shifted) if n_vec <= n + 1 else None
+    kept = _proved_kept(shifted) if n_vec <= 2 * (n + 1) else None
     if kept is not None:
         return np.sort(idx[kept])
 
@@ -390,13 +427,26 @@ class SolveContext:
     cap does not reach a context that has them already. The arrays are
     read-only, since every solve given the context reads the same ones.
     `solve` refuses a context made for other model or cost model objects,
-    equal ones included. A context lives as long as the command or caller
-    that made it; nothing is cached at module level.
+    equal ones included. It also keeps the terminal tangents of each base-point
+    set and entropy unit a solve asks for (`terminal_tangents`), so two
+    objectives solved on one lattice share them. A context lives as long as the
+    command or caller that made it; nothing model-dependent is cached at module
+    level.
     """
 
     def __init__(self, model: ControlledHMM, cost_model: CostModel):
         self.model = model
         self.cost_model = cost_model
+        self._terminals: dict[tuple[bytes, str], np.ndarray] = {}
+
+    def terminal_tangents(self, base_points: BasePointSet, config: EntropyConfig) -> np.ndarray:
+        """The read-only `terminal_tangent_alphas` of `base_points` in `config`'s unit,
+        computed once per distinct points and unit."""
+        key = (base_points.points.tobytes(), config.log_base)
+        if key not in self._terminals:
+            self._terminals[key] = _read_only(
+                terminal_tangent_alphas(self.cost_model, base_points, config))
+        return self._terminals[key]
 
     @functools.cached_property
     def levels(self) -> list[np.ndarray]:
@@ -455,7 +505,7 @@ def solve(model: ControlledHMM, cost_model: CostModel, objective: str,
     if objective == "costs-only":
         terminal = cost_model.terminal_cost[None, :].copy()
     else:
-        terminal = terminal_tangent_alphas(cost_model, base_points, config)
+        terminal = context.terminal_tangents(base_points, config)
         if not tree_only:
             terminal = _reduce(terminal)
     stage_pieces = _stage_pieces(model, cost_model, objective, base_points, config)

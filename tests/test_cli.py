@@ -781,6 +781,22 @@ def test_a_solving_command_enumerates_and_fingerprints_once(tmp_path, monkeypatc
     assert hashed == [1]
 
 
+def test_experiment_builds_each_lattice_and_its_terminal_tangents_once(tmp_path, monkeypatch):
+    # both objectives solve on the main density's one lattice and share its terminal
+    # tangents; every other density is solved once
+    monkeypatch.chdir(tmp_path)
+    lattices, terminals = [], []
+    lattice, terminal = cli.generate_base_points, solver.terminal_tangent_alphas
+    monkeypatch.setattr(cli, "generate_base_points",
+                        lambda n, density, eps: lattices.append(density) or lattice(n, density, eps))
+    monkeypatch.setattr(solver, "terminal_tangent_alphas",
+                        lambda costs, points, config: terminals.append(points.density)
+                        or terminal(costs, points, config))
+    assert main(["experiment", "--base-points", "1,3,2", "--runs", "10", "--out", "exp"]) == 0
+    assert sorted(lattices) == [1, 2, 3]
+    assert sorted(terminals) == [1, 2, 3]
+
+
 def test_experiment_refuses_before_writing_anything(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sim, "SIZE_GUARD", 255)
     out = tmp_path / "exp"

@@ -23,26 +23,36 @@ COLUMN_OFFSETS = np.array([1e8, 0.0, 3e5, 1e8, 700.0, 2e6])
 def vector_sets(draw, small=False):
     """1-300 vectors in N = 2-6 with duplicated rows, face ties and near-copies.
 
-    With `small`, at most N+1 vectors in all: the sets `prune` first tries to
-    decide by pointwise comparison.
+    With `small`, at most 2(N+1) vectors in all: the sets `prune` first tries to
+    decide by its pointwise proof.
 
     The base rows are normal draws, entropy tangents at clustered beliefs
-    (every one essential, most winning only on small regions), or small integers
-    (many exact ties). Copies are then appended of random base rows: exact
+    (every one essential, most winning only on small regions), small integers
+    (many exact ties), or, with `small`, normal draws of which the later half
+    is planted above mixtures of two rows of the earlier half, by gaps from 0
+    to far above the proof's margin. Copies are then appended of random base rows: exact
     duplicates, rows equal to the original in some components and larger or
     different in the rest, and rows within PRUNE_TOL of the original.
     """
     n = draw(st.integers(2, 6), label="n")
-    limit = n + 1 if small else MAX_VECTORS
+    limit = 2 * (n + 1) if small else MAX_VECTORS
     size = draw(st.integers(1, limit), label="base rows")
-    kind = draw(st.sampled_from(["normal", "tangents", "integers"]), label="kind")
+    kinds = ["normal", "tangents", "integers"] + (["mixtures"] if small else [])
+    kind = draw(st.sampled_from(kinds), label="kind")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    if kind == "normal":
+    if kind in ("normal", "mixtures"):
         values = rng.normal(size=(size, n))
     elif kind == "tangents":
         values = -np.log(rng.dirichlet(np.full(n, 400.0), size=size))
     else:
         values = rng.integers(0, 4, size=(size, n)).astype(float)
+    if kind == "mixtures":
+        half = (size + 1) // 2
+        a, b = rng.integers(half, size=(2, size - half))
+        lam = rng.random((size - half, 1))
+        gap = rng.choice([0.0, 1e-12, 1e-9, 1e-8, 1e-6, 1e-3], size=(size - half, 1))
+        values[half:] = (lam * values[a] + (1.0 - lam) * values[b]
+                         + gap * (1.0 + rng.random((size - half, n))))
 
     room = limit - size if small else (MAX_VECTORS - size) // 3
     copies = [values]

@@ -24,6 +24,7 @@ from active_smoothing import (
     value,
 )
 from active_smoothing.solver import backup, policy_to_dict
+from test_prune_properties import SLIVER
 
 # grid agent, smoother objective, density 2: frozen regression values of the global
 # backup (every stage forced off the reachable tree) and of the default tree backup
@@ -162,14 +163,77 @@ def test_prune_keeps_vertex_witnesses_without_qhull(qhull_builds):
     assert qhull_builds == []
 
 
+def test_prune_keeps_a_row_witnessed_inside_the_simplex_without_qhull(qhull_builds):
+    # row 3 is least at no vertex, but by 0.1 at the witness point (1/2, 1/4, 1/4)
+    values = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.4, 0.4, 0.4]])
+    np.testing.assert_array_equal(prune(values), [0, 1, 2, 3])
+    assert qhull_builds == []
+
+
+def test_prune_drops_a_row_above_a_two_row_mixture_without_qhull(qhull_builds):
+    # row 2 lies above neither other row in every entry, but 0.1 above their average
+    values = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.1, 1.1, 1.2]])
+    np.testing.assert_array_equal(prune(values), [0, 1])
+    assert qhull_builds == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_prune_settles_rows_one_subnormal_apart_without_a_warning(qhull_builds):
+    # the first two rows differ by 5e-324 in their last entry, which bounds the mixtures'
+    # lam by gap / slope, an overflow to infinity: row 2 is still dropped
+    values = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 5e-324], [2.0, 2.0, 2.0]])
+    np.testing.assert_array_equal(prune(values), [0, 1])
+    assert qhull_builds == []
+
+
+@pytest.mark.parametrize("n, count", [(2, 5), (4, 35), (12, 364), (40, 40)])
+def test_witness_points_are_a_capped_lattice_with_the_vertices(n, count):
+    # steps of 1/4 while they give at most WITNESS_CAP points, then coarser, down to
+    # the vertices alone
+    points = solver_module._witness_points(n).T
+    assert points.shape == (count, n)
+    assert count <= max(solver_module.WITNESS_CAP, n)
+    np.testing.assert_allclose(points.sum(axis=1), 1.0)
+    assert {tuple(row) for row in np.eye(n)} <= {tuple(row) for row in points}
+    assert not solver_module._witness_points(n).flags.writeable
+
+
+def test_prune_leaves_mixtures_over_the_budget_to_qhull(qhull_builds, monkeypatch):
+    # the two-row mixture drop of test_prune_drops_a_row_above_a_two_row_mixture_without_qhull
+    monkeypatch.setattr(solver_module, "MIXTURE_BUDGET", 0)
+    values = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.1, 1.1, 1.2]])
+    np.testing.assert_array_equal(prune(values), [0, 1])
+    assert len(qhull_builds) == 1
+
+
 @pytest.mark.parametrize("values, kept", [
-    # the third row is least only inside the simplex
+    # the third row is least only inside the simplex, at the witness point (1/2, 1/2)
     (np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.4]]), [0, 1, 2]),
+    # more than N+1 distinct rows, the last two a margin above the first in every entry
+    (np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 3.0]]), [0, 1]),
+], ids=["inner-winner", "over-n-plus-one"])
+def test_prune_settles_small_sets_without_qhull(qhull_builds, values, kept):
+    np.testing.assert_array_equal(prune(values), kept)
+    assert qhull_builds == []
+
+
+@pytest.mark.parametrize("values, kept", [
     # the second row ties the first on the face p_2 = 0 and lies above it elsewhere
     (np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 0.0]]), [0, 2]),
-    # more than N+1 distinct rows
-    (np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 3.0]]), [0, 1]),
-], ids=["inner-winner", "face-tie", "over-n-plus-one"])
+    # both rows are least on a region, the first only on one 2^-52 thin
+    (SLIVER, [1]),
+    # the last row lies above the average of the first three, and above no mixture of two
+    (np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.7, 0.7, 0.7]]),
+     [0, 1, 2]),
+    # the last row is least only where every p_i < 0.4, between the witness points
+    (np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.6, 0.6, 0.6]]),
+     [0, 1, 2, 3]),
+    # the last row lies 1e-12 above the average of the other two, less than the margin
+    (np.array([[0.0, 1.0], [1.0, 0.0], [0.5 + 1e-12, 0.5 + 1e-12]]), [0, 1]),
+    # more than 2(N+1) distinct rows
+    (np.array([[0.0, 1.0], [1.0, 0.0], *([k, k] for k in range(2, 7))]), [0, 1]),
+], ids=["face-tie", "sliver", "three-row-mixture", "between-witnesses", "mixture-near-miss",
+        "over-bound"])
 def test_prune_builds_qhull_when_pointwise_comparison_proves_nothing(qhull_builds, values,
                                                                      kept):
     np.testing.assert_array_equal(prune(values), kept)
