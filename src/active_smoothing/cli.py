@@ -40,7 +40,6 @@ from .sim import (
     MetricsSummary,
     PolicyModelMismatch,
     _builtin_control,
-    _fixed_control,
     check_policy,
     compare_policies,
     compare_policies_exactly,
@@ -149,10 +148,10 @@ def _summary_row(name: str, s: MetricsSummary) -> list:
     return [name, *dataclasses.astuple(s)]
 
 
-def _resolve_policy(ref: str, model, costs, model_fingerprint: str):
+def _resolve_policy(ref: str):
     """A --policy value is a builtin reference, which wins over a file of the same name and
-    is a usage error if malformed, or a policy JSON path, checked against the command's
-    `model_fingerprint`; returns (name, policy)."""
+    is a usage error if malformed, or a policy JSON path, loaded but not checked: the
+    evaluating pass checks every policy. Returns (name, policy)."""
     try:
         if _builtin_control(ref) is not None:
             return ref, ref
@@ -163,9 +162,7 @@ def _resolve_policy(ref: str, model, costs, model_fingerprint: str):
         raise UsageError(
             f"policy {ref!r} is neither a builtin (always-east, fixed:<k>) nor an existing file"
         )
-    policy = load_policy(path)
-    check_policy(model, costs, policy, model_fingerprint)
-    return path.stem, policy
+    return path.stem, load_policy(path)
 
 
 def _parse_densities(raw: str) -> list[int]:
@@ -218,8 +215,9 @@ def _evaluate(model, costs, pairs, exact: bool, args, config, model_fingerprint:
               trace_runs: int = 0):
     """(name, summary) per (name, policy) pair, from one pass over every policy, exact or by
     Monte Carlo on common random numbers, and the `compare_policies` head of each policy's
-    first `trace_runs` runs. Every value policy is checked against the command's
-    `model_fingerprint`, so a command fingerprints its model once.
+    first `trace_runs` runs. The pass checks every policy, value policies against the
+    command's `model_fingerprint`, before any draw or tree walk and so before the command
+    writes anything; a command fingerprints its model once.
 
     The Monte Carlo head comes out of the evaluating pass itself. Exact evaluation
     simulates nothing, so its head, None without `trace_runs`, is one lockstep pass of
@@ -299,8 +297,8 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
+    pairs = [_resolve_policy(ref) for ref in args.policy]
     model_fingerprint = fingerprint(model, costs)
-    pairs = [_resolve_policy(ref, model, costs, model_fingerprint) for ref in args.policy]
     trace_runs = (1 if args.exact else MAX_TRACE_RUNS) if args.trace else 0
     results, head = _evaluate(model, costs, pairs, args.exact, args, config, model_fingerprint,
                               trace_runs)
@@ -338,7 +336,7 @@ def cmd_experiment(args) -> int:
     refusal = exact_refusal(model, costs.horizon)
     if refusal:
         raise ValueError(refusal)
-    _fixed_control(model, "always-east")  # the fixed baseline must be a control of the model
+    check_policy(model, costs, "always-east")  # the fixed baseline must be a control of the model
     d_main = max(densities)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

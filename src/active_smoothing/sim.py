@@ -33,9 +33,10 @@ entropy, carried per group as the entropy of its past given each state. Every
 group is computed with the operations of a single run, and every per-run sum
 adds one run's terms in the order numpy sums a C-ordered row, so results do not
 depend on the block it was simulated in or on the policies simulated beside it.
-Each entry point checks a policy and builds its rule in one `_rows_rule` call;
-a comparison fingerprints the model and costs once for all its policies, or
-takes the fingerprint its caller already holds.
+Every entry point checks its policies and builds their rules in one `_rules`
+call: `check_policy`, the one check of every kind of policy, once per policy
+per pass, then `_rows_rule`. A pass fingerprints the model and costs at most
+once for all its policies, and not at all when its caller holds the fingerprint.
 Exact evaluation walks the observation tree breadth-first with the same rules,
 one level of (L, N) beliefs per stage grown by `belief.children`, as the
 solver's reachable levels are, and charges the smoother entropy in its
@@ -219,15 +220,12 @@ def _builtin_control(ref: str) -> int | None:
     return int(digits)
 
 
-def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like,
-               expected: str | None = None):
-    """Check `policy_like` and build its rule decide(beliefs, group, stage) for grouped rows.
+def _rows_rule(model: ControlledHMM, policy_like):
+    """The rule decide(beliefs, group, stage) of a policy `check_policy` has passed.
 
     `beliefs` (G, N) holds one belief per history group of one policy and
     `group` (R,) each row's group; the result is one control per row, as an int
-    array. A value policy is checked as `check_policy` does, against
-    `expected`, the fingerprint of (model, cost_model), computed here if not
-    given, and decides each group once by `best_action`; an integer
+    array. A value policy decides each group once by `best_action`; an integer
     or a builtin reference is one fixed control. A user callable
     (belief, stage) -> control is called once per row, in row order, with that
     row's belief, so a stochastic or stateful one sees the calls it would with
@@ -235,8 +233,6 @@ def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like,
     callable can decide outside the controls `check_policy` has checked.
     """
     if isinstance(policy_like, ValuePolicy):
-        _check_value_policy(model, cost_model, policy_like,
-                            expected or fingerprint(model, cost_model))
         return lambda beliefs, group, stage: best_action(policy_like, beliefs, stage)[group]
     if callable(policy_like):
         def decide(beliefs, group, stage):
@@ -244,24 +240,64 @@ def _rows_rule(model: ControlledHMM, cost_model: CostModel, policy_like,
             check_controls(model, controls)  # an out-of-range control would alias another's code
             return controls
         return decide
-    control = _fixed_control(model, policy_like)
+    control = _builtin_control(policy_like) if isinstance(policy_like, str) else int(policy_like)
     return lambda beliefs, group, stage: np.full(len(group), control)
 
 
 def _rules(model: ControlledHMM, cost_model: CostModel, policies: list,
            expected: str | None = None) -> list:
-    """One `_rows_rule` per (name, policy) pair, every value policy checked against one
-    fingerprint of (model, cost_model): `expected` if given, else computed here, only if
-    some policy is a value policy."""
+    """One `_rows_rule` per (name, policy) pair, built once every policy has passed
+    `check_policy`, so a pass refuses before any draw or tree walk. Every value policy is
+    checked against one fingerprint of (model, cost_model): `expected` if given, else
+    computed here, only if some policy is a value policy."""
     if expected is None and any(isinstance(policy_like, ValuePolicy)
                                 for _, policy_like in policies):
         expected = fingerprint(model, cost_model)
-    return [_rows_rule(model, cost_model, policy_like, expected) for _, policy_like in policies]
+    for _, policy_like in policies:
+        check_policy(model, cost_model, policy_like, expected)
+    return [_rows_rule(model, policy_like) for _, policy_like in policies]
 
 
-def _fixed_control(model: ControlledHMM, policy_like) -> int:
-    """The control of an integer or builtin reference; ValueError if it is not one of the
-    model's controls, naming the reference as given."""
+def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like,
+                 expected: str | None = None) -> None:
+    """Refuse a policy that cannot be evaluated on (model, cost_model): the one check of
+    every kind of policy, which `_rules` makes once per policy per pass.
+
+    A value policy must have been solved for them: its fingerprint must be
+    `expected`, theirs, computed here if not given, its horizon the costs', its
+    stages of the model's states and, before the horizon, of the model's controls
+    only; else PolicyModelMismatch. An integer or builtin reference must name one of
+    the model's controls: else ValueError, naming the reference as given, as for
+    text that is no builtin; TypeError for an object of any other type. A callable
+    passes; its controls are range-checked as it returns them.
+    """
+    if isinstance(policy_like, ValuePolicy):
+        expected = expected or fingerprint(model, cost_model)
+        if policy_like.model_fingerprint != expected:
+            raise PolicyModelMismatch(
+                f"policy fingerprint {policy_like.model_fingerprint[:12]}... does not match "
+                f"the supplied model/costs ({expected[:12]}...)"
+            )
+        if policy_like.horizon != cost_model.horizon:
+            raise PolicyModelMismatch(
+                f"policy has horizon {policy_like.horizon}, costs have {cost_model.horizon}"
+            )
+        # the fingerprint covers the model and costs, not the policy's own arrays
+        for k, stage_set in enumerate(policy_like.stages):
+            if stage_set.values.ndim != 2 or stage_set.values.shape[1] != model.n_states:
+                raise PolicyModelMismatch(
+                    f"policy stage {k} value rows do not have the model's {model.n_states} states"
+                )
+            actions = stage_set.actions
+            if k < policy_like.horizon and (
+                    actions is None or not ((actions >= 0) & (actions < model.n_controls)).all()):
+                raise PolicyModelMismatch(
+                    f"policy stage {k} has actions outside the model's controls "
+                    f"[0, {model.n_controls})"
+                )
+        return
+    if callable(policy_like):
+        return
     if isinstance(policy_like, str):
         control = _builtin_control(policy_like)
         if control is None:
@@ -273,44 +309,6 @@ def _fixed_control(model: ControlledHMM, policy_like) -> int:
     if not 0 <= control < model.n_controls:
         raise ValueError(f"policy {policy_like!r}: control {control} out of range "
                          f"[0, {model.n_controls})")
-    return control
-
-
-def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like,
-                 expected: str | None = None) -> None:
-    """PolicyModelMismatch unless a value policy fits (model, cost_model), whose fingerprint
-    is `expected`, computed here if not given; any other policy passes."""
-    if isinstance(policy_like, ValuePolicy):
-        _check_value_policy(model, cost_model, policy_like,
-                            expected or fingerprint(model, cost_model))
-
-
-def _check_value_policy(model: ControlledHMM, cost_model: CostModel, policy_like: ValuePolicy,
-                        expected: str) -> None:
-    """PolicyModelMismatch unless `policy_like` fits the model and costs whose fingerprint is
-    `expected`."""
-    if policy_like.model_fingerprint != expected:
-        raise PolicyModelMismatch(
-            f"policy fingerprint {policy_like.model_fingerprint[:12]}... does not match "
-            f"the supplied model/costs ({expected[:12]}...)"
-        )
-    if policy_like.horizon != cost_model.horizon:
-        raise PolicyModelMismatch(
-            f"policy has horizon {policy_like.horizon}, costs have {cost_model.horizon}"
-        )
-    # the fingerprint covers the model and costs, not the policy's own arrays
-    for k, stage_set in enumerate(policy_like.stages):
-        if stage_set.values.ndim != 2 or stage_set.values.shape[1] != model.n_states:
-            raise PolicyModelMismatch(
-                f"policy stage {k} value rows do not have the model's {model.n_states} states"
-            )
-        actions = stage_set.actions
-        if k < policy_like.horizon and (
-                actions is None or not ((actions >= 0) & (actions < model.n_controls)).all()):
-            raise PolicyModelMismatch(
-                f"policy stage {k} has actions outside the model's controls "
-                f"[0, {model.n_controls})"
-            )
 
 
 def _mul128(x: np.ndarray, mult: np.ndarray, hi: np.ndarray, lo: np.ndarray, w: np.ndarray,
@@ -609,11 +607,12 @@ def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int
              config: EntropyConfig = DEFAULT_CONFIG, start: int = 0) -> RolloutBatch:
     """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r).
 
-    The batch's states and stage costs are copied out of the block's workspace, in
-    its stage-major layout, so the workspace, draws included, is freed on return.
+    The policy is checked and its rule built by `_rules`. The batch's states and stage
+    costs are copied out of the block's workspace, in its stage-major layout, so the
+    workspace, draws included, is freed on return.
     """
     _check_runs(runs)
-    rules, t = [_rows_rule(model, cost_model, policy_like)], cost_model.horizon
+    rules, t = _rules(model, cost_model, [("", policy_like)]), cost_model.horizon
     workspace = _workspace(t, 1, runs)
     batch = _advance(model, cost_model, rules, seed, start,
                      _uniforms(seed, start, start + runs, t, workspace), config, workspace)
@@ -677,15 +676,14 @@ def compare_policies_exactly(model: ControlledHMM, cost_model: CostModel,
                              model_fingerprint: str | None = None):
     """One (name, exact summary) per named policy; ValueError if `exact_refusal` refuses.
 
-    Every policy is checked and its rule built by one `_rows_rule`, against one
-    fingerprint of (model, cost_model), `model_fingerprint` if the caller holds
-    it, and every policy's observation tree is walked in the same breadth-first
-    pass. A pass holds as many policies as keep P * Y^(T+1) * N^2 within
-    SIZE_GUARD, at least one, so the guard bounds each pass's arrays as it
-    bounds one policy's. A callable is called stage by stage within its pass,
-    so a stateful one's calls interleave with the other policies' decisions by
-    stage, as in `compare_policies`. Each policy's summary equals its own
-    `exact_policy_metrics`.
+    `_rules` checks every policy and builds its rule, against one fingerprint of
+    (model, cost_model), `model_fingerprint` if the caller holds it, and every
+    policy's observation tree is walked in the same breadth-first pass. A pass
+    holds as many policies as keep P * Y^(T+1) * N^2 within SIZE_GUARD, at least
+    one, so the guard bounds each pass's arrays as it bounds one policy's. A
+    callable is called stage by stage within its pass, so a stateful one's calls
+    interleave with the other policies' decisions by stage, as in
+    `compare_policies`. Each policy's summary equals its own `exact_policy_metrics`.
     """
     rules = _rules(model, cost_model, policies, model_fingerprint)
     refusal = exact_refusal(model, cost_model.horizon)
@@ -765,12 +763,12 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     block, and the draws' Philox scratch shares its region with those per-row
     arrays. The current stage's (G, N, N) joint and its temporaries come on
     top, freed with the stage: at N=20, T=8 the peak is about 7x the budget.
-    Each policy is checked and its rule built by one `_rows_rule`, against one
-    fingerprint of (model, cost_model) per call, `model_fingerprint` if the
-    caller holds it. A callable is called stage by stage within each block, so
-    a stateful one's calls interleave with the other policies' decisions by
-    stage. Any other policy's summary equals its own `monte_carlo`, so a pass
-    over several policies keeps each one's bits.
+    `_rules` checks every policy and builds its rule, against one fingerprint of
+    (model, cost_model) per call, `model_fingerprint` if the caller holds it. A
+    callable is called stage by stage within each block, so a stateful one's calls
+    interleave with the other policies' decisions by stage. Any other policy's
+    summary equals its own `monte_carlo`, so a pass over several policies keeps
+    each one's bits.
     Each block's per-run metrics are written straight into one (P, 4, runs)
     array; the stage costs, stage-major, are summed by `_row_sums` in numpy's
     order for each run: a stage at a time below 8 stages, and by np.sum over a

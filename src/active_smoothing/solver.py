@@ -636,8 +636,9 @@ def policy_from_dict(d: dict) -> ValuePolicy:
         if not valid(d[key]):
             raise PolicyFormatError(f"policy {key} is {d[key]!r}, not {want}")
     if not (type(d["stages"]) is list and d["stages"]
-            and all(type(s) is list and all(type(e) is dict for e in s) for s in d["stages"])):
-        raise PolicyFormatError("policy stages are not a non-empty list of lists of objects")
+            and all(type(s) is list and s and all(type(e) is dict for e in s) for s in d["stages"])):
+        raise PolicyFormatError("policy stages are not a non-empty list of non-empty lists "
+                                "of objects")
     stages = []
     for k, entries in enumerate(d["stages"]):
         values = _stage_values(entries, k)

@@ -505,6 +505,22 @@ def test_simulate_rejects_unreadable_policy_actions(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
+def test_simulate_refuses_a_policy_with_an_empty_stage(tmp_path, capsys, grid_d2_policy, exact):
+    d = json.loads(json.dumps(grid_d2_policy))
+    d["stages"][1] = []
+    policy_path = tmp_path / "p.json"
+    policy_path.write_text(json.dumps(d))
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--policy", str(policy_path), "--runs", "10", "--out", str(out)]
+    assert main(argv + (["--exact"] if exact else [])) == 2
+    assert capsys.readouterr().err == (
+        "error: unreadable input file (policy stages are not a non-empty list of non-empty "
+        "lists of objects)\n")
+    assert not out.exists()
+
+
 # one top-level field of the written grid policy, or the values or action of one
 # stage's first entry (stage 3 is the terminal one)
 POLICY_TARGETS = ([(None, key) for key in ("base_point_density", "epsilon_interior", "log_base",
@@ -727,27 +743,40 @@ def test_simulate_fingerprints_once(tmp_path, monkeypatch, capsys, exact):
     for objective in ("smoother", "belief-sum"):
         assert main(["solve", "--objective", objective, "--base-points", "1",
                      "--out", f"{objective}.json"]) == 0
-    hashed = []
+    hashed, checked, check = [], [], sim.check_policy
     for module in (cli, sim, solver):
         monkeypatch.setattr(module, "fingerprint",
                             lambda *args, module=module: hashed.append(module.__name__)
                             or fingerprint(*args))
+    for module in (cli, sim):  # every check, whichever module makes it
+        monkeypatch.setattr(module, "check_policy",
+                            lambda *args, module=module: checked.append(module.__name__)
+                            or check(*args))
     argv = ["simulate", "--policy", "smoother.json", "--policy", "belief-sum.json",
             "--policy", "always-east", "--runs", "20", *(["--exact"] if exact else [])]
     assert main(argv + ["--out", "r.csv"]) == 0
     assert hashed == ["active_smoothing.cli"]
-    # a traced run's head pass checks against the same hash
+    assert checked == ["active_smoothing.sim"] * 3  # once per policy, in the pass
+    # a traced run's head pass checks against the same hash; an exact run's head is a
+    # second pass, which checks every policy again
     hashed.clear()
+    checked.clear()
     assert main(argv + ["--out", "t.csv", "--trace", "t-trace.csv"]) == 0
     assert hashed == ["active_smoothing.cli"]
-    # a mismatched file exits 1 on the command's hash, before any evaluation
+    assert checked == ["active_smoothing.sim"] * (6 if exact else 3)
+    # a mismatched file exits 1 on the command's hash, before any draw or tree walk
     hashed.clear()
     capsys.readouterr()
-    for name in ("compare_policies", "compare_policies_exactly"):
-        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("evaluated"))
+    monkeypatch.setattr(sim, "_uniforms", lambda *args: pytest.fail("drew uniforms"))
+    monkeypatch.setattr(sim, "_exact_pass", lambda *args: pytest.fail("walked a tree"))
     assert main(argv + ["--horizon", "2", "--out", "mismatch.csv"]) == 1
     assert capsys.readouterr().err.startswith("error: policy fingerprint ")
     assert hashed == ["active_smoothing.cli"]
+    assert not (tmp_path / "mismatch.csv").exists()
+    # every --policy resolves before the pass checks any, so a malformed builtin beside a
+    # mismatched file is the usage error
+    assert main(argv + ["--policy", "fixed:abc", "--horizon", "2", "--out", "mismatch.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: --policy: malformed builtin policy ")
     assert not (tmp_path / "mismatch.csv").exists()
 
 

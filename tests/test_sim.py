@@ -84,6 +84,23 @@ def test_check_policy_detects_mismatch(grid):
 
     # non-policy inputs never need a fingerprint
     check_policy(model, costs, "always-east")
+    check_policy(model, costs, np.int64(1))
+    check_policy(model, costs, lambda belief, stage: 9)  # its controls are checked on return
+
+    # an integer or builtin reference must name one of the model's controls
+    with pytest.raises(ValueError, match=r"^policy 'fixed:3': control 3 out of range \[0, 3\)$"):
+        check_policy(model, costs, "fixed:3")
+    two_controls = oracle.random_model(np.random.default_rng(3), n_states=3, n_obs=2,
+                                       n_controls=2)
+    two_costs = oracle.random_costs(np.random.default_rng(4), two_controls, horizon=2)
+    with pytest.raises(ValueError, match=r"^policy 'always-east': control 2 out of range"):
+        check_policy(two_controls, two_costs, "always-east")
+    with pytest.raises(ValueError, match=r"^malformed builtin policy 'fixed:1_0': "):
+        check_policy(model, costs, "fixed:1_0")
+    with pytest.raises(ValueError, match=r"^unknown builtin policy 'always-north'$"):
+        check_policy(model, costs, "always-north")
+    with pytest.raises(TypeError, match=r"^cannot interpret list as a policy$"):
+        check_policy(model, costs, [2])
 
 
 # ---------------------------------------------------------------- rollout --
@@ -286,7 +303,7 @@ def test_exact_evaluation_predicts_each_levels_joint_once(grid, monkeypatch, hor
 def _own_walk(model, costs, policy_like, config=DEFAULT_CONFIG) -> tuple:
     """One policy's exact (terminal, total belief entropy, smoother, total) expectations,
     walked alone level by level as a single-policy evaluation does."""
-    decide = sim._rows_rule(model, costs, policy_like)
+    decide = sim._rows_rule(model, policy_like)
     _, prob, beliefs = belief_module.initial_level(model)
     tbe = smoother = stage_c = 0.0
     for k in range(costs.horizon):
@@ -851,6 +868,36 @@ def test_ties_go_to_the_lowest_control_on_every_row(grid, rng):
     assert 1 not in batch.controls
 
 
+def test_each_pass_checks_each_policy_once_through_check_policy(grid, grid_policies,
+                                                               grid_blocks, monkeypatch):
+    # every pass goes through the module's own check_policy, which the benchmark's tracer
+    # wraps, once per policy, and hashes at most once, not at all given the fingerprint
+    model, costs = grid
+    checked, hashed, check = [], [], sim.check_policy
+    monkeypatch.setattr(sim, "check_policy",
+                        lambda *a, **k: checked.append(id(a[2])) or check(*a, **k))
+    monkeypatch.setattr(sim, "fingerprint", lambda *a: hashed.append(1) or fingerprint(*a))
+    policies = [("a", grid_policies["smoother"]), ("b", grid_policies["belief-sum"]),
+                ("c", "always-east"), ("d", 1), ("e", lambda belief, stage: 0)]
+    passes = [lambda **kw: compare_policies(model, costs, policies, BLOCK_RUNS + 3, 1, **kw),
+              lambda **kw: sim.compare_policies_exactly(model, costs, policies, **kw)]
+    for evaluate in passes:
+        for given, hashes in (({}, [1]), ({"model_fingerprint": fingerprint(model, costs)}, [])):
+            checked.clear()
+            hashed.clear()
+            evaluate(**given)
+            assert checked == [id(policy) for _, policy in policies]
+            assert hashed == hashes
+    for policy, hashes in ((grid_policies["smoother"], [1]), ("always-east", [])):
+        checked.clear()
+        hashed.clear()
+        rollouts(model, costs, policy, 1, 5)
+        assert (checked, hashed) == ([id(policy)], hashes)
+        checked.clear()
+        rollout(model, costs, policy, 1)
+        assert checked == [id(policy)]
+
+
 def test_fingerprint_runs_once_per_comparison(grid, grid_policies, grid_blocks, monkeypatch):
     model, costs = grid
     calls = []
@@ -984,7 +1031,7 @@ def test_a_group_is_a_history(grid, grid_policies, horizon):
                        _random_value_policy(rng, other, other_costs)]))
     runs, start, seed = 60, 4, 19
     for case_model, case_costs, policies in cases:
-        rules = [sim._rows_rule(case_model, case_costs, policy) for policy in policies]
+        rules = [sim._rows_rule(case_model, policy) for policy in policies]
         workspace = sim._workspace(horizon, len(rules), runs)
         batch = sim._advance(case_model, case_costs, rules, seed, start,
                              sim._uniforms(seed, start, start + runs, horizon, workspace),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial import QhullError
@@ -23,7 +25,7 @@ from active_smoothing import (
     terminal_tangent_alphas,
     value,
 )
-from active_smoothing.solver import backup, policy_to_dict
+from active_smoothing.solver import PolicyFormatError, backup, policy_to_dict
 from test_prune_properties import SLIVER
 
 # grid agent, smoother objective, density 2: frozen regression values of the global
@@ -839,6 +841,17 @@ def test_policy_save_load_round_trip(tmp_path, grid, rng):
     again = tmp_path / "policy2.json"
     save_policy(again, loaded, extra_metadata={"note": "round-trip"})
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_a_policy_with_an_empty_stage_is_unreadable(tmp_path, grid):
+    model, costs = grid
+    d = policy_to_dict(solve(model, costs, "smoother", generate_base_points(4, 1)))
+    d["stages"][1] = []
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(PolicyFormatError, match="^policy stages are not a non-empty list of "
+                                                "non-empty lists of objects$"):
+        load_policy(path)
 
 
 def test_a_policy_that_fails_to_encode_writes_no_file(tmp_path, grid):
