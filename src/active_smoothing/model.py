@@ -106,9 +106,11 @@ def validate_model(model: ControlledHMM) -> list[str]:
     for name, a in (("prior", model.prior), ("transition", model.transition),
                     ("observation", model.observation),
                     ("initial_observation", model.initial_observation)):
-        for idx in np.argwhere(~np.isfinite(a)):
-            where = "".join(f"[{i}]" for i in idx)
-            out.append(f"{name}{where} = {float(a[tuple(idx)])!r} is not finite")
+        finite = np.isfinite(a)
+        if not finite.all():
+            for idx in np.argwhere(~finite):
+                where = "".join(f"[{i}]" for i in idx)
+                out.append(f"{name}{where} = {float(a[tuple(idx)])!r} is not finite")
 
     for idx in np.flatnonzero(model.prior < 0):
         out.append(f"prior[{idx}] = {float(model.prior[idx])!r} is negative")
@@ -116,26 +118,30 @@ def validate_model(model: ControlledHMM) -> list[str]:
     if abs(s - 1.0) > COLUMN_TOL:
         out.append(f"prior sums to {float(s)!r}, residual {float(s - 1.0)!r}")
 
-    for uu in range(u):
-        a = model.transition[uu]
-        if ((a < 0) | (a > 1)).any():
-            i, j = np.argwhere((a < 0) | (a > 1))[0]
-            out.append(f"transition[{uu}][{i}][{j}] = {float(a[i, j])!r} outside [0, 1]")
-        cols = a.sum(axis=0)
-        for j in np.flatnonzero(np.abs(cols - 1.0) > COLUMN_TOL):
-            out.append(
-                f"transition[{uu}] column {j} sums to {float(cols[j])!r}, residual {float(cols[j] - 1.0)!r}"
-            )
+    out += _kernel_violations([f"transition[{uu}]" for uu in range(u)], model.transition,
+                              "column")
+    out += _kernel_violations([f"observation[{uu}]" for uu in range(u)] + ["initial_observation"],
+                              np.concatenate([model.observation, model.initial_observation[None]]),
+                              "row")
+    return out
 
-    kernels = [(f"observation[{uu}]", model.observation[uu]) for uu in range(u)]
-    kernels.append(("initial_observation", model.initial_observation))
-    for name, b in kernels:
-        if ((b < 0) | (b > 1)).any():
-            i, j = np.argwhere((b < 0) | (b > 1))[0]
-            out.append(f"{name}[{i}][{j}] = {float(b[i, j])!r} outside [0, 1]")
-        rows = b.sum(axis=1)
-        for i in np.flatnonzero(np.abs(rows - 1.0) > COLUMN_TOL):
-            out.append(f"{name} row {i} sums to {float(rows[i])!r}, residual {float(rows[i] - 1.0)!r}")
+
+def _kernel_violations(names: list[str], kernels: np.ndarray, line: str) -> list[str]:
+    """`validate_model`'s messages for the (K, ., .) stack `kernels`, kernel k named
+    names[k]: in kernel order, its first entry outside [0, 1], then each of its columns
+    (`line` "column") or rows ("row") whose sum is off 1. Each check runs once over the
+    stack, and messages are built only for the kernels that fail one."""
+    outside = (kernels < 0) | (kernels > 1)
+    sums = kernels.sum(axis=1 if line == "column" else 2)
+    off = np.abs(sums - 1.0) > COLUMN_TOL
+    out = []
+    for k in np.flatnonzero(outside.any(axis=(1, 2)) | off.any(axis=1)):
+        if outside[k].any():
+            i, j = np.argwhere(outside[k])[0]
+            out.append(f"{names[k]}[{i}][{j}] = {float(kernels[k, i, j])!r} outside [0, 1]")
+        for j in np.flatnonzero(off[k]):
+            out.append(f"{names[k]} {line} {j} sums to {float(sums[k, j])!r}, "
+                       f"residual {float(sums[k, j] - 1.0)!r}")
     return out
 
 

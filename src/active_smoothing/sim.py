@@ -7,8 +7,9 @@ block's draws are one array computation over its keys.
 All runs of a block advance together, one stage at a time; a single rollout is
 a block of one. A policy comparison advances every policy in the same pass:
 row p * R + r is policy p's run start + r, and all policies share the block's
-uniforms. Blocks hold as many runs as fit ROLLOUT_CHUNK floats, and every block
-of a call takes its arrays as views of one workspace allocated for the largest.
+uniforms. A block holds the most runs whose arrays, counted by `_block_words`,
+fit ROLLOUT_CHUNK words, and every block of a call takes its arrays as views of
+one workspace allocated for the largest.
 A row keeps only its states, stage-major (stage, P, R), and its stage costs,
 stage-major (stage, P * R), besides the current stage's (P, R) group ids,
 controls and codes; the controls and codes are filled in place. Each draw's
@@ -73,7 +74,7 @@ from .model import ControlledHMM, CostModel, fingerprint
 from .solver import ValuePolicy, best_action
 
 SIZE_GUARD = 10_000_000
-ROLLOUT_CHUNK = 1 << 20  # floats per compare_policies block, about 8 MiB
+ROLLOUT_CHUNK = 1 << 20  # words (8 MiB) a compare_policies block holds by `_block_words`
 TABLE_SPAN = 4  # code values per row up to which `_regroup` uses a presence table
 _MASK64 = (1 << 64) - 1
 _LOW32 = (1 << 32) - 1
@@ -392,9 +393,18 @@ def _uniforms(seed: int, start: int, stop: int, horizon: int,
     return doubles.reshape(-1, rows)[:width].T
 
 
+def _run_words(horizon: int, n_policies: int) -> tuple[int, int]:
+    """The words (8 bytes) one run takes in each region of a `_workspace`: its draws, then
+    the larger of its Philox lanes with their scratch and its rows' block arrays."""
+    counter_blocks = (2 + 2 * horizon + 3) // 4
+    philox_words = 2 + 12 * counter_blocks           # keys, then six (2, c, R) lanes
+    block_words = n_policies * (2 * horizon + 4)     # states, stage costs, u, ux, code
+    return 4 * counter_blocks, max(philox_words, block_words)
+
+
 def _workspace(horizon: int, n_policies: int, runs: int) -> tuple[np.ndarray, np.ndarray]:
     """The memory of blocks of up to `runs` runs of `n_policies` policies: one np.empty of
-    bytes, split into the draws' region and one shared region.
+    bytes, split into the draws' region and one shared region, `_run_words` per run.
 
     `_uniforms` writes a block's draws into the first and takes its Philox lanes
     and scratch from the second; once the draws exist that scratch is dead, and
@@ -403,13 +413,48 @@ def _workspace(horizon: int, n_policies: int, runs: int) -> tuple[np.ndarray, np
     allocation, and its peak is the draws plus the larger of the two uses.
     Every array is 8 bytes an element, so each view is aligned.
     """
-    counter_blocks = (2 + 2 * horizon + 3) // 4
-    draw_words = 4 * counter_blocks
-    philox_words = 2 + 12 * counter_blocks           # keys, then six (2, c, R) lanes
-    block_words = n_policies * (2 * horizon + 4)     # states, stage costs, u, ux, code
-    workspace = np.empty(8 * runs * (draw_words + max(philox_words, block_words)),
-                         dtype=np.uint8)
+    draw_words, shared_words = _run_words(horizon, n_policies)
+    workspace = np.empty(8 * runs * (draw_words + shared_words), dtype=np.uint8)
     return workspace[:8 * runs * draw_words], workspace[8 * runs * draw_words:]
+
+
+def _block_words(model: ControlledHMM, horizon: int, n_policies: int, runs: int) -> int:
+    """The words (8 bytes) a `compare_policies` block of `runs` runs of `n_policies`
+    policies holds at most, besides the current stage's (G, N, N) joint and its temporaries.
+
+    Per run, its `_workspace` words. Per row, 8 words, or 3 + T from T = 8 on: within
+    a stage its group id and `_regroup`'s temporaries, up to seven words a row when
+    np.unique sorts a copy of the codes; after the last stage its final group,
+    terminal cost and smoother entropy, with `_row_sums`' run-major copy of its T
+    stage costs from T = 8 on. Per history group, its stored arrays: at each stage its
+    (N,) belief, belief entropy, parent, control and observation, and at stage T its
+    (N,) past entropies, smoother entropy and 4T + 3 path entries. Groups are distinct
+    (policy, observation and control) histories, so stage k has at most
+    P * min(R, Y (U Y)^k) of them, for any kind of policy.
+    """
+    n, y = model.n_states, model.n_observations
+    row_words = 3 + horizon if horizon >= 8 else 8
+    draw_words, shared_words = _run_words(horizon, n_policies)
+    words = runs * (draw_words + shared_words) + n_policies * runs * row_words
+    histories = y
+    for _ in range(horizon + 1):
+        groups = n_policies * min(runs, histories)
+        words += groups * (n + 4)
+        histories = min(histories * model.n_controls * y, runs)  # capped: min(R, .) is the same
+    return words + groups * (n + 4 * horizon + 4)
+
+
+def _block_runs(model: ControlledHMM, horizon: int, n_policies: int, runs: int) -> int:
+    """The runs of a `compare_policies` block: the most, up to `runs`, whose `_block_words`
+    fit ROLLOUT_CHUNK, and at least one. The words grow with the runs, so this bisects."""
+    lo, hi = 1, runs
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _block_words(model, horizon, n_policies, mid) <= ROLLOUT_CHUNK:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _views(region: np.ndarray, *specs) -> list[np.ndarray]:
@@ -755,14 +800,16 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
 
     Every policy advances in the same lockstep pass, one block of runs at a
     time; each block's uniforms are drawn once and shared by every policy. A
-    block holds as many runs as fit ROLLOUT_CHUNK floats at (T+1)(N+8) floats
-    per run and policy. That budget over-counts the per-row arrays (states and
-    stage costs, with the stored group beliefs at most one per row) and bounds
-    them for any run count. Every block takes its draws, states, stage costs,
-    controls and codes from one `_workspace` made once per call for the largest
-    block, and the draws' Philox scratch shares its region with those per-row
-    arrays. The current stage's (G, N, N) joint and its temporaries come on
-    top, freed with the stage: at N=20, T=8 the peak is about 7x the budget.
+    block holds the most runs, `_block_runs`, whose words fit ROLLOUT_CHUNK, as
+    `_block_words` counts them: its workspace, its per-row temporaries and its
+    stored per-group arrays, with at most P * min(R, Y (U Y)^k) groups at stage
+    k. So a short horizon's few histories let a block fill the budget with
+    runs, and a block where every row is its own group stays within it. Every
+    block takes its draws, states, stage costs, controls and codes from one
+    `_workspace` made once per call for the largest block, and the draws'
+    Philox scratch shares its region with those per-row arrays. The current
+    stage's (G, N, N) joint and its temporaries come on top, freed with the
+    stage: at N=20, T=8 the peak is about 5x the budget.
     `_rules` checks every policy and builds its rule, against one fingerprint of
     (model, cost_model) per call, `model_fingerprint` if the caller holds it. A
     callable is called stage by stage within each block, so a stateful one's calls
@@ -786,8 +833,8 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     head = tuple(np.empty((n_policies, n_head, width), dtype=int) for width in (t + 1, t, t + 1))
     if not rules:
         return [] if trace_runs is None else ([], head)
-    block = max(1, ROLLOUT_CHUNK // (n_policies * (t + 1) * (model.n_states + 8)))
-    workspace = _workspace(t, n_policies, min(block, runs))
+    block = _block_runs(model, t, n_policies, runs)
+    workspace = _workspace(t, n_policies, block)
     per_run = np.empty((n_policies, 4, runs))  # terminal, belief entropies, smoother, total
     for start in range(0, runs, block):
         stop = min(start + block, runs)

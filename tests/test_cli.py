@@ -328,8 +328,9 @@ def test_simulate_trace_format(tmp_path):
 
 def _grid_block_budget(block_runs: int, n_policies: int) -> int:
     """The sim.ROLLOUT_CHUNK at which Monte Carlo of `n_policies` policies on the grid agent
-    advances blocks of `block_runs` runs: (T+1)(N+8) floats per run and policy."""
-    return block_runs * n_policies * (3 + 1) * (4 + 8)
+    advances blocks of `block_runs` runs: the words such a block holds."""
+    model, costs = build_grid_agent()
+    return sim._block_words(model, costs.horizon, n_policies, block_runs)
 
 
 def test_trace_rows_are_the_first_runs_of_the_batch(tmp_path, monkeypatch):
@@ -374,6 +375,16 @@ def test_traced_commands_draw_each_monte_carlo_block_once(tmp_path, monkeypatch,
     drawn.clear()
     assert main(["experiment", "--base-points", "1", "--runs", "10", "--out", "exp"]) == 0
     assert drawn == starts
+
+
+def test_experiments_default_comparison_is_one_block(tmp_path, monkeypatch):
+    # 10^4 runs of three policies at T=3, with at most 518 histories per policy: the
+    # block counts those groups, not one per row, so every run fits in one block
+    blocks, advance = [], sim._advance
+    monkeypatch.setattr(sim, "_advance",
+                        lambda *args: blocks.append(len(args[5])) or advance(*args))
+    assert main(["experiment", "--out", str(tmp_path / "exp")]) == 0
+    assert blocks == [10_000]
 
 
 def test_simulate_exact_trace_is_one_lockstep_pass_of_every_policy(tmp_path, monkeypatch):
@@ -720,10 +731,10 @@ def test_a_monte_carlo_sweep_makes_one_pass(tmp_path, monkeypatch):
 
 
 def test_a_monte_carlo_sweeps_rows_are_each_densitys_own_monte_carlo(tmp_path, monkeypatch):
-    # the joint pass of three policies advances three blocks, each density alone one
+    # the joint pass of three policies advances three blocks of 100, each density alone two
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sim, "SIZE_GUARD", 255)
-    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", 3 * (3 + 1) * (4 + 8) * 100)
+    monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _grid_block_budget(100, 3))
     assert main(["sweep", "--base-points", "3,1,2", "--runs", "300", "--seed", "4",
                  "--out", "s.csv"]) == 0
     _, rows = read_csv(tmp_path / "s.csv")

@@ -86,6 +86,35 @@ def test_validate_model_reports_violations():
     assert any("outside [0, 1]" in m for m in validate_model(neg))
 
 
+def test_validate_model_lists_every_kernel_violation_in_order():
+    # range and sum violations in controls 0 and 2 of the transition, in control 1 of the
+    # observation and in initial_observation: per kernel, its first entry outside [0, 1],
+    # then each column or row whose sum is off 1
+    eye = np.eye(3)
+    transition = np.stack([eye, eye, eye])
+    transition[0, :, 1] = [0.0, 1.25, 0.0]
+    transition[2, :, 0] = [0.5, -0.25, 0.5]
+    transition[2, :, 2] = [0.0, 0.0, 0.9]
+    observation = np.full((3, 3, 2), 0.5)
+    observation[1, 2] = [1.5, -0.25]
+    observation[1, 0] = [0.5, 0.25]
+    initial = np.full((3, 2), 0.5)
+    initial[1] = [-0.5, 1.0]
+    model = make_model([0.25, 0.25, 0.5], transition, observation, initial)
+    assert validate_model(model) == [
+        "transition[0][1][1] = 1.25 outside [0, 1]",
+        "transition[0] column 1 sums to 1.25, residual 0.25",
+        "transition[2][1][0] = -0.25 outside [0, 1]",
+        "transition[2] column 0 sums to 0.75, residual -0.25",
+        "transition[2] column 2 sums to 0.9, residual -0.09999999999999998",
+        "observation[1][2][0] = 1.5 outside [0, 1]",
+        "observation[1] row 0 sums to 0.75, residual -0.25",
+        "observation[1] row 2 sums to 1.25, residual 0.25",
+        "initial_observation[1][0] = -0.5 outside [0, 1]",
+        "initial_observation row 1 sums to 0.5, residual -0.5",
+    ]
+
+
 @pytest.mark.parametrize("where", ["prior", "transition", "observation", "initial_observation"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_validate_model_flags_non_finite_entries(where, bad):

@@ -39,8 +39,9 @@ BLOCK_RUNS = 1024  # runs per one-policy block under the `grid_blocks` fixture
 
 def _budget(block_runs: int, n_policies: int, model, costs) -> int:
     """The ROLLOUT_CHUNK at which compare_policies on (model, costs) with `n_policies`
-    policies advances blocks of `block_runs` runs: (T+1)(N+8) floats per run and policy."""
-    return block_runs * n_policies * (costs.horizon + 1) * (model.n_states + 8)
+    policies advances blocks of `block_runs` runs: the words such a block holds, which
+    grow with the runs."""
+    return sim._block_words(model, costs.horizon, n_policies, block_runs)
 
 
 @pytest.fixture
@@ -692,17 +693,24 @@ def test_block_memory_stays_within_the_rollout_budget(monkeypatch):
     assert peak <= 16 * sim.ROLLOUT_CHUNK * 8
 
 
-def test_block_memory_of_an_experiment_block_stays_under_half_the_budget(grid):
+@pytest.fixture(scope="module")
+def experiment_policies(grid):
+    """`experiment`'s comparison: the two d=5 policies and always-east."""
+    model, costs = grid
+    bp = generate_base_points(model.n_states, 5)
+    return [("smoother", solve(model, costs, "smoother", bp)),
+            ("belief-sum", solve(model, costs, "belief-sum", bp)), ("east", "always-east")]
+
+
+def test_block_memory_of_an_experiment_block_stays_under_half_the_budget(
+        grid, experiment_policies):
     """One block of `experiment`'s comparison (two d=5 policies and always-east, 7,281
     runs) keeps only states and stage costs per row: its peak stays under half of
     ROLLOUT_CHUNK floats, uniforms and per-run metrics included."""
     model, costs = grid
-    bp = generate_base_points(model.n_states, 5)
-    policies = [("smoother", solve(model, costs, "smoother", bp)),
-                ("belief-sum", solve(model, costs, "belief-sum", bp)), ("east", "always-east")]
+    policies = experiment_policies
     runs = 7281
-    assert runs == sim.ROLLOUT_CHUNK // (len(policies) * (costs.horizon + 1)
-                                         * (model.n_states + 8))
+    assert sim._block_runs(model, costs.horizon, len(policies), runs) == runs  # one block
     tracemalloc.start()
     try:
         compare_policies(model, costs, policies, runs, seed=12345)
@@ -710,6 +718,23 @@ def test_block_memory_of_an_experiment_block_stays_under_half_the_budget(grid):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * sim.ROLLOUT_CHUNK * 8
+
+
+def test_the_largest_experiment_block_peaks_within_the_budget(grid, experiment_policies):
+    """The most runs `_block_runs` admits in one block of `experiment`'s comparison peak
+    within ROLLOUT_CHUNK words, the (P, 4, runs) per-run metrics aside: at T=3 each
+    policy has at most 518 histories, so a block fills the budget with runs."""
+    model, costs = grid
+    policies = experiment_policies
+    runs = sim._block_runs(model, costs.horizon, len(policies), 10 ** 6)
+    assert 10_000 < runs < 10 ** 6
+    tracemalloc.start()
+    try:
+        compare_policies(model, costs, policies, runs, seed=12345)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - len(policies) * 4 * runs * 8 <= sim.ROLLOUT_CHUNK * 8
 
 
 def test_every_block_of_a_comparison_reuses_one_workspace(grid, grid_policies, monkeypatch):

@@ -257,6 +257,35 @@ def test_prune_raises_a_named_error_when_qhull_fails(rng, monkeypatch):
     assert isinstance(info.value.__cause__, QhullError)
 
 
+# six rows in N=5 that come in pairs 1e-9 to 1e-11 apart: neither the pointwise proof
+# nor the witnesses settle them, and Qhull stops on them with QH6271 "wide merge"
+NEAR_COPIES = np.array([
+    [7.106881780731385, -33.28102983129548, 6.400735212013086, 1.8726184766410405,
+     16.942273691074696],
+    [-6.581076149319412, 5.415131667912438, 28.785305383537455, -29.935009366646025,
+     9.439212820709015],
+    [-7.018479294002132, -11.264278545431358, -7.530277238505678, 41.795663673934136,
+     -31.771330958164114],
+    [-7.018479294036288, -11.264278545395115, -7.530277238505678, 41.795663673934136,
+     -31.77133095810126],
+    [-15.414070497701495, 44.259054404880075, 20.849238238065087, -15.92920726862705,
+     -21.509472147368975],
+    [-6.5810761491491725, 5.415131669433619, 28.785305383553617, -29.935009366646025,
+     9.439212822314552],
+])
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "Qhull's halfspace intersection fails with QH6271 'wide merge' on rows that come in "
+    "near-copy pairs; a merge of near-copies before the build would let prune keep the "
+    "envelope"))
+def test_prune_keeps_the_envelope_of_near_copy_pairs(rng):
+    kept = prune(NEAR_COPIES)
+    beliefs = np.vstack([np.eye(5), rng.dirichlet(np.ones(5), size=2000)])
+    np.testing.assert_allclose((NEAR_COPIES[kept] @ beliefs.T).min(axis=0),
+                               (NEAR_COPIES @ beliefs.T).min(axis=0), atol=1e-8)
+
+
 # ------------------------------------------------------------------- backup --
 
 def test_backup_matches_brute_force_cross_sums(rng):
