@@ -282,6 +282,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.base_points < 1:
+        raise UsageError(f"base-point density must be >= 1, got {args.base_points}")
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     context = SolveContext(model, costs)

@@ -2,10 +2,10 @@
 
 Rollouts draw their randomness from the counter-based Philox4x64-10 keyed by
 (seed, run index), so run i sees the same uniform stream regardless of the
-policy under test: comparisons across policies use common random numbers. A
-block's draws are one array computation over its keys.
-All runs of a block advance together, one stage at a time; a single rollout is
-a block of one. A policy comparison advances every policy in the same pass:
+policy under test: comparisons across policies use common random numbers.
+`_advance` draws a block's uniforms, one array computation over its keys, and
+advances all its runs together, one stage at a time; a single rollout is a
+block of one. A policy comparison advances every policy in the same pass:
 row p * R + r is policy p's run start + r, and all policies share the block's
 uniforms. A block holds the most runs whose arrays, counted by `_block_words`,
 fit ROLLOUT_CHUNK words, and every block of a call takes its arrays as views of
@@ -28,7 +28,7 @@ after the last stage, along each final history: its ancestor groups,
 observations, controls and belief entropies. A batch keeps each row's final
 group, each stage's (G, N) beliefs and these per-history paths, and gathers
 per-row observations, controls, group ids, beliefs and entropies only when
-they are read.
+they are read, and defines each per-run metric once for records and comparisons.
 One forward filter pass gives both the beliefs and the realised smoother
 entropy, carried per group as the entropy of its past given each state. Every
 group is computed with the operations of a single run, and every per-run sum
@@ -98,10 +98,7 @@ class RolloutRecord:
     terminal_cost: float         # c_T(x_T)
     smoother_entropy: float      # entropy of the trajectory given this data
     belief_entropies: np.ndarray  # (T+1,)
-
-    @property
-    def total_cost(self) -> float:
-        return self.smoother_entropy + float(self.stage_costs.sum()) + self.terminal_cost
+    total_cost: float            # its batch row's `RolloutBatch.total_cost`
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,9 @@ class RolloutBatch:
     belief entropies. `observations`, `controls`, `groups`, `beliefs`,
     `belief_entropies` and `record` gather rows from them on read. `states`
     and `stage_costs` are laid out stage-major, as transposes of C-ordered
-    (T+1, R) and (T, R) arrays, and `total_cost` sums the stage costs by
-    `_row_sums`, in numpy's own order, so each row's total has the bits of its
-    record's.
+    (T+1, R) and (T, R) arrays. `total_cost`, the one total-cost formula, sums
+    the stage costs by `_row_sums`, in numpy's own order, then adds the
+    smoother entropy and terminal cost in place; `record` copies its row's.
     """
     seed: int
     start: int
@@ -170,7 +167,10 @@ class RolloutBatch:
 
     @property
     def total_cost(self) -> np.ndarray:
-        return self.smoother_entropy + _row_sums(self.stage_costs.T) + self.terminal_cost
+        total = _row_sums(self.stage_costs.T)
+        total += self.smoother_entropy
+        total += self.terminal_cost
+        return total
 
     def record(self, row: int) -> RolloutRecord:
         final = self.final_group[row]
@@ -185,6 +185,7 @@ class RolloutBatch:
             terminal_cost=float(self.terminal_cost[row]),
             smoother_entropy=float(self.smoother_entropy[row]),
             belief_entropies=self.entropy_paths[final],
+            total_cost=float(self.total_cost[row]),
         )
 
 
@@ -422,11 +423,12 @@ def _block_words(model: ControlledHMM, horizon: int, n_policies: int, runs: int)
     """The words (8 bytes) a `compare_policies` block of `runs` runs of `n_policies`
     policies holds at most, besides the current stage's (G, N, N) joint and its temporaries.
 
-    Per run, its `_workspace` words. Per row, 8 words, or 3 + T from T = 8 on: within
-    a stage its group id and `_regroup`'s temporaries, up to seven words a row when
-    np.unique sorts a copy of the codes; after the last stage its final group,
-    terminal cost and smoother entropy, with `_row_sums`' run-major copy of its T
-    stage costs from T = 8 on. Per history group, its stored arrays: at each stage its
+    Per run, its `_workspace` words. Per row, 8 words, or 3 + T from T = 8 on: within a
+    stage its group id and `_regroup`'s temporaries, up to seven words a row when
+    np.unique sorts a copy of the codes; after the last stage its final group, terminal
+    cost and smoother entropy, with `_row_sums`' run-major copy of its T stage costs
+    from T = 8 on; the total cost summed from that copy is a per-run metric, left out as
+    the (P, 4, runs) array is. Per history group, its stored arrays: at each stage its
     (N,) belief, belief entropy, parent, control and observation, and at stage T its
     (N,) past entropies, smoother entropy and 4T + 3 path entries. Groups are distinct
     (policy, observation and control) histories, so stage k has at most
@@ -468,9 +470,9 @@ def _views(region: np.ndarray, *specs) -> list[np.ndarray]:
     return arrays
 
 
-def _row_sums(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sums over the leading axis of the stage-major (K, ...) `terms`: each entry the bits
-    np.sum gives over that row's K terms laid out contiguously, written into `out` if given.
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the leading axis of the stage-major (K, R) `terms`, as a new array: each
+    entry the bits np.sum gives over that row's K terms laid out contiguously.
 
     numpy reduces a contiguous row as 0 + its pairwise sum, which adds fewer than 8
     terms in order. There each step here adds a whole column of rows: one vector
@@ -478,10 +480,8 @@ def _row_sums(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.sum itself reduces a run-major copy.
     """
     if len(terms) >= 8:
-        return np.sum(np.moveaxis(terms, 0, -1).copy(), axis=-1, out=out)
-    if out is None:
-        out = np.empty(terms.shape[1:])
-    out[...] = 0.0
+        return np.sum(terms.T.copy(), axis=-1)
+    out = np.zeros(terms.shape[1:])
     for term in terms:
         out += term
     return out
@@ -532,9 +532,10 @@ def _regroup(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: int,
-             start: int, uniforms: np.ndarray, config: EntropyConfig,
+             start: int, stop: int, config: EntropyConfig,
              workspace: tuple[np.ndarray, np.ndarray]) -> RolloutBatch:
-    """Simulate one block of runs in lockstep from their (R, 2 + 2T) uniforms.
+    """Simulate runs start .. stop - 1 in lockstep, drawing their (R, 2 + 2T) uniforms
+    into `workspace`, a `_workspace` for at least R = stop - start runs.
 
     `decides` holds one `_rows_rule` per policy. Rows are policy-major: row
     p * R + r is policy p's run start + r and uses that run's uniforms, so the
@@ -545,24 +546,25 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     (P, R) rows, and stage 0 is sampled once per run. The current stage's group
     ids, controls and codes are (P, R) arrays, the last two filled in place;
     the observations are added into the codes as they are drawn. The states,
-    stage costs, controls, u * N + x and codes are views of the shared region
-    of `workspace`, the `_workspace` that drew `uniforms`, so the batch's
-    states and stage costs hold only until the workspace is reused. `group`
-    gives each row's history group at the current stage, numbered by its sorted
-    code: p * Y0 + the rank of its first observation among the Y0 observed at
-    stage 0, then (group, control, next observation) after each stage, so a
-    group's code gives its parent, control and observation. Codes sort by
-    policy first, so each policy's groups are one contiguous range at every
-    stage, and a rule decides on its range alone. The beliefs, decisions,
-    belief entropies and (G, N) past entropies are computed per group, each
-    with the operations of a single run, and gathered from the parent groups at
-    each regroup. Each final group's ancestors, observations, controls and
-    belief entropies are laid out along its path once, after the last stage, as
-    rows of (G_T, T+1) and (G_T, T) paths. No (G, N, N) array outlives its
-    stage.
+    stage costs, controls, u * N + x and codes are views of the shared region of
+    `workspace`, taken once the draws exist, so the batch's states and stage
+    costs hold only until the workspace is reused. `group` gives each row's
+    history group at the current stage, numbered by its sorted code: p * Y0 +
+    the rank of its first observation among the Y0 observed at stage 0, then
+    (group, control, next observation) after each stage, so a group's code gives
+    its parent, control and observation. Codes sort by policy first, so each
+    policy's groups are one contiguous range at every stage,
+    bounds[p]:bounds[p+1], carried by a searchsorted of the sorted parents as in
+    `_exact_pass`, and a rule decides on its range alone. The beliefs,
+    decisions, belief entropies and (G, N) past entropies are computed per
+    group, each with the operations of a single run, and gathered from the
+    parent groups at each regroup. Each final group's ancestors, observations,
+    controls and belief entropies are laid out along its path once, after the
+    last stage, as rows of (G_T, T+1) and (G_T, T) paths. No (G, N, N) array
+    outlives its stage.
     """
-    runs, t, n_policies = len(uniforms), cost_model.horizon, len(decides)
-    draws = uniforms.T  # (2 + 2T, R): one draw per run, shared by every policy
+    runs, t, n_policies = stop - start, cost_model.horizon, len(decides)
+    draws = _uniforms(seed, start, stop, t, workspace).T  # (2 + 2T, R), shared by every policy
     rows = n_policies * runs
     shape = (n_policies, runs)
     # ux is u * N + x, x the current or next state
@@ -575,20 +577,18 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     # CDF tables (outcome, code), code u * N + x: next states, then observations
     transition_cdf = np.cumsum(model.transition, axis=1).transpose(1, 0, 2).reshape(n, -1)
     observation_cdf = np.cumsum(model.observation, axis=2).transpose(2, 0, 1).reshape(y, -1)
-    policy_ids = np.arange(n_policies + 1)
 
     states[0] = _sample(np.cumsum(model.prior)[:, None], np.zeros(runs, dtype=int), draws[0])
     seen, rank = _regroup(_sample(np.cumsum(model.initial_observation, axis=1).T,
                                   states[0, 0], draws[1]), y)
-    group = policy_ids[:-1, None] * len(seen) + rank
+    bounds = np.arange(n_policies + 1) * len(seen)
+    group = bounds[:-1, None] + rank
     observations.append(np.tile(seen, n_policies))
     group_beliefs = np.tile(initial_update(model, seen), (n_policies, 1))
-    group_policy = np.repeat(policy_ids[:-1], len(seen))  # sorted: each policy's groups are a range
     past = np.zeros_like(group_beliefs)
     for k in range(t):
         stage_beliefs.append(group_beliefs)
         stage_entropies.append(belief_entropy(group_beliefs, config))
-        bounds = np.searchsorted(group_policy, policy_ids)
         for p, decide in enumerate(decides):
             lo, hi = bounds[p], bounds[p + 1]
             u[p] = decide(group_beliefs[lo:hi], group[p] - lo, k)
@@ -609,7 +609,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
         joint = predict_joint(model, group_beliefs[parent], applied)
         past = past_entropy(joint, past[parent])
         group_beliefs = update(model, joint, applied, observed, stage=k)
-        group_policy = group_policy[parent]
+        bounds = np.searchsorted(parent, bounds)
         parents.append(parent)
         controls.append(applied)
         observations.append(observed)
@@ -658,9 +658,8 @@ def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int
     """
     _check_runs(runs)
     rules, t = _rules(model, cost_model, [("", policy_like)]), cost_model.horizon
-    workspace = _workspace(t, 1, runs)
-    batch = _advance(model, cost_model, rules, seed, start,
-                     _uniforms(seed, start, start + runs, t, workspace), config, workspace)
+    batch = _advance(model, cost_model, rules, seed, start, start + runs, config,
+                     _workspace(t, 1, runs))
     return replace(batch, states=np.copy(batch.states), stage_costs=np.copy(batch.stage_costs))
 
 
@@ -816,10 +815,10 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     interleave with the other policies' decisions by stage. Any other policy's
     summary equals its own `monte_carlo`, so a pass over several policies keeps
     each one's bits.
-    Each block's per-run metrics are written straight into one (P, 4, runs)
-    array; the stage costs, stage-major, are summed by `_row_sums` in numpy's
-    order for each run: a stage at a time below 8 stages, and by np.sum over a
-    run-major copy from 8 on.
+    Each block's per-run metrics are read from its `RolloutBatch`, its
+    `terminal_cost`, `total_belief_entropy`, `smoother_entropy` and
+    `total_cost`, into one (P, 4, runs) array, so every run's metrics have the
+    bits of its own `rollout` record.
 
     Given `trace_runs`, the result is (summaries, head): head holds the states
     (P, n, T+1), controls (P, n, T) and observations (P, n, T+1) of runs
@@ -839,21 +838,15 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         shape = (n_policies, stop - start)
-        batch = _advance(model, cost_model, rules, seed, start,
-                         _uniforms(seed, start, stop, t, workspace), config, workspace)
+        batch = _advance(model, cost_model, rules, seed, start, stop, config, workspace)
         terminal, tbe, smoother, total = per_run[:, :, start:stop].swapaxes(0, 1)  # each (P, R)
-        final = batch.final_group.reshape(shape)
         terminal[...] = batch.terminal_cost.reshape(shape)
-        tbe[...] = batch.entropy_paths.sum(axis=1)[final]
+        tbe[...] = batch.total_belief_entropy.reshape(shape)
         smoother[...] = batch.smoother_entropy.reshape(shape)
-        # stage sum + smoother is smoother + stage sum bit for bit, so this adds
-        # (smoother + stage sum) + terminal, as `RolloutBatch.total_cost` does
-        _row_sums(batch.stage_costs.T.reshape(t, *shape), out=total)
-        total += smoother
-        total += terminal
+        total[...] = batch.total_cost.reshape(shape)
         if start < n_head:  # gather only the head rows: batch row p * R + r is run start + r
             end = min(n_head, stop)
-            leading = final[:, :end - start]
+            leading = batch.final_group.reshape(shape)[:, :end - start]
             head[0][:, start:end] = batch.states.reshape(*shape, t + 1)[:, :end - start]
             head[1][:, start:end] = batch.control_paths[leading]
             head[2][:, start:end] = batch.observation_paths[leading]

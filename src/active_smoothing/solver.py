@@ -37,14 +37,14 @@ with a row mixed with itself is Monahan's filter (Management Science 1982).
 When every row has one of the two certificates, that settles the set. Every
 other set builds the envelope polytope {(p, z): p on the simplex, z below
 every vector} once, as one Qhull halfspace intersection over all rows, and
-keeps the vectors whose halfspaces are facets of it, so a prune makes at most
-one Qhull build. Qhull gets the distinct rows sorted by value, so it sees the
-same input however the rows are ordered, and the kept set is a function of
-the set of rows, near-copies included. The proof
+keeps the vectors whose halfspaces are facets of it; a failed build is
+retried once with Qhull's option Q12. Qhull gets the distinct rows sorted by
+value, so it sees the same input however the rows are ordered, and the kept
+set is a function of the set of rows, near-copies included. The proof
 and the build both run on the rows minus their column minima. That subtracts
 one linear function of p from every row, which leaves the facets as they are,
-and keeps large or uneven costs from costing Qhull its precision. A Qhull
-failure is an error: a set the proof leaves to Qhull has no other way to be
+and keeps large or uneven costs from costing Qhull its precision. A failed
+retry is an error: a set the proof leaves to Qhull has no other way to be
 pruned.
 
 scipy loads on first use. This module is its only user, and filtering, Monte
@@ -149,7 +149,7 @@ def _envelope_halfspaces(rows: np.ndarray) -> np.ndarray:
     return np.hstack([-reduced, np.ones((len(rows), 1)), -rows[:, m:]])
 
 
-def _envelope_hull(shifted: np.ndarray) -> HalfspaceIntersection:
+def _envelope_hull(shifted: np.ndarray, options: str | None = None) -> HalfspaceIntersection:
     """Polytope {(p, z): p projected simplex, -1 <= z <= min over rows of `shifted`}.
 
     `shifted` holds the rows minus their column minima. Subtracting them
@@ -170,7 +170,7 @@ def _envelope_hull(shifted: np.ndarray) -> HalfspaceIntersection:
     box[m + 1, m], box[m + 1, m + 1] = -1.0, -1.0  # z >= -1
     interior = np.concatenate([np.full(m, 1.0 / n), [-0.5]])
     return __getattr__("HalfspaceIntersection")(
-        np.vstack([box, _envelope_halfspaces(shifted)]), interior)
+        np.vstack([box, _envelope_halfspaces(shifted)]), interior, qhull_options=options)
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,9 +251,9 @@ def prune(values: np.ndarray) -> np.ndarray:
     Qhull build runs. Any other set builds the envelope polytope
     (`_envelope_hull`) once, over the distinct rows in sorted order, the same
     input for every order of the rows, and the kept rows are those whose
-    halfspaces are facets of it. So a prune makes at most one Qhull build. The
-    proof decides only sets whose answer is clear of Qhull's rounding by its
-    margin, and keeps the rows Qhull keeps there. A Qhull failure raises
+    halfspaces are facets of it; a build that raises is retried once with Q12.
+    The proof decides only sets whose answer is clear of Qhull's rounding by
+    its margin, and keeps the rows Qhull keeps there. A failed retry raises
     ValueError (exit 1 at the command line).
     """
     values = np.asarray(values, dtype=float)
@@ -273,9 +273,13 @@ def prune(values: np.ndarray) -> np.ndarray:
 
     try:
         hull = _envelope_hull(shifted)
-    except __getattr__("QhullError") as exc:
-        raise ValueError(f"Qhull could not build the envelope of {n_vec} vectors "
-                         f"in N={n}") from exc
+    except __getattr__("QhullError"):
+        # Q12 allows QH6271 "wide merge" of near-copy pairs; scipy's default is Qx above N=4
+        try:
+            hull = _envelope_hull(shifted, "Qx Q12" if n > 4 else "Q12")
+        except __getattr__("QhullError") as exc:
+            raise ValueError(f"Qhull could not build the envelope of {n_vec} vectors "
+                             f"in N={n}") from exc
     # halfspaces 0..n are the box rows; row i of v is halfspace n + 1 + i
     facet = np.zeros(n + 1 + n_vec, dtype=bool)
     facet[np.fromiter(itertools.chain.from_iterable(hull.dual_facets), dtype=np.intp)] = True

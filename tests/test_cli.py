@@ -382,7 +382,7 @@ def test_experiments_default_comparison_is_one_block(tmp_path, monkeypatch):
     # block counts those groups, not one per row, so every run fits in one block
     blocks, advance = [], sim._advance
     monkeypatch.setattr(sim, "_advance",
-                        lambda *args: blocks.append(len(args[5])) or advance(*args))
+                        lambda *args: blocks.append(args[5] - args[4]) or advance(*args))
     assert main(["experiment", "--out", str(tmp_path / "exp")]) == 0
     assert blocks == [10_000]
 
@@ -392,7 +392,7 @@ def test_simulate_exact_trace_is_one_lockstep_pass_of_every_policy(tmp_path, mon
 
     passes, advance = [], sim._advance
     monkeypatch.setattr(sim, "_advance",
-                        lambda *args: passes.append((len(args[2]), len(args[5])))
+                        lambda *args: passes.append((len(args[2]), args[5] - args[4]))
                         or advance(*args))
     trace = tmp_path / "t.csv"
     assert main(["simulate", "--exact", "--policy", "fixed:1", "--policy", "always-east",
@@ -889,11 +889,18 @@ def test_pruning_is_recorded_but_not_a_flag(tmp_path):
         assert exc.value.code == 2
 
 
-def test_sweep_rejects_bad_densities(tmp_path, capsys):
+def test_sweep_rejects_bad_densities(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--base-points", "0,2", "--out", str(out)]) == 2
     assert main(["sweep", "--base-points", "", "--out", str(out)]) == 2
     assert main(["sweep", "--base-points", "two", "--out", str(out)]) == 2
+    # solve takes one density and refuses it before it loads the model or solves
+    monkeypatch.setattr(cli, "_load_model_and_costs", lambda args: pytest.fail("loaded"))
+    capsys.readouterr()
+    for density in ("0", "-3"):
+        assert main(["solve", "--base-points", density, "--out", str(tmp_path / "p.json")]) == 2
+        assert capsys.readouterr().err == f"error: base-point density must be >= 1, got {density}\n"
+    assert not (tmp_path / "p.json").exists()
 
 
 # ------------------------------------------------------------ file errors --

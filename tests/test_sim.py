@@ -510,7 +510,7 @@ def test_per_run_totals_equal_each_records_sums_bit_for_bit():
         batch = rollouts(model, costs, policy_like, 3, 150)
         records = [rollout(model, costs, policy_like, 3, run_index=row) for row in range(150)]
         tbe = [r.belief_entropies.sum() for r in records]
-        total = [r.total_cost for r in records]
+        total = [r.smoother_entropy + r.stage_costs.sum() + r.terminal_cost for r in records]
         assert batch.total_belief_entropy.tolist() == tbe
         assert batch.belief_entropies.sum(axis=1).tolist() == tbe
         assert batch.total_cost.tolist() == total
@@ -628,7 +628,7 @@ def test_compare_policies_does_not_depend_on_the_block_size(grid, grid_policies,
              (other, other_costs, [("rule", oracle.random_rule(rng, other, 4)), ("fixed", 1)])]
     blocks, advance = [], sim._advance
     monkeypatch.setattr(sim, "_advance",
-                        lambda *args: blocks.append(len(args[5])) or advance(*args))
+                        lambda *args: blocks.append(args[5] - args[4]) or advance(*args))
     for chunk_model, chunk_costs, policies in cases:
         summaries = []
         # a budget below one run still advances one run at a time
@@ -741,14 +741,15 @@ def test_every_block_of_a_comparison_reuses_one_workspace(grid, grid_policies, m
     model, costs = grid
     policies = [("smoother", grid_policies["smoother"]), ("east", "always-east")]
     monkeypatch.setattr(sim, "ROLLOUT_CHUNK", _budget(40, len(policies), model, costs))
-    draws, states, advance = [], [], sim._advance
+    draws, states, advance, uniforms = [], [], sim._advance, sim._uniforms
 
     def spy(*args):
         batch = advance(*args)
-        draws.append(args[5])
         states.append(batch.states)
         return batch
 
+    monkeypatch.setattr(sim, "_uniforms",
+                        lambda *args: draws.append(uniforms(*args)) or draws[-1])
     monkeypatch.setattr(sim, "_advance", spy)
     compare_policies(model, costs, policies, 100, seed=4)
     assert [len(d) for d in draws] == [40, 40, 20]
@@ -808,10 +809,7 @@ def test_row_sums_equal_numpys_sums_of_the_run_major_rows(terms):
     want = rows.sum(axis=-1)
     stage_major = np.ascontiguousarray(rows.T)
     got = sim._row_sums(stage_major)
-    out = np.full((2, 100), np.nan)
-    assert sim._row_sums(stage_major.reshape(terms, 2, 100), out=out) is out
-    for sums in (got, out.ravel()):
-        np.testing.assert_array_equal(sums.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     running = np.zeros(len(rows))
     for term in stage_major:
         running += term
@@ -1057,10 +1055,8 @@ def test_a_group_is_a_history(grid, grid_policies, horizon):
     runs, start, seed = 60, 4, 19
     for case_model, case_costs, policies in cases:
         rules = [sim._rows_rule(case_model, policy) for policy in policies]
-        workspace = sim._workspace(horizon, len(rules), runs)
-        batch = sim._advance(case_model, case_costs, rules, seed, start,
-                             sim._uniforms(seed, start, start + runs, horizon, workspace),
-                             DEFAULT_CONFIG, workspace)
+        batch = sim._advance(case_model, case_costs, rules, seed, start, start + runs,
+                             DEFAULT_CONFIG, sim._workspace(horizon, len(rules), runs))
         assert len(batch) == len(policies) * runs
         policy = np.repeat(np.arange(len(policies)), runs)[:, None]
         groups, observations, controls = batch.groups, batch.observations, batch.controls

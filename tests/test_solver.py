@@ -242,23 +242,27 @@ def test_prune_builds_qhull_when_pointwise_comparison_proves_nothing(qhull_build
     assert len(qhull_builds) == 1
 
 
-def _raise_qhull(*args, **kwargs):
-    raise QhullError("forced failure")
-
-
 def test_prune_raises_a_named_error_when_qhull_fails(rng, monkeypatch):
-    # a set that reaches Qhull has no other way to be pruned: the set's size and N go
-    # into the error
-    monkeypatch.setattr(solver_module, "HalfspaceIntersection", _raise_qhull)
+    # a set that reaches Qhull has no other way to be pruned: a failed build is retried
+    # once with Q12, and if that fails too, the set's size and N go into the error
+    options = []
+
+    def failing_build(*args, qhull_options=None):
+        options.append(qhull_options)
+        raise QhullError("forced failure")
+
+    monkeypatch.setattr(solver_module, "HalfspaceIntersection", failing_build)
     tangents = _clustered_tangents(rng, 4, 40)
     values = np.vstack([tangents, tangents[:10] + 0.5])
     with pytest.raises(ValueError, match=r"envelope of 50 vectors in N=4") as info:
         prune(values)
     assert isinstance(info.value.__cause__, QhullError)
+    assert options == [None, "Q12"]
 
 
 # six rows in N=5 that come in pairs 1e-9 to 1e-11 apart: neither the pointwise proof
 # nor the witnesses settle them, and Qhull stops on them with QH6271 "wide merge"
+# unless its options include Q12
 NEAR_COPIES = np.array([
     [7.106881780731385, -33.28102983129548, 6.400735212013086, 1.8726184766410405,
      16.942273691074696],
@@ -275,12 +279,12 @@ NEAR_COPIES = np.array([
 ])
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-    "Qhull's halfspace intersection fails with QH6271 'wide merge' on rows that come in "
-    "near-copy pairs; a merge of near-copies before the build would let prune keep the "
-    "envelope"))
-def test_prune_keeps_the_envelope_of_near_copy_pairs(rng):
+def test_prune_keeps_the_envelope_of_near_copy_pairs(rng, qhull_builds):
+    # the default build fails and the retry with Q12 keeps rows 0-4; row 5 lies at or
+    # above row 1 in every entry
     kept = prune(NEAR_COPIES)
+    assert len(qhull_builds) == 2
+    np.testing.assert_array_equal(kept, np.arange(5))
     beliefs = np.vstack([np.eye(5), rng.dirichlet(np.ones(5), size=2000)])
     np.testing.assert_allclose((NEAR_COPIES[kept] @ beliefs.T).min(axis=0),
                                (NEAR_COPIES @ beliefs.T).min(axis=0), atol=1e-8)
