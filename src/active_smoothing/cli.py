@@ -106,7 +106,11 @@ def read_csv(path) -> tuple[dict, list[dict]]:
 
 def _load_model_and_costs(args):
     """The model and costs the command runs on; invalid ones, a negative --horizon or
-    --runs below 1 raise ValueError (exit 1) before the command does any work."""
+    --runs below 1 raise ValueError (exit 1) before the command does any work. An
+    --epsilon outside (0, 1/2), which no model takes, raises UsageError before loading."""
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None and not 0.0 < epsilon < 0.5:  # every model wants (0, 1/(2N))
+        raise UsageError(f"--epsilon must lie in (0, 1/2), got {epsilon}")
     if getattr(args, "model", None):
         model, costs = load_model(args.model)
     else:

@@ -24,11 +24,11 @@ and the realised smoother entropy are computed per group. Each stage
 regroups the rows by a presence table over their codes, which numbers the
 groups in sorted-code order, and a group's code gives its parent, control and
 observation. Those are recorded per group at each stage and laid out once,
-after the last stage, along each final history: its ancestor groups,
-observations, controls and belief entropies. A batch keeps each row's final
-group, each stage's (G, N) beliefs and these per-history paths, and gathers
-per-row observations, controls, group ids, beliefs and entropies only when
-they are read, and defines each per-run metric once for records and comparisons.
+after the last stage, along each final history: its observations, controls
+and belief entropies. A batch keeps each row's final group and these paths
+but no belief: it gathers per-row values only when they are read, beliefs by
+re-running the filter along a final history's paths, and defines each
+per-run metric once for records and comparisons.
 One forward filter pass gives both the beliefs and the realised smoother
 entropy, carried per group as the entropy of its past given each state. Every
 group is computed with the operations of a single run, and every per-run sum
@@ -58,7 +58,7 @@ from .belief import (
     initial_level,
     initial_update,
     predict_joint,
-    step,  # noqa: F401  kept importable: the benchmark's tracer wraps sim.step by name
+    step,
     update,
 )
 from .costs import (
@@ -107,17 +107,17 @@ class RolloutBatch:
     the batch advanced: row p * runs + r holds policy p's run start + r.
 
     A row keeps its states, stage costs, terminal cost, smoother entropy and
-    final history group; everything else is kept once per history. Rows that
-    saw the same history share one filtered belief: `group_beliefs[k]` holds
-    the (G_k, N) beliefs of stage k's groups, and row g of each (G_T, .) path
-    array holds final group g's ancestor groups, observations, controls and
-    belief entropies. `observations`, `controls`, `groups`, `beliefs`,
-    `belief_entropies` and `record` gather rows from them on read. `states`
-    and `stage_costs` are laid out stage-major, as transposes of C-ordered
-    (T+1, R) and (T, R) arrays. `total_cost`, the one total-cost formula, sums
-    the stage costs by `_row_sums`, in numpy's own order, then adds the
-    smoother entropy and terminal cost in place; `record` copies its row's.
+    final history group; row g of each (G_T, .) path array holds final group
+    g's observations, controls and belief entropies, gathered on read. No
+    belief is kept: `beliefs` and `record` re-run the filter, `initial_update`
+    then `step`, along final groups' paths with the operations of a single run,
+    so they have the bits the simulation saw. `states` and `stage_costs` are
+    stage-major, transposes of C-ordered (T+1, R) and (T, R) arrays.
+    `total_cost`, the one total-cost formula, sums the stage costs by
+    `_row_sums`, in numpy's own order, then adds the smoother entropy and
+    terminal cost in place; `record` copies its row's.
     """
+    model: ControlledHMM          # the model simulated, whose filter `beliefs` re-runs
     seed: int
     start: int
     runs: int                     # runs per policy: the batch has P * runs rows
@@ -126,8 +126,6 @@ class RolloutBatch:
     terminal_cost: np.ndarray     # (R,)
     smoother_entropy: np.ndarray  # (R,)
     final_group: np.ndarray       # (R,) each row's history group at stage T
-    group_beliefs: tuple[np.ndarray, ...]  # T+1 arrays (G_k, N), one per group
-    group_paths: np.ndarray        # (G_T, T+1) each final group's group at each stage
     observation_paths: np.ndarray  # (G_T, T+1) y_0..y_T along each final group's history
     control_paths: np.ndarray      # (G_T, T)
     entropy_paths: np.ndarray      # (G_T, T+1) belief entropies along each final group's history
@@ -145,15 +143,18 @@ class RolloutBatch:
         """(R, T) applied controls."""
         return self.control_paths[self.final_group]
 
-    @property
-    def groups(self) -> np.ndarray:
-        """(R, T+1) history group of each row at each stage."""
-        return self.group_paths[self.final_group]
+    def _filter(self, final) -> np.ndarray:
+        """(G, T+1, N) filtered beliefs along the paths of the G final groups `final`."""
+        observations, controls = self.observation_paths[final], self.control_paths[final]
+        beliefs = [initial_update(self.model, observations[:, 0])]
+        for k, control in enumerate(controls.T):
+            beliefs.append(step(self.model, beliefs[-1], control, observations[:, k + 1], k))
+        return np.stack(beliefs, axis=1)
 
     @property
     def beliefs(self) -> np.ndarray:
-        """(R, T+1, N) filtered beliefs after each update."""
-        return np.stack([b[g] for b, g in zip(self.group_beliefs, self.groups.T)], axis=1)
+        """(R, T+1, N) filtered beliefs after each update, filtered once per final group."""
+        return self._filter(slice(None))[self.final_group]
 
     @property
     def belief_entropies(self) -> np.ndarray:
@@ -180,7 +181,7 @@ class RolloutBatch:
             states=self.states[row],
             observations=self.observation_paths[final],
             controls=self.control_paths[final],
-            beliefs=np.stack([b[g] for b, g in zip(self.group_beliefs, self.group_paths[final])]),
+            beliefs=self._filter([final])[0],
             stage_costs=self.stage_costs[row],
             terminal_cost=float(self.terminal_cost[row]),
             smoother_entropy=float(self.smoother_entropy[row]),
@@ -428,22 +429,22 @@ def _block_words(model: ControlledHMM, horizon: int, n_policies: int, runs: int)
     np.unique sorts a copy of the codes; after the last stage its final group, terminal
     cost and smoother entropy, with `_row_sums`' run-major copy of its T stage costs
     from T = 8 on; the total cost summed from that copy is a per-run metric, left out as
-    the (P, 4, runs) array is. Per history group, its stored arrays: at each stage its
-    (N,) belief, belief entropy, parent, control and observation, and at stage T its
-    (N,) past entropies, smoother entropy and 4T + 3 path entries. Groups are distinct
-    (policy, observation and control) histories, so stage k has at most
-    P * min(R, Y (U Y)^k) of them, for any kind of policy.
+    the (P, 4, runs) array is. Per history group, at each stage its belief entropy,
+    parent, control and observation; 2N for the (N,) belief and past entropies of each
+    group of the last two stages, which the last regroup holds; at stage T 3T + 3 for its
+    smoother entropy and path entries. Groups are distinct (policy, observation and
+    control) histories, so stage k has at most P * min(R, Y (U Y)^k), for any policy.
     """
     n, y = model.n_states, model.n_observations
     row_words = 3 + horizon if horizon >= 8 else 8
     draw_words, shared_words = _run_words(horizon, n_policies)
     words = runs * (draw_words + shared_words) + n_policies * runs * row_words
-    histories = y
+    histories, groups = y, 0
     for _ in range(horizon + 1):
-        groups = n_policies * min(runs, histories)
-        words += groups * (n + 4)
+        parents, groups = groups, n_policies * min(runs, histories)
+        words += groups * 4
         histories = min(histories * model.n_controls * y, runs)  # capped: min(R, .) is the same
-    return words + groups * (n + 4 * horizon + 4)
+    return words + (parents + groups) * 2 * n + groups * (3 * horizon + 3)
 
 
 def _block_runs(model: ControlledHMM, horizon: int, n_policies: int, runs: int) -> int:
@@ -558,10 +559,10 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     `_exact_pass`, and a rule decides on its range alone. The beliefs,
     decisions, belief entropies and (G, N) past entropies are computed per
     group, each with the operations of a single run, and gathered from the
-    parent groups at each regroup. Each final group's ancestors, observations,
-    controls and belief entropies are laid out along its path once, after the
-    last stage, as rows of (G_T, T+1) and (G_T, T) paths. No (G, N, N) array
-    outlives its stage.
+    parent groups at each regroup. Each final group's observations, controls
+    and belief entropies are laid out along its path once, after the last
+    stage, as rows of (G_T, T+1) and (G_T, T) paths. No (G, N) or (G, N, N)
+    array outlives its stage: the batch keeps no beliefs.
     """
     runs, t, n_policies = stop - start, cost_model.horizon, len(decides)
     draws = _uniforms(seed, start, stop, t, workspace).T  # (2 + 2T, R), shared by every policy
@@ -571,8 +572,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     states, stage_costs, u, ux, code = _views(
         workspace[1], ((t + 1, *shape), int), ((t, rows), np.float64), (shape, int),
         (shape, int), (shape, np.intp))
-    stage_beliefs, stage_entropies = [], []
-    parents, controls, observations = [], [], []  # per group of each stage
+    stage_entropies, parents, controls, observations = [], [], [], []  # per group of each stage
     n, u_count, y = model.n_states, model.n_controls, model.n_observations
     # CDF tables (outcome, code), code u * N + x: next states, then observations
     transition_cdf = np.cumsum(model.transition, axis=1).transpose(1, 0, 2).reshape(n, -1)
@@ -587,7 +587,6 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     group_beliefs = np.tile(initial_update(model, seen), (n_policies, 1))
     past = np.zeros_like(group_beliefs)
     for k in range(t):
-        stage_beliefs.append(group_beliefs)
         stage_entropies.append(belief_entropy(group_beliefs, config))
         for p, decide in enumerate(decides):
             lo, hi = bounds[p], bounds[p + 1]
@@ -613,17 +612,14 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
         parents.append(parent)
         controls.append(applied)
         observations.append(observed)
-    stage_beliefs.append(group_beliefs)
     stage_entropies.append(belief_entropy(group_beliefs, config))
     smoother = trajectory_entropy(group_beliefs, past, config)
     n_final = len(group_beliefs)
-    group_paths = np.empty((n_final, t + 1), dtype=np.intp)
     observation_paths = np.empty((n_final, t + 1), dtype=np.intp)
     control_paths = np.empty((n_final, t), dtype=np.intp)
     entropy_paths = np.empty((n_final, t + 1))
     ancestor = np.arange(n_final)
     for k in range(t, -1, -1):
-        group_paths[:, k] = ancestor
         observation_paths[:, k] = observations[k][ancestor]
         entropy_paths[:, k] = stage_entropies[k][ancestor]
         if k:
@@ -632,6 +628,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     final_group = group.ravel()
 
     return RolloutBatch(
+        model=model,
         seed=seed,
         start=start,
         runs=runs,
@@ -640,8 +637,6 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
         terminal_cost=cost_model.terminal_cost[states[t].ravel()],
         smoother_entropy=smoother[final_group],
         final_group=final_group,
-        group_beliefs=tuple(stage_beliefs),
-        group_paths=group_paths,
         observation_paths=observation_paths,
         control_paths=control_paths,
         entropy_paths=entropy_paths,
@@ -800,15 +795,16 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     Every policy advances in the same lockstep pass, one block of runs at a
     time; each block's uniforms are drawn once and shared by every policy. A
     block holds the most runs, `_block_runs`, whose words fit ROLLOUT_CHUNK, as
-    `_block_words` counts them: its workspace, its per-row temporaries and its
-    stored per-group arrays, with at most P * min(R, Y (U Y)^k) groups at stage
-    k. So a short horizon's few histories let a block fill the budget with
-    runs, and a block where every row is its own group stays within it. Every
-    block takes its draws, states, stage costs, controls and codes from one
-    `_workspace` made once per call for the largest block, and the draws'
-    Philox scratch shares its region with those per-row arrays. The current
-    stage's (G, N, N) joint and its temporaries come on top, freed with the
-    stage: at N=20, T=8 the peak is about 5x the budget.
+    `_block_words` counts them: its workspace, its per-row temporaries, its
+    per-group records and only the live stage's beliefs, with at most
+    P * min(R, Y (U Y)^k) groups at stage k. So a short horizon's few
+    histories let a block fill the budget with runs, and a block where every
+    row is its own group stays within it. Every block takes its draws, states,
+    stage costs, controls and codes from one `_workspace` made once per call
+    for the largest block, and the draws' Philox scratch shares its region
+    with those per-row arrays. The current stage's (G, N, N) joint and its
+    temporaries come on top, freed with the stage: at N=20, T=8 the peak is
+    about 7x the budget.
     `_rules` checks every policy and builds its rule, against one fingerprint of
     (model, cost_model) per call, `model_fingerprint` if the caller holds it. A
     callable is called stage by stage within each block, so a stateful one's calls

@@ -903,6 +903,30 @@ def test_sweep_rejects_bad_densities(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "0.5"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--base-points", "1", "--out", "p.json"],
+    ["sweep", "--base-points", "1", "--out", "s.csv"],
+    ["experiment", "--base-points", "1", "--runs", "5", "--out", "exp"],
+], ids=lambda argv: argv[0])
+def test_commands_refuse_an_epsilon_no_model_takes_before_loading(tmp_path, monkeypatch,
+                                                                   capsys, command, epsilon):
+    # every model wants epsilon in (0, 1/(2N)), inside (0, 1/2): outside it is a usage error
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_grid_agent", lambda: pytest.fail("loaded"))
+    assert main([*command, "--epsilon", epsilon]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --epsilon must lie in (0, 1/2), got {float(epsilon)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_epsilon_the_model_refuses_exits_one(tmp_path, capsys):
+    # the grid agent has N = 4 states, so 1/(2N) = 0.125 lies in (0, 1/2) but is refused
+    assert main(["solve", "--base-points", "1", "--epsilon", "0.125",
+                 "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: epsilon_interior must lie in (0, 1/(2N))")
+
+
 # ------------------------------------------------------------ file errors --
 
 def test_horizon_override_with_stage_dependent_costs(tmp_path):

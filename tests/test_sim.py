@@ -737,6 +737,27 @@ def test_the_largest_experiment_block_peaks_within_the_budget(grid, experiment_p
     assert peak - len(policies) * 4 * runs * 8 <= sim.ROLLOUT_CHUNK * 8
 
 
+def test_the_largest_long_horizon_block_peaks_within_the_budget():
+    """At T=130 the count allows a group per row from stage 3 on, so per-group words
+    decide the block: with no per-stage beliefs kept, more than 236 runs of two fixed
+    controls on a random N=4, U=2, Y=3 model fit in one block, and its peak stays within
+    ROLLOUT_CHUNK words, the (P, 4, runs) per-run metrics aside."""
+    rng = np.random.default_rng(36)
+    model = oracle.random_model(rng, n_states=4, n_obs=3, n_controls=2)
+    costs = oracle.random_costs(rng, model, 1)
+    costs = make_cost_model(130, costs.stage_cost[0], costs.terminal_cost)
+    policies = [("zero", 0), ("one", 1)]
+    runs = sim._block_runs(model, costs.horizon, len(policies), 10 ** 6)
+    assert 236 < runs < 10 ** 6
+    tracemalloc.start()
+    try:
+        compare_policies(model, costs, policies, runs, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - len(policies) * 4 * runs * 8 <= sim.ROLLOUT_CHUNK * 8
+
+
 def test_every_block_of_a_comparison_reuses_one_workspace(grid, grid_policies, monkeypatch):
     model, costs = grid
     policies = [("smoother", grid_policies["smoother"]), ("east", "always-east")]
@@ -1039,8 +1060,8 @@ def _same_classes(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("horizon", [0, 3])
 def test_a_group_is_a_history(grid, grid_policies, horizon):
-    # rows share a group at stage k exactly when they share their policy, y_0..y_k and
-    # u_0..u_{k-1}; each row's paths are the ones its own rollout sees
+    # rows share a final group exactly when they share their policy, y_0..y_T and
+    # u_0..u_{T-1}; each row's paths are the ones its own rollout sees
     rng = np.random.default_rng(26 + horizon)
     model, costs = grid
     costs = make_cost_model(horizon, costs.stage_cost[0], costs.terminal_cost)
@@ -1059,13 +1080,11 @@ def test_a_group_is_a_history(grid, grid_policies, horizon):
                              DEFAULT_CONFIG, sim._workspace(horizon, len(rules), runs))
         assert len(batch) == len(policies) * runs
         policy = np.repeat(np.arange(len(policies)), runs)[:, None]
-        groups, observations, controls = batch.groups, batch.observations, batch.controls
-        assert groups.shape == observations.shape == (len(batch), horizon + 1)
+        observations, controls = batch.observations, batch.controls
+        assert observations.shape == (len(batch), horizon + 1)
         assert controls.shape == (len(batch), horizon)
-        np.testing.assert_array_equal(groups[:, -1], batch.final_group)
-        for k in range(horizon + 1):
-            history = np.hstack([policy, observations[:, :k + 1], controls[:, :k]])
-            assert _same_classes(history, groups[:, k:k + 1]), k
+        history = np.hstack([policy, observations, controls])
+        assert _same_classes(history, batch.final_group[:, None])
         for row in range(0, len(batch), 7):
             p, r = divmod(row, runs)
             want = rollout(case_model, case_costs, policies[p], seed, run_index=start + r)
