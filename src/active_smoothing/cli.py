@@ -104,13 +104,24 @@ def read_csv(path) -> tuple[dict, list[dict]]:
         return metadata, list(reader)
 
 
-def _load_model_and_costs(args):
-    """The model and costs the command runs on; invalid ones, a negative --horizon or
-    --runs below 1 raise ValueError (exit 1) before the command does any work. An
-    --epsilon outside (0, 1/2), which no model takes, raises UsageError before loading."""
-    epsilon = getattr(args, "epsilon", None)
+def _check_flags(args) -> None:
+    """UsageError, before any command loads a model, for a flag value that no model takes;
+    `sweep` and `experiment` check their density lists as they parse them."""
+    base_points, epsilon, horizon, runs = (getattr(args, key, None) for key in
+                                           ("base_points", "epsilon", "horizon", "runs"))
+    if isinstance(base_points, int) and base_points < 1:  # `solve`'s one density
+        raise UsageError(f"base-point density must be >= 1, got {base_points}")
     if epsilon is not None and not 0.0 < epsilon < 0.5:  # every model wants (0, 1/(2N))
         raise UsageError(f"--epsilon must lie in (0, 1/2), got {epsilon}")
+    if horizon is not None and horizon < 0:
+        raise UsageError(f"horizon {horizon} must be nonnegative")
+    if runs is not None and runs < 1:
+        raise UsageError(f"runs must be >= 1, got {runs}")
+
+
+def _load_model_and_costs(args):
+    """The model and costs the command runs on; invalid ones raise ValueError (exit 1)
+    before the command does any work."""
     if getattr(args, "model", None):
         model, costs = load_model(args.model)
     else:
@@ -120,11 +131,6 @@ def _load_model_and_costs(args):
         raise ValueError(f"invalid model, {len(violations)} violation(s):\n  "
                          + "\n  ".join(violations))
     horizon = getattr(args, "horizon", None)
-    if horizon is not None and horizon < 0:
-        raise ValueError(f"horizon {horizon} must be nonnegative")
-    runs = getattr(args, "runs", None)
-    if runs is not None and runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
     if horizon is not None and horizon != costs.horizon:
         if costs.horizon == 0:
             raise UsageError("cannot override the horizon of a model with no stage costs")
@@ -286,8 +292,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.base_points < 1:
-        raise UsageError(f"base-point density must be >= 1, got {args.base_points}")
     model, costs = _load_model_and_costs(args)
     config = EntropyConfig(args.log_base)
     context = SolveContext(model, costs)
@@ -475,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

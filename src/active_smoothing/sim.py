@@ -34,10 +34,11 @@ entropy, carried per group as the entropy of its past given each state. Every
 group is computed with the operations of a single run, and every per-run sum
 adds one run's terms in the order numpy sums a C-ordered row, so results do not
 depend on the block it was simulated in or on the policies simulated beside it.
-Every entry point checks its policies and builds their rules in one `_rules`
-call: `check_policy`, the one check of every kind of policy, once per policy
-per pass, then `_rows_rule`. A pass fingerprints the model and costs at most
-once for all its policies, and not at all when its caller holds the fingerprint.
+Every entry point takes its policies' rules from one `_rules` call: each is the
+rule `check_policy`, the one place that interprets every kind of policy,
+returns once it has checked that policy, once per policy per pass. A pass
+fingerprints the model and costs at most once for all its policies, and not at
+all when its caller holds the fingerprint.
 Exact evaluation walks the observation tree breadth-first with the same rules,
 one level of (L, N) beliefs per stage grown by `belief.children`, as the
 solver's reachable levels are, and charges the smoother entropy in its
@@ -223,56 +224,36 @@ def _builtin_control(ref: str) -> int | None:
     return int(digits)
 
 
-def _rows_rule(model: ControlledHMM, policy_like):
-    """The rule decide(beliefs, group, stage) of a policy `check_policy` has passed.
-
-    `beliefs` (G, N) holds one belief per history group of one policy and
-    `group` (R,) each row's group; the result is one control per row, as an int
-    array. A value policy decides each group once by `best_action`; an integer
-    or a builtin reference is one fixed control. A user callable
-    (belief, stage) -> control is called once per row, in row order, with that
-    row's belief, so a stochastic or stateful one sees the calls it would with
-    one belief per row; its controls are range-checked on return, since only a
-    callable can decide outside the controls `check_policy` has checked.
-    """
-    if isinstance(policy_like, ValuePolicy):
-        return lambda beliefs, group, stage: best_action(policy_like, beliefs, stage)[group]
-    if callable(policy_like):
-        def decide(beliefs, group, stage):
-            controls = np.array([int(policy_like(beliefs[g], stage)) for g in group], dtype=int)
-            check_controls(model, controls)  # an out-of-range control would alias another's code
-            return controls
-        return decide
-    control = _builtin_control(policy_like) if isinstance(policy_like, str) else int(policy_like)
-    return lambda beliefs, group, stage: np.full(len(group), control)
-
-
 def _rules(model: ControlledHMM, cost_model: CostModel, policies: list,
            expected: str | None = None) -> list:
-    """One `_rows_rule` per (name, policy) pair, built once every policy has passed
-    `check_policy`, so a pass refuses before any draw or tree walk. Every value policy is
-    checked against one fingerprint of (model, cost_model): `expected` if given, else
+    """The `check_policy` rule of each (name, policy) pair, in order, so a pass refuses
+    before any draw or tree walk and runs only rules it has checked. Every value policy
+    is checked against one fingerprint of (model, cost_model): `expected` if given, else
     computed here, only if some policy is a value policy."""
     if expected is None and any(isinstance(policy_like, ValuePolicy)
                                 for _, policy_like in policies):
         expected = fingerprint(model, cost_model)
-    for _, policy_like in policies:
-        check_policy(model, cost_model, policy_like, expected)
-    return [_rows_rule(model, policy_like) for _, policy_like in policies]
+    return [check_policy(model, cost_model, policy_like, expected) for _, policy_like in policies]
 
 
 def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like,
-                 expected: str | None = None) -> None:
-    """Refuse a policy that cannot be evaluated on (model, cost_model): the one check of
-    every kind of policy, which `_rules` makes once per policy per pass.
+                 expected: str | None = None):
+    """The rule decide(beliefs, group, stage) of a policy that can be evaluated on
+    (model, cost_model): the one place that interprets a policy, which `_rules` calls
+    once per policy per pass. A rule takes one belief per history group of one policy,
+    (G, N), and each row's group, (R,), and returns one int control per row.
 
     A value policy must have been solved for them: its fingerprint must be
     `expected`, theirs, computed here if not given, its horizon the costs', its
     stages of the model's states and, before the horizon, of the model's controls
-    only; else PolicyModelMismatch. An integer or builtin reference must name one of
-    the model's controls: else ValueError, naming the reference as given, as for
-    text that is no builtin; TypeError for an object of any other type. A callable
-    passes; its controls are range-checked as it returns them.
+    only; else PolicyModelMismatch. Its rule decides each group once by `best_action`.
+    An integer or builtin reference must name one of the model's controls, its rule's
+    one fixed control: else ValueError, naming the reference as given, as for text
+    that is no builtin; TypeError for an object of any other type. A callable
+    (belief, stage) -> control passes; its rule calls it once per row, in row order,
+    with that row's belief, so a stochastic or stateful one sees the calls it would
+    with one belief per row, and range-checks its controls on return: only a
+    callable can decide outside the controls checked here.
     """
     if isinstance(policy_like, ValuePolicy):
         expected = expected or fingerprint(model, cost_model)
@@ -298,9 +279,13 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like,
                     f"policy stage {k} has actions outside the model's controls "
                     f"[0, {model.n_controls})"
                 )
-        return
+        return lambda beliefs, group, stage: best_action(policy_like, beliefs, stage)[group]
     if callable(policy_like):
-        return
+        def decide(beliefs, group, stage):
+            controls = np.array([int(policy_like(beliefs[g], stage)) for g in group], dtype=int)
+            check_controls(model, controls)  # an out-of-range control would alias another's code
+            return controls
+        return decide
     if isinstance(policy_like, str):
         control = _builtin_control(policy_like)
         if control is None:
@@ -312,6 +297,7 @@ def check_policy(model: ControlledHMM, cost_model: CostModel, policy_like,
     if not 0 <= control < model.n_controls:
         raise ValueError(f"policy {policy_like!r}: control {control} out of range "
                          f"[0, {model.n_controls})")
+    return lambda beliefs, group, stage: np.full(len(group), control)
 
 
 def _mul128(x: np.ndarray, mult: np.ndarray, hi: np.ndarray, lo: np.ndarray, w: np.ndarray,
@@ -538,7 +524,7 @@ def _advance(model: ControlledHMM, cost_model: CostModel, decides: list, seed: i
     """Simulate runs start .. stop - 1 in lockstep, drawing their (R, 2 + 2T) uniforms
     into `workspace`, a `_workspace` for at least R = stop - start runs.
 
-    `decides` holds one `_rows_rule` per policy. Rows are policy-major: row
+    `decides` holds one `check_policy` rule per policy. Rows are policy-major: row
     p * R + r is policy p's run start + r and uses that run's uniforms, so the
     batch has P * R rows and is a plain `rollouts` batch when P = 1.
 
@@ -647,7 +633,7 @@ def rollouts(model: ControlledHMM, cost_model: CostModel, policy_like, seed: int
              config: EntropyConfig = DEFAULT_CONFIG, start: int = 0) -> RolloutBatch:
     """Simulate runs start .. start + runs - 1 together; row r equals rollout(run_index=start + r).
 
-    The policy is checked and its rule built by `_rules`. The batch's states and stage
+    The policy is checked, and its rule returned, by `_rules`. The batch's states and stage
     costs are copied out of the block's workspace, in its stage-major layout, so the
     workspace, draws included, is freed on return.
     """
@@ -715,7 +701,7 @@ def compare_policies_exactly(model: ControlledHMM, cost_model: CostModel,
                              model_fingerprint: str | None = None):
     """One (name, exact summary) per named policy; ValueError if `exact_refusal` refuses.
 
-    `_rules` checks every policy and builds its rule, against one fingerprint of
+    `_rules` checks every policy and returns its rule, against one fingerprint of
     (model, cost_model), `model_fingerprint` if the caller holds it, and every
     policy's observation tree is walked in the same breadth-first pass. A pass
     holds as many policies as keep P * Y^(T+1) * N^2 within SIZE_GUARD, at least
@@ -739,7 +725,7 @@ def compare_policies_exactly(model: ControlledHMM, cost_model: CostModel,
 def _exact_pass(model: ControlledHMM, cost_model: CostModel, decides: list,
                 config: EntropyConfig) -> list[tuple]:
     """(terminal cost, total belief entropy, smoother entropy, total cost) expectations
-    per `_rows_rule`, over one breadth-first walk of every policy's observation tree.
+    per `check_policy` rule, over one breadth-first walk of every policy's observation tree.
 
     Level k stacks every policy's (L_p, N) beliefs and (L_p,) path probabilities
     as one (sum L_p, N) array, policy p's rows the range bounds[p]:bounds[p+1].
@@ -805,7 +791,7 @@ def compare_policies(model: ControlledHMM, cost_model: CostModel,
     with those per-row arrays. The current stage's (G, N, N) joint and its
     temporaries come on top, freed with the stage: at N=20, T=8 the peak is
     about 7x the budget.
-    `_rules` checks every policy and builds its rule, against one fingerprint of
+    `_rules` checks every policy and returns its rule, against one fingerprint of
     (model, cost_model) per call, `model_fingerprint` if the caller holds it. A
     callable is called stage by stage within each block, so a stateful one's calls
     interleave with the other policies' decisions by stage. Any other policy's

@@ -347,6 +347,12 @@ def _reachable_levels(model: ControlledHMM, horizon: int) -> list[np.ndarray]:
     return levels
 
 
+def _lowest_tied(scores: np.ndarray, labels: np.ndarray, axis: int) -> np.ndarray:
+    """The lowest label scored within TIE_TOL of the least along `axis`: the one tie rule."""
+    tied = scores <= scores.min(axis=axis, keepdims=True) + TIE_TOL
+    return np.where(tied, labels, _NO_ACTION).min(axis=axis)
+
+
 def _tree_backup(weights: np.ndarray, beliefs: np.ndarray, next_values: np.ndarray,
                  pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One DP stage backed up only at `beliefs` (L, N): the minimal backed-up vector at each.
@@ -360,9 +366,9 @@ def _tree_backup(weights: np.ndarray, beliefs: np.ndarray, next_values: np.ndarr
     product and one argmin; numpy runs a stacked product as one gemm per pair,
     so each pair has the bits of its own product. The control is the lowest
     one whose candidate's own product with the belief is within TIE_TOL of the
-    least, as `best_action` decides. Returns the distinct chosen (vector,
-    control) pairs in order of first choice, and a mask of the next-stage rows
-    that some candidate uses.
+    least, by `_lowest_tied`, as `best_action` decides. Returns the distinct
+    chosen (vector, control) pairs in order of first choice, and a mask of the
+    next-stage rows that some candidate uses.
     """
     n_controls, n_observations = weights.shape[:2]
     controls = np.arange(n_controls)[:, None]
@@ -375,7 +381,7 @@ def _tree_backup(weights: np.ndarray, beliefs: np.ndarray, next_values: np.ndarr
     piece_picks = np.argmin(beliefs @ pieces.swapaxes(-1, -2), axis=-1)  # (U, L)
     candidates += pieces[controls, piece_picks]
     scores = (candidates[:, :, None, :] @ beliefs[:, :, None])[..., 0, 0]  # (U, L)
-    chosen = np.argmax(scores <= scores.min(axis=0) + TIE_TOL, axis=0)  # lowest tied control
+    chosen = _lowest_tied(scores, controls, axis=0)
     values = candidates[chosen, np.arange(len(beliefs))]
     keep = np.sort(_first_copies(np.column_stack([values, chosen])))
     return values[keep], chosen[keep], used
@@ -555,8 +561,7 @@ def best_action(policy: ValuePolicy, belief: np.ndarray, stage: int):
     stage_set = policy.stages[stage]
     # a stacked @ runs one gemv per row: the same bits as values @ belief
     vals = (stage_set.values @ np.asarray(belief)[..., None])[..., 0]
-    tied = vals <= vals.min(axis=-1, keepdims=True) + TIE_TOL
-    actions = np.where(tied, stage_set.actions, _NO_ACTION).min(axis=-1)
+    actions = _lowest_tied(vals, stage_set.actions, axis=-1)
     return int(actions) if actions.ndim == 0 else actions
 
 

@@ -246,10 +246,12 @@ def test_solve_horizon_override(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["solve"], ["simulate", "--policy", "always-east"],
-                                     ["sweep"]])
-def test_negative_horizon_override_is_rejected(tmp_path, capsys, command):
+                                     ["sweep"], ["experiment"]])
+def test_negative_horizon_override_is_rejected(tmp_path, monkeypatch, capsys, command):
+    # no model takes a negative horizon: a usage error, before the model loads
+    monkeypatch.setattr(cli, "build_grid_agent", lambda: pytest.fail("loaded"))
     out = tmp_path / "out"
-    assert main(command + ["--horizon", "-1", "--out", str(out)]) == 1
+    assert main(command + ["--horizon", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: horizon -1 must be nonnegative\n"
     assert not out.exists()
 
@@ -866,8 +868,8 @@ def test_experiment_checks_always_east_before_writing_anything(tmp_path, monkeyp
 ], ids=lambda argv: argv[0])
 def test_commands_check_runs_before_writing_anything(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved before checking --runs"))
-    assert main([*command, "--runs", "0"]) == 1
+    monkeypatch.setattr(cli, "build_grid_agent", lambda: pytest.fail("loaded before --runs"))
+    assert main([*command, "--runs", "0"]) == 2
     assert capsys.readouterr().err == "error: runs must be >= 1, got 0\n"
     assert list(tmp_path.iterdir()) == []
 

@@ -104,6 +104,32 @@ def test_check_policy_detects_mismatch(grid):
         check_policy(model, costs, [2])
 
 
+def test_check_policy_returns_the_rule_it_has_checked(grid, grid_policies):
+    # check_policy is the one place that interprets a policy: its rule decides each row of
+    # a batch of reachable stage-1 beliefs, given each row's group, as its kind decides
+    model, costs = grid
+    _, _, roots = belief_module.initial_level(model)
+    applied = np.arange(len(roots)) % model.n_controls
+    joint = belief_module.predict_joint(model, roots, applied)
+    beliefs = belief_module.children(model, joint, applied, stage=0)[3]
+    group = np.array([2, 0, 0, len(beliefs) - 1, 1])  # rows out of order, two in one group
+    policy = grid_policies["smoother"]
+    decide = check_policy(model, costs, policy)
+    assert decide(beliefs, group, 1).tolist() == [best_action(policy, beliefs[g], 1)
+                                                  for g in group]
+    for policy_like, control in (("always-east", 2), ("fixed:1", 1), (np.int64(0), 0)):
+        decide = check_policy(model, costs, policy_like)
+        assert decide(beliefs, group, 1).tolist() == [control] * len(group)
+    calls = []
+    decide = check_policy(model, costs, lambda belief, stage: calls.append((stage, belief.tolist()))
+                          or len(calls) % model.n_controls)
+    assert decide(beliefs, group, 1).tolist() == [1, 2, 0, 1, 2]
+    assert calls == [(1, beliefs[g].tolist()) for g in group]  # once per row, in row order
+    decide = check_policy(model, costs, lambda belief, stage: 9)
+    with pytest.raises(IndexError, match=r"^control 9 out of range \[0, 3\)$"):
+        decide(beliefs, group, 1)
+
+
 # ---------------------------------------------------------------- rollout --
 
 def test_rollout_is_reproducible_and_documented(grid):
@@ -304,7 +330,7 @@ def test_exact_evaluation_predicts_each_levels_joint_once(grid, monkeypatch, hor
 def _own_walk(model, costs, policy_like, config=DEFAULT_CONFIG) -> tuple:
     """One policy's exact (terminal, total belief entropy, smoother, total) expectations,
     walked alone level by level as a single-policy evaluation does."""
-    decide = sim._rows_rule(model, policy_like)
+    decide = check_policy(model, costs, policy_like)
     _, prob, beliefs = belief_module.initial_level(model)
     tbe = smoother = stage_c = 0.0
     for k in range(costs.horizon):
@@ -1075,7 +1101,7 @@ def test_a_group_is_a_history(grid, grid_policies, horizon):
                        _random_value_policy(rng, other, other_costs)]))
     runs, start, seed = 60, 4, 19
     for case_model, case_costs, policies in cases:
-        rules = [sim._rows_rule(case_model, policy) for policy in policies]
+        rules = [check_policy(case_model, case_costs, policy) for policy in policies]
         batch = sim._advance(case_model, case_costs, rules, seed, start, start + runs,
                              DEFAULT_CONFIG, sim._workspace(horizon, len(rules), runs))
         assert len(batch) == len(policies) * runs
